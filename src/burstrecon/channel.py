@@ -165,10 +165,11 @@ def sample_distinct_outputs(
 ) -> ChannelSample:
     """Sample `count` distinct members of the radius-t ball around x.
 
-    Feasibility is checked first (closed form for insertions, enumeration for
-    deletions, whose ball sizes depend on the center); if the ball is smaller
-    than `count` the error reports the exact ball size.  A fixed seed yields
-    identical outputs and traces on every run.
+    A `count` above `cap` is refused with `EnumerationCapExceeded` before any
+    work.  Feasibility is checked next (closed form for insertions,
+    enumeration for deletions, whose ball sizes depend on the center); if the
+    ball is smaller than `count` the error reports the exact ball size.  A
+    fixed seed yields identical outputs and traces on every run.
     """
     validate_word(x, q)
     _check_kind(kind)
@@ -178,6 +179,8 @@ def sample_distinct_outputs(
         raise ValueError(f"radius must be nonnegative, got {t}")
     if b < 1:
         raise ValueError(f"burst length must be at least 1, got {b}")
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
     if kind == "deletion":
         if len(x) < t * b:
             raise ValueError(

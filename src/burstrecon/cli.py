@@ -12,12 +12,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -44,22 +46,6 @@ EXIT_CAP = 4
 
 COUNT_KINDS = ("ins-ball", "ins-int", "del-ball", "del-int", "del-int-lb", "sphere")
 
-VERIFY_KINDS = (
-    "ins-ball",
-    "ins-ball-rec",
-    "ins-int",
-    "ins-int-rec",
-    "del-ball",
-    "del-ball-rec",
-    "del-extremal",
-    "del-int",
-    "del-int-rec",
-    "del-int-lb",
-    "sphere",
-    "roundtrip-ins",
-    "roundtrip-del",
-)
-
 CSV_HEADER = "q,b,t,n,kind,formula,oracle,match,ms"
 
 
@@ -83,14 +69,21 @@ class SweepConfig:
     corrupt: str | None = None
 
     def __post_init__(self):
-        for name, values in (
-            ("q", self.q_values),
-            ("b", self.b_values),
-            ("t", self.t_values),
-            ("n", self.n_values),
+        for name, values, low, high in (
+            ("q", self.q_values, 2, comb.MAX_ALPHABET),
+            ("b", self.b_values, 1, None),
+            ("t", self.t_values, 0, None),
+            ("n", self.n_values, 0, None),
         ):
             if not values:
                 raise ValueError(f"empty range for {name}")
+            for v in values:
+                if v < low or (high is not None and v > high):
+                    allowed = f"in [{low}, {high}]" if high else f"at least {low}"
+                    raise ValueError(f"{name} must be {allowed}, got {v}")
+        for kind in self.kinds:
+            if kind not in CHECKS:
+                raise ValueError(f"unknown verify kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -107,160 +100,215 @@ class ResultRow:
 
 
 class _Skip(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A row's check does not apply; the message is the skip reason."""
 
 
-def _flip_pair(q: int, b: int, n: int):
+@dataclass(frozen=True, kw_only=True)
+class Check:
+    """How ``verify`` checks one kind, and how ``count`` evaluates its closed form.
+
+    ``domain`` pairs each condition on (q, b, t, n) with the skip reason shown
+    when it fails; ``work`` is the brute-force cost compared with the cap.
+    ``formula`` is None for round trips, whose formula column is the number of
+    trials.  ``oracle`` takes (q, b, t, n, cap, trials, rng), where rng is the
+    row's seeded generator for round trips and None otherwise.  Every callable
+    looks library functions up when it runs, so that wrappers installed on the
+    modules see the calls.
+    """
+
+    domain: tuple[tuple[Callable[..., bool], str], ...] = ()
+    work: Callable[..., int] | None = None
+    formula: Callable | None = None
+    oracle: Callable
+
+
+def _ins_ball(q, b, t, n):
+    return comb.ins_ball_size(q, b, n, t)
+
+
+def _ins_int(q, b, t, n):
+    return comb.ins_intersection_max(q, b, n, t)
+
+
+def _ins_recurrence(count, q, b, t, n):
+    return count(q, b, t, n - 1) + (q - 1) * q ** (b - 1) * count(q, b, t - 1, n)
+
+
+def _del_ball(q, b, t, n):
+    return comb.del_ball_max(q, b, n, t)
+
+
+def _del_int(q, b, t, n):
+    if q != 2:
+        raise ValueError(
+            "exact deletion overlap is known only for q = 2; "
+            "use 'del-int-lb' for the general-q lower bound"
+        )
+    return comb.del_intersection_max_binary(b, n, t)
+
+
+def _del_threshold(q, b, t, n):
+    return comb.del_intersection_threshold(b, n, t)
+
+
+def _ins_ball_regularity(q, b, t, n, cap, *_):
+    observed = {len(enumerate_insertion_ball(x, q, t, b, cap)) for x in all_words(q, n)}
+    return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
+
+
+def _flip_pair_overlap(q, b, t, n, cap, *_):
     x = bytes(b) + b_cyclic(n - b, q, b, 1 % q)
     y = bytearray(x)
     y[b - 1] = 1
-    return x, bytes(y)
-
-
-def _roundtrip_insertion(q, b, t, n, cap, rng):
-    need = comb.ins_intersection_max(q, b, n, t) + 1
-    if comb.ins_ball_size(q, b, n, t) < need:
-        raise _Skip("no center admits threshold+1 distinct outputs")
-    if need > cap:
-        raise _Skip("threshold exceeds cap")
-    center = bytes(rng.randrange(q) for _ in range(n))
-    sample = sample_distinct_outputs(
-        center, q, t, b, "insertion", need, rng.getrandbits(48), cap
+    return len(
+        intersection(
+            enumerate_deletion_ball(x, t, b, cap), enumerate_deletion_ball(bytes(y), t, b, cap)
+        )
     )
-    result = reconstruct_from_insertions(sample.outputs, n, q, b, t)
-    return result.word == center
 
 
-def _roundtrip_deletion(b, t, n, cap, eligible, rng):
-    need = comb.del_intersection_max_binary(b, n, t) + 1
-    center = eligible[rng.randrange(len(eligible))]
-    sample = sample_distinct_outputs(
-        center, 2, t, b, "deletion", need, rng.getrandbits(48), cap
-    )
-    result = reconstruct_from_deletions(sample.outputs, n, b, t)
-    return result.word == center
+def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
+    """Whether one round trip decodes center from `need` sampled outputs.
+
+    A named decoder refusal is a failed trial.  The sample stays local, so it
+    is freed before the next trial draws its own.
+    """
+    outputs = sample_distinct_outputs(
+        center, q, t, b, kind, need, rng.getrandbits(48), cap
+    ).outputs
+    try:
+        if kind == "insertion":
+            return reconstruct_from_insertions(outputs, len(center), q, b, t).word == center
+        return reconstruct_from_deletions(outputs, len(center), b, t).word == center
+    except ReconstructionError:
+        return False
 
 
-def _row_values(kind, q, b, t, n, cap, seed, trials):
-    """Return (formula, oracle) for one grid point, or raise _Skip."""
-    if kind == "ins-ball":
-        if t < 0:
-            raise _Skip("needs t >= 0")
-        size = comb.ins_ball_size(q, b, n, t)
-        if q**n * max(size, 1) > cap:
-            raise _Skip("work exceeds cap")
-        observed = {len(enumerate_insertion_ball(x, q, t, b, cap)) for x in all_words(q, n)}
-        oracle = observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
-        return size, oracle
-    if kind == "ins-ball-rec":
-        if n < 1 or t < 1:
-            raise _Skip("needs n >= 1 and t >= 1")
-        return (
-            comb.ins_ball_size(q, b, n, t),
-            comb.ins_ball_size(q, b, n - 1, t)
-            + (q - 1) * q ** (b - 1) * comb.ins_ball_size(q, b, n, t - 1),
-        )
-    if kind == "ins-int":
-        if n < 1 or t < 1:
-            raise _Skip("needs n >= 1 and t >= 1")
-        if q**n * (q**n - 1) // 2 > cap or q**n * comb.ins_ball_size(q, b, n, t) > cap:
-            raise _Skip("work exceeds cap")
-        oracle, _ = max_intersection_exhaustive(n, q, b, t, "insertion", cap)
-        return comb.ins_intersection_max(q, b, n, t), oracle
-    if kind == "ins-int-rec":
-        if n < 1 or t < 1:
-            raise _Skip("needs n >= 1 and t >= 1")
-        return (
-            comb.ins_intersection_max(q, b, n, t),
-            comb.ins_intersection_max(q, b, n - 1, t)
-            + (q - 1) * q ** (b - 1) * comb.ins_intersection_max(q, b, n, t - 1),
-        )
-    if kind == "del-ball":
-        if n < b * t:
-            raise _Skip("needs n >= b*t")
-        if q**n > cap:
-            raise _Skip("work exceeds cap")
-        oracle = max(len(enumerate_deletion_ball(x, t, b, cap)) for x in all_words(q, n))
-        return comb.del_ball_max(q, b, n, t), oracle
-    if kind == "del-ball-rec":
-        if n < b * t + 1:
-            raise _Skip("needs n >= b*t + 1")
-        return (
-            comb.del_ball_max(q, b, n, t),
-            sum(comb.del_ball_max(q, b, n - i * b - 1, t - i) for i in range(q)),
-        )
-    if kind == "del-extremal":
-        if n < b * t + 1:
-            raise _Skip("needs n >= b*t + 1")
-        center = y_sequence(n, q, b, 0, 0)
-        return comb.del_ball_max(q, b, n, t), len(enumerate_deletion_ball(center, t, b, cap))
-    if kind == "del-int":
-        if q != 2:
-            raise _Skip("exact value known only for q = 2")
-        if b < 2 or t < 1 or n < b * (t + 1) - 1:
-            raise _Skip("needs b >= 2, t >= 1, n >= b*(t+1)-1")
-        if 2**n * (2**n - 1) // 2 > cap:
-            raise _Skip("work exceeds cap")
-        oracle, _ = max_intersection_exhaustive(n, 2, b, t, "deletion", cap)
-        return comb.del_intersection_max_binary(b, n, t), oracle
-    if kind == "del-int-rec":
-        if q != 2 or b < 2 or t < 1 or n < max(b * t + 1, 2 * b):
-            raise _Skip("needs q = 2, b >= 2, t >= 1, n >= max(b*t + 1, 2*b)")
-        return (
-            comb.del_intersection_threshold(b, n, t),
-            comb.del_intersection_threshold(b, n - 1, t)
-            + comb.del_intersection_threshold(b, n - b - 1, t - 1),
-        )
-    if kind == "del-int-lb":
-        if b < 2 or t < 1 or n < (t + 1) * b - 1:
-            raise _Skip("needs b >= 2, t >= 1, n >= (t+1)*b-1")
-        x, y = _flip_pair(q, b, n)
-        pair_overlap = len(
-            intersection(
-                enumerate_deletion_ball(x, t, b, cap),
-                enumerate_deletion_ball(y, t, b, cap),
-            )
-        )
-        return comb.del_intersection_lower_bound(q, b, n, t), pair_overlap
-    if kind == "sphere":
-        if t < 1:
-            raise _Skip("needs t >= 1")
-        value, _ = comb.sphere_packing_bound(q, b, n, t)
-        reference, _ = comb.sphere_packing_bound(q, 1, n, t)
-        return value, reference
-    if kind == "roundtrip-ins":
-        if n < 1 or t < 1:
-            raise _Skip("needs n >= 1 and t >= 1")
-        rng = random.Random(trial_seed(seed, _row_seed_index(kind, q, b, t, n)))
-        successes = sum(
-            1 for _ in range(trials) if _roundtrip_insertion(q, b, t, n, cap, rng)
-        )
-        return trials, successes
-    if kind == "roundtrip-del":
-        if q != 2:
-            raise _Skip("decoder defined for q = 2 only")
-        if b < 2 or t < 1 or n < b * (t + 1) - 1:
-            raise _Skip("needs b >= 2, t >= 1, n >= b*(t+1)-1")
-        if 2**n > cap:
-            raise _Skip("work exceeds cap")
-        need = comb.del_intersection_max_binary(b, n, t) + 1
-        eligible = [
-            x
-            for x in all_words(2, n)
-            if len(enumerate_deletion_ball(x, t, b, cap)) >= need
-        ]
-        if not eligible:
+def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng):
+    successes = 0
+    for _ in range(trials):
+        need = comb.ins_intersection_max(q, b, n, t) + 1
+        if comb.ins_ball_size(q, b, n, t) < need:
             raise _Skip("no center admits threshold+1 distinct outputs")
-        rng = random.Random(trial_seed(seed, _row_seed_index(kind, q, b, t, n)))
-        successes = sum(
-            1
-            for _ in range(trials)
-            if _roundtrip_deletion(b, t, n, cap, eligible, rng)
-        )
-        return trials, successes
-    raise ValueError(f"unknown verify kind {kind!r}")
+        if need > cap:
+            raise _Skip("threshold exceeds cap")
+        center = bytes(rng.randrange(q) for _ in range(n))
+        successes += _recovered(center, q, b, t, "insertion", need, cap, rng)
+    return successes
+
+
+def _roundtrip_del_trials(q, b, t, n, cap, trials, rng):
+    need = comb.del_intersection_max_binary(b, n, t) + 1
+    eligible = [
+        x for x in all_words(2, n) if len(enumerate_deletion_ball(x, t, b, cap)) >= need
+    ]
+    if not eligible:
+        raise _Skip("no center admits threshold+1 distinct outputs")
+    return sum(
+        _recovered(eligible[rng.randrange(len(eligible))], 2, b, t, "deletion", need, cap, rng)
+        for _ in range(trials)
+    )
+
+
+_N_T_POSITIVE = (lambda q, b, t, n: n >= 1 and t >= 1, "needs n >= 1 and t >= 1")
+_N_ABOVE_BT = (lambda q, b, t, n: n >= b * t + 1, "needs n >= b*t + 1")
+
+
+def _overlap_range(q, b, t, n):
+    return b >= 2 and t >= 1 and n >= b * (t + 1) - 1
+
+
+# Keys in verify's row order; _row_seed_index seeds round trips by position.
+CHECKS = {
+    "ins-ball": Check(
+        work=lambda q, b, t, n: q**n * max(_ins_ball(q, b, t, n), 1),
+        formula=_ins_ball,
+        oracle=_ins_ball_regularity,
+    ),
+    "ins-ball-rec": Check(
+        domain=(_N_T_POSITIVE,),
+        formula=_ins_ball,
+        oracle=lambda q, b, t, n, *_: _ins_recurrence(_ins_ball, q, b, t, n),
+    ),
+    "ins-int": Check(
+        domain=(_N_T_POSITIVE,),
+        work=lambda q, b, t, n: max(q**n * (q**n - 1) // 2, q**n * _ins_ball(q, b, t, n)),
+        formula=_ins_int,
+        oracle=lambda q, b, t, n, cap, *_: max_intersection_exhaustive(
+            n, q, b, t, "insertion", cap
+        )[0],
+    ),
+    "ins-int-rec": Check(
+        domain=(_N_T_POSITIVE,),
+        formula=_ins_int,
+        oracle=lambda q, b, t, n, *_: _ins_recurrence(_ins_int, q, b, t, n),
+    ),
+    "del-ball": Check(
+        domain=((lambda q, b, t, n: n >= b * t, "needs n >= b*t"),),
+        work=lambda q, b, t, n: q**n,
+        formula=_del_ball,
+        oracle=lambda q, b, t, n, cap, *_: max(
+            len(enumerate_deletion_ball(x, t, b, cap)) for x in all_words(q, n)
+        ),
+    ),
+    "del-ball-rec": Check(
+        domain=(_N_ABOVE_BT,),
+        formula=_del_ball,
+        oracle=lambda q, b, t, n, *_: sum(
+            _del_ball(q, b, t - i, n - i * b - 1) for i in range(q)
+        ),
+    ),
+    "del-extremal": Check(
+        domain=(_N_ABOVE_BT,),
+        formula=_del_ball,
+        oracle=lambda q, b, t, n, cap, *_: len(
+            enumerate_deletion_ball(y_sequence(n, q, b, 0, 0), t, b, cap)
+        ),
+    ),
+    "del-int": Check(
+        domain=(
+            (lambda q, b, t, n: q == 2, "exact value known only for q = 2"),
+            (_overlap_range, "needs b >= 2, t >= 1, n >= b*(t+1)-1"),
+        ),
+        work=lambda q, b, t, n: 2**n * (2**n - 1) // 2,
+        formula=_del_int,
+        oracle=lambda q, b, t, n, cap, *_: max_intersection_exhaustive(
+            n, 2, b, t, "deletion", cap
+        )[0],
+    ),
+    "del-int-rec": Check(
+        domain=(
+            (
+                lambda q, b, t, n: q == 2 and b >= 2 and t >= 1 and n >= max(b * t + 1, 2 * b),
+                "needs q = 2, b >= 2, t >= 1, n >= max(b*t + 1, 2*b)",
+            ),
+        ),
+        formula=_del_threshold,
+        oracle=lambda q, b, t, n, *_: _del_threshold(q, b, t, n - 1)
+        + _del_threshold(q, b, t - 1, n - b - 1),
+    ),
+    "del-int-lb": Check(
+        domain=((_overlap_range, "needs b >= 2, t >= 1, n >= (t+1)*b-1"),),
+        formula=lambda q, b, t, n: comb.del_intersection_lower_bound(q, b, n, t),
+        oracle=_flip_pair_overlap,
+    ),
+    "sphere": Check(
+        domain=((lambda q, b, t, n: t >= 1, "needs t >= 1"),),
+        formula=lambda q, b, t, n: comb.sphere_packing_bound(q, b, n, t)[0],
+        oracle=lambda q, b, t, n, *_: comb.sphere_packing_bound(q, 1, n, t)[0],
+    ),
+    "roundtrip-ins": Check(domain=(_N_T_POSITIVE,), oracle=_roundtrip_ins_trials),
+    "roundtrip-del": Check(
+        domain=(
+            (lambda q, b, t, n: q == 2, "decoder defined for q = 2 only"),
+            (_overlap_range, "needs b >= 2, t >= 1, n >= b*(t+1)-1"),
+        ),
+        work=lambda q, b, t, n: 2**n,
+        oracle=_roundtrip_del_trials,
+    ),
+}
+
+VERIFY_KINDS = tuple(CHECKS)
 
 
 def _row_seed_index(kind, q, b, t, n) -> int:
@@ -269,13 +317,23 @@ def _row_seed_index(kind, q, b, t, n) -> int:
 
 def _compute_row(item) -> ResultRow:
     q, b, t, n, kind, cap, seed, trials, corrupt = item
+    check = CHECKS[kind]
     started = time.perf_counter()
     try:
-        formula, oracle = _row_values(kind, q, b, t, n, cap, seed, trials)
+        for holds, reason in check.domain:
+            if not holds(q, b, t, n):
+                raise _Skip(reason)
+        if check.work is not None and check.work(q, b, t, n) > cap:
+            raise _Skip("work exceeds cap")
+        if check.formula is None:
+            formula = trials
+            rng = random.Random(trial_seed(seed, _row_seed_index(kind, q, b, t, n)))
+        else:
+            formula, rng = check.formula(q, b, t, n), None
+        oracle = check.oracle(q, b, t, n, cap, trials, rng)
     except (_Skip, EnumerationCapExceeded, ValueError) as exc:
-        reason = exc.reason if isinstance(exc, _Skip) else str(exc)
         ms = round((time.perf_counter() - started) * 1000.0, 3)
-        return ResultRow(q, b, t, n, kind, "", f"skipped: {reason}", "skip", ms)
+        return ResultRow(q, b, t, n, kind, "", f"skipped: {exc}", "skip", ms)
     if corrupt == kind and isinstance(formula, (int, Fraction)):
         formula = formula + 1
     match = "true" if formula == oracle else "false"
@@ -304,8 +362,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow([r.q, r.b, r.t, r.n, r.kind, r.formula, r.oracle, r.match, r.ms])
+    writer.writerows(astuple(r) for r in rows)
     return buffer.getvalue()
 
 
@@ -325,23 +382,7 @@ def rows_from_csv(text: str) -> list[ResultRow]:
 
 
 def rows_to_json(rows: list[ResultRow]) -> str:
-    return json.dumps(
-        [
-            {
-                "q": r.q,
-                "b": r.b,
-                "t": r.t,
-                "n": r.n,
-                "kind": r.kind,
-                "formula": r.formula,
-                "oracle": r.oracle,
-                "match": r.match,
-                "ms": r.ms,
-            }
-            for r in rows
-        ],
-        indent=2,
-    )
+    return json.dumps([asdict(r) for r in rows], indent=2)
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -358,36 +399,19 @@ def _parse_range(text: str) -> tuple[int, ...]:
 def cmd_count(args) -> int:
     q, b, t, n = args.q, args.b, args.t, args.n
     try:
-        if args.kind == "sphere":
-            value, floor = comb.sphere_packing_bound(q, b, n, t)
-        elif args.kind == "ins-ball":
-            value = comb.ins_ball_size(q, b, n, t)
-        elif args.kind == "ins-int":
-            value = comb.ins_intersection_max(q, b, n, t)
-        elif args.kind == "del-ball":
-            value = comb.del_ball_max(q, b, n, t)
-        elif args.kind == "del-int":
-            if q != 2:
-                raise ValueError(
-                    "exact deletion overlap is known only for q = 2; "
-                    "use 'del-int-lb' for the general-q lower bound"
-                )
-            value = comb.del_intersection_max_binary(b, n, t)
-        else:  # del-int-lb
-            value = comb.del_intersection_lower_bound(q, b, n, t)
+        value = CHECKS[args.kind].formula(q, b, t, n)
     except ValueError as exc:
         print(f"error[precondition]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     if args.as_json:
         payload = {"params": {"q": q, "b": b, "t": t, "n": n}, "kind": args.kind}
         if args.kind == "sphere":
-            payload["value"] = str(value)
-            payload["floor"] = floor
+            payload.update(value=str(value), floor=math.floor(value))
         else:
             payload["value"] = value
         print(json.dumps(payload))
     elif args.kind == "sphere":
-        print(f"{value} floor {floor}")
+        print(f"{value} floor {math.floor(value)}")
     else:
         print(value)
     return EXIT_OK
@@ -410,9 +434,6 @@ def cmd_verify(args) -> int:
             jobs=args.jobs,
             corrupt=args.corrupt,
         )
-        for kind in config.kinds:
-            if kind not in VERIFY_KINDS:
-                raise ValueError(f"unknown verify kind {kind!r}")
     except ValueError as exc:
         print(f"error[precondition]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

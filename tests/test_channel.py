@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from burstrecon import (
     BallTooSmall,
+    EnumerationCapExceeded,
     apply_burst_deletion,
     apply_burst_insertion,
     enumerate_deletion_ball,
@@ -94,6 +95,12 @@ class TestSampling:
         with pytest.raises(BallTooSmall) as info:
             sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 2, seed=1)
         assert info.value.ball_size == 1
+
+    def test_count_above_cap_refused_before_sampling(self):
+        # the whole insertion ball (6 words) fits the request but not the cap
+        with pytest.raises(EnumerationCapExceeded) as info:
+            sample_distinct_outputs(bytes([0, 1, 0, 1]), 2, 1, 1, "insertion", 6, 0, cap=5)
+        assert (info.value.required, info.value.cap) == (6, 5)
 
     def test_single_output(self):
         sample = sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 1, seed=1)

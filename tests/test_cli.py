@@ -6,11 +6,14 @@ import sys
 
 import pytest
 
+import burstrecon.cli
+from burstrecon import AmbiguousSymbol
 from burstrecon.cli import (
     EXIT_CAP,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PRECONDITION,
+    VERIFY_KINDS,
     ResultRow,
     SweepConfig,
     main,
@@ -125,20 +128,54 @@ class TestVerify:
         assert code == EXIT_PRECONDITION
         assert "unknown" in err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--q=1:2", "q must be in [2, 255], got 1"),
+            ("--q=255:256", "q must be in [2, 255], got 256"),
+            ("--b=0", "b must be at least 1, got 0"),
+            ("--t=-1:1", "t must be at least 0, got -1"),
+            ("--n=-1", "n must be at least 0, got -1"),
+        ],
+    )
+    def test_invalid_range_rejected(self, capsys, option, message):
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "2",
+            "--kinds", "ins-ball", option,
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert f"error[precondition]: {message}" in err
+
+    def test_decoder_refusal_is_a_failed_trial(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AmbiguousSymbol("simulated refusal")
+
+        monkeypatch.setattr(burstrecon.cli, "reconstruct_from_insertions", refuse)
+        code, out, _ = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "3:4",
+            "--kinds", "roundtrip-ins", "--trials", "2",
+        )
+        assert code == EXIT_MISMATCH
+        rows = rows_from_csv(out)
+        assert [(r.formula, r.oracle, r.match) for r in rows] == [("2", "0", "false")] * 2
+
     def test_parallel_jobs_match_sequential(self):
+        # every kind crosses the process boundary as a plain tuple
         def sweep(jobs):
             return run_sweep(
                 SweepConfig(
-                    q_values=(2,), b_values=(1, 2), t_values=(1,), n_values=(2, 3),
-                    kinds=("ins-ball", "del-ball", "sphere", "roundtrip-ins"),
-                    cap=10**7, seed=3, trials=2, fmt="csv", jobs=jobs,
+                    q_values=(2,), b_values=(1, 2), t_values=(1,), n_values=(2, 3, 4),
+                    kinds=VERIFY_KINDS, cap=10**7, seed=3, trials=2, fmt="csv", jobs=jobs,
                 )
             )
 
         strip_ms = lambda rows: [
             (r.q, r.b, r.t, r.n, r.kind, r.formula, r.oracle, r.match) for r in rows
         ]
-        assert strip_ms(sweep(1)) == strip_ms(sweep(3))
+        sequential = strip_ms(sweep(1))
+        assert {row[4] for row in sequential if row[7] == "true"} == set(VERIFY_KINDS)
+        assert sequential == strip_ms(sweep(3))
 
     def test_roundtrip_rows(self, capsys):
         code, out, _ = run_cli(
@@ -187,6 +224,14 @@ class TestSimulate:
         assert payload["rng"] == "mt19937"
         assert len(payload["outputs"]) == 2
         assert all(o["events"] for o in payload["outputs"])
+
+    def test_count_above_cap_exit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "-x", "0101", "--ins", "-b", "1", "-t", "1", "-N", "6", "--cap", "5"
+        )
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "error[cap-exceeded]: enumeration needs 6 words, cap is 5" in err
 
     def test_cap_exceeded_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("BURSTRECON_CAP", "2")
