@@ -173,14 +173,13 @@ def is_insertion_descendant(x: Word, y: Word, t: int, b: int) -> bool:
     return is_deletion_descendant(y, x, t, b)
 
 
-def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
-    """Left-to-right scan variant of is_deletion_descendant.
+def _greedy_block_starts(v: Word, y: Word, t: int, b: int) -> list[int] | None:
+    """0-based starts in v of t deleted blocks that leave y, or None.
 
-    At the first disagreement, drop the smallest burst multiple that realigns
-    the longer word v with the next undecided symbol of y; deleted blocks can
-    always be slid up to the first mismatch, so the smallest jump is safe.
-    Kept as an independent linear-time cross-check; the dynamic program is
-    authoritative.
+    Scans left to right.  At the first disagreement, drop the smallest burst
+    multiple that realigns the longer word v with the next undecided symbol
+    of y; deleted blocks can always be slid up to the first mismatch, so the
+    smallest jump is safe.  The blocks found are the leftmost placement.
     """
     if t < 0 or b < 1:
         raise ValueError("radius must be nonnegative and burst length positive")
@@ -188,8 +187,8 @@ def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
         raise ValueError(
             f"length mismatch: expected {len(v) - t * b}, got {len(y)}"
         )
+    starts: list[int] = []
     i = j = 0
-    remaining = t
     nv, ny = len(v), len(y)
     while True:
         while j < ny and v[i] == y[j]:
@@ -197,13 +196,24 @@ def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
             j += 1
         if j == ny:
             # lengths force the leftover suffix to be exactly the unspent bursts
-            return nv - i == remaining * b
+            starts.extend(range(i, nv, b))
+            return starts
+        remaining = t - len(starts)
         jump = 0
         for f in range(1, remaining + 1):
             if i + f * b < nv and v[i + f * b] == y[j]:
                 jump = f
                 break
         if jump == 0:
-            return False
+            return None
+        starts.extend(range(i, i + jump * b, b))
         i += jump * b
-        remaining -= jump
+
+
+def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
+    """Left-to-right scan variant of is_deletion_descendant.
+
+    Kept as an independent linear-time cross-check; the dynamic program is
+    authoritative.
+    """
+    return _greedy_block_starts(v, y, t, b) is not None

@@ -1,9 +1,13 @@
 """Noisy channel simulation: apply specific bursts or sample distinct outputs.
 
-Sampling draws random burst event lists and rejects duplicate outputs; after
-too many consecutive rejections it falls back to enumerating the whole ball
-with one recorded event list per member and shuffling.  Everything is driven
-by a named, seedable generator so runs reproduce bit for bit.
+Sampling draws random burst event lists and rejects duplicate outputs, so it
+is trace-weighted, not uniform over the ball: each output's chance is
+proportional to the number of burst event lists that produce it, with every
+burst position uniform over the legal ones and payload symbols uniform.
+After too many consecutive rejections it falls back to shuffling the ball
+members not yet drawn (enumerated by ``balls``) and records the greedy
+leftmost trace for each one it takes.  Everything is driven by a named,
+seedable generator so runs reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .balls import BallKind, DEFAULT_CAP, _check_kind, enumerate_deletion_ball
+from .balls import (
+    DEFAULT_CAP,
+    BallKind,
+    _check_kind,
+    _greedy_block_starts,
+    enumerate_deletion_ball,
+    enumerate_insertion_ball,
+)
 from .combinatorics import ins_ball_size
 from .errors import BallTooSmall, EnumerationCapExceeded
 from .sequences import Word, format_word, validate_word
@@ -117,40 +128,15 @@ def _random_trace(rng: random.Random, x: Word, q: int, t: int, b: int, kind: Bal
     return ChannelTrace(x, tuple(events), w, b)
 
 
-def _enumerate_with_traces(
-    x: Word, q: int, t: int, b: int, kind: BallKind, cap: int
-) -> dict[Word, ChannelTrace]:
-    """Whole ball with one deterministic generating trace per member."""
+def _greedy_trace(x: Word, w: Word, t: int, b: int, kind: BallKind) -> ChannelTrace:
+    """The leftmost-placement trace from x to a member w of its ball."""
     if kind == "insertion":
-        expected = ins_ball_size(q, b, len(x), t)
-        if expected > cap:
-            raise EnumerationCapExceeded(expected, cap)
-    reached: dict[Word, tuple[BurstEvent, ...]] = {x: ()}
-    for _ in range(t):
-        grown: dict[Word, tuple[BurstEvent, ...]] = {}
-        for w in sorted(reached):
-            events = reached[w]
-            if kind == "insertion":
-                for position in range(1, len(w) + 2):
-                    for payload in (bytes(p) for p in _all_payloads(q, b)):
-                        out = apply_burst_insertion(w, position, payload)
-                        if out not in grown:
-                            grown[out] = events + (BurstEvent("insertion", position, payload),)
-            else:
-                for position in range(1, len(w) - b + 2):
-                    out = apply_burst_deletion(w, position, b)
-                    if out not in grown:
-                        grown[out] = events + (BurstEvent("deletion", position),)
-        reached = grown
-        if len(reached) > cap:
-            raise EnumerationCapExceeded(len(reached), cap)
-    return {w: ChannelTrace(x, ev, w, b) for w, ev in reached.items()}
-
-
-def _all_payloads(q: int, b: int):
-    from itertools import product
-
-    return product(range(q), repeat=b)
+        starts = _greedy_block_starts(w, x, t, b)
+        events = [BurstEvent("insertion", s + 1, w[s : s + b]) for s in starts]
+    else:
+        starts = _greedy_block_starts(x, w, t, b)
+        events = [BurstEvent("deletion", s - k * b + 1) for k, s in enumerate(starts)]
+    return ChannelTrace(x, tuple(events), w, b)
 
 
 def sample_distinct_outputs(
@@ -170,6 +156,13 @@ def sample_distinct_outputs(
     enumeration for deletions, whose ball sizes depend on the center); if the
     ball is smaller than `count` the error reports the exact ball size.  A
     fixed seed yields identical outputs and traces on every run.
+
+    Draws are trace-weighted: each output's chance is proportional to the
+    number of burst event lists that produce it, with positions uniform over
+    the legal ones and payload symbols uniform; it is not uniform over the
+    ball.  After `FALLBACK_REJECTIONS_PER_OUTPUT * count` consecutive
+    duplicates the remaining ball members are shuffled and taken in order,
+    each with the greedy leftmost trace (blocks slid as far left as they go).
     """
     validate_word(x, q)
     _check_kind(kind)
@@ -181,14 +174,10 @@ def sample_distinct_outputs(
         raise ValueError(f"burst length must be at least 1, got {b}")
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    if kind == "deletion":
-        if len(x) < t * b:
-            raise ValueError(
-                f"word of length {len(x)} too short for {t} bursts of {b} deletions"
-            )
-        ball_size = len(enumerate_deletion_ball(x, t, b, cap))
-    else:
-        ball_size = ins_ball_size(q, b, len(x), t)
+    # the insertion ball's size is center-independent; enumerate it only if
+    # the fallback below needs its members
+    ball = enumerate_deletion_ball(x, t, b, cap) if kind == "deletion" else None
+    ball_size = ins_ball_size(q, b, len(x), t) if ball is None else len(ball)
     if ball_size < count:
         raise BallTooSmall(count, ball_size)
 
@@ -204,11 +193,10 @@ def sample_distinct_outputs(
             rejections = 0
             chosen[trace.output] = trace
     if len(chosen) < count:
-        full = _enumerate_with_traces(x, q, t, b, kind, cap)
-        remaining = sorted(w for w in full if w not in chosen)
+        if ball is None:
+            ball = enumerate_insertion_ball(x, q, t, b, cap)
+        remaining = sorted(ball.difference(chosen))
         rng.shuffle(remaining)
-        for w in remaining:
-            if len(chosen) == count:
-                break
-            chosen[w] = full[w]
+        for w in remaining[: count - len(chosen)]:
+            chosen[w] = _greedy_trace(x, w, t, b, kind)
     return ChannelSample(tuple(chosen), tuple(chosen.values()), seed)

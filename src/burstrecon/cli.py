@@ -84,6 +84,8 @@ class SweepConfig:
         for kind in self.kinds:
             if kind not in CHECKS:
                 raise ValueError(f"unknown verify kind {kind!r}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -450,8 +452,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     q = args.q
     kind = "insertion" if args.ins else "deletion"
-    cap = args.cap if args.cap is not None else default_cap()
     try:
+        cap = args.cap if args.cap is not None else default_cap()
         x = parse_word(args.x, q)
         sample = sample_distinct_outputs(x, q, args.t, args.b, kind, args.N, args.seed, cap)
     except BallTooSmall as exc:

@@ -14,31 +14,10 @@ Conventions used throughout (they make every formula total):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 MAX_ALPHABET = 255
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Channel description: alphabet size q, burst length b, radius t, word length n."""
-
-    q: int
-    b: int
-    t: int
-    n: int
-
-    def __post_init__(self):
-        if not 2 <= self.q <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}")
-        if self.b < 1:
-            raise ValueError(f"burst length must be at least 1, got {self.b}")
-        if self.t < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.t}")
-        if self.n < 0:
-            raise ValueError(f"word length must be nonnegative, got {self.n}")
 
 
 def binom(n: int, k: int) -> int:

@@ -10,16 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .combinatorics import MAX_ALPHABET
 
 Word = bytes
-
-
-def word(symbols: Iterable[int]) -> Word:
-    """Build a word from an iterable of symbol values."""
-    return bytes(symbols)
 
 
 def validate_word(x: Word, q: int) -> None:

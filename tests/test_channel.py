@@ -1,5 +1,7 @@
 """Channel operations: burst application, traces, seeded distinct sampling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,12 +109,37 @@ class TestSampling:
         assert sample.outputs == (parse_word("01", 2),)
         assert sample.traces[0].replay() == sample.outputs[0]
 
-    def test_whole_ball_request_exercises_fallback(self):
-        x = b"\x00"
-        ball = enumerate_insertion_ball(x, 2, 1, 2)
-        sample = sample_distinct_outputs(x, 2, 1, 2, "insertion", len(ball), seed=2)
-        assert frozenset(sample.outputs) == ball
-        assert all(tr.replay() == w for w, tr in zip(sample.outputs, sample.traces))
+    @pytest.mark.parametrize(
+        "kind, q, b, x",
+        [
+            ("insertion", 2, 2, parse_word("01", 2)),
+            ("insertion", 3, 2, parse_word("2", 3)),
+            ("deletion", 2, 2, parse_word("0110100110", 2)),
+        ],
+        ids=["ins-q2", "ins-q3", "del"],
+    )
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "half"])
+    def test_fallback_takes_shuffled_ball_with_greedy_traces(self, monkeypatch, kind, q, b, x, whole):
+        # with no rejections allowed, every output comes from the fallback
+        monkeypatch.setattr("burstrecon.channel.FALLBACK_REJECTIONS_PER_OUTPUT", 0)
+        t = 2
+        if kind == "insertion":
+            ball, member = enumerate_insertion_ball(x, q, t, b), is_insertion_descendant
+        else:
+            ball, member = enumerate_deletion_ball(x, t, b), is_deletion_descendant
+        count = len(ball) if whole else len(ball) // 2
+        sample = sample_distinct_outputs(x, q, t, b, kind, count, seed=4)
+        shuffled = sorted(ball)
+        random.Random(4).shuffle(shuffled)
+        assert sample.outputs == tuple(shuffled[:count])
+        assert len(set(sample.outputs)) == count and set(sample.outputs) <= ball
+        if whole:
+            assert frozenset(sample.outputs) == ball
+        for w, trace in zip(sample.outputs, sample.traces):
+            assert trace.input == x
+            assert len(trace.events) == t
+            assert trace.output == trace.replay() == w
+            assert member(x, w, t, b)
 
     def test_rng_metadata(self):
         sample = sample_distinct_outputs(b"\x00", 2, 1, 1, "insertion", 2, seed=0)

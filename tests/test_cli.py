@@ -147,6 +147,16 @@ class TestVerify:
         assert out == ""
         assert f"error[precondition]: {message}" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "4",
+            "--kinds", "roundtrip-ins,roundtrip-del", "--trials", trials,
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert f"error[precondition]: trials must be at least 1, got {trials}" in err
+
     def test_decoder_refusal_is_a_failed_trial(self, capsys, monkeypatch):
         def refuse(*args):
             raise AmbiguousSymbol("simulated refusal")
@@ -198,6 +208,37 @@ class TestSimulate:
         words = [ln for ln in out1.splitlines() if not ln.startswith("#")]
         assert len(set(words)) == 3
         assert set(words) <= {"100", "000", "010", "011"}
+
+    # seeded output pinned byte for byte: a sampler change that alters it must
+    # also change RNG_ALGORITHM
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "-x 01100 --del -b 2 -t 1 -N 3 --seed 7",
+                "# rng mt19937 seed 7\n010\n# del 3\n000\n# del 2\n011\n# del 4\n",
+            ),
+            (
+                "-x 0110 --ins -q 2 -b 2 -t 1 -N 9 --seed 11",
+                "# rng mt19937 seed 11\n"
+                "011110\n# ins 4 11\n011000\n# ins 5 00\n011010\n# ins 5 10\n"
+                "110110\n# ins 1 11\n000110\n# ins 2 00\n011011\n# ins 5 11\n"
+                "011001\n# ins 5 01\n010110\n# ins 3 01\n011100\n# ins 4 10\n",
+            ),
+        ],
+        ids=["readme-del", "readme-ins"],
+    )
+    def test_readme_examples_golden(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "simulate", *argv.split())
+        assert code == EXIT_OK
+        assert out == expected
+
+    def test_invalid_cap_variable_is_precondition(self, capsys, monkeypatch):
+        monkeypatch.setenv("BURSTRECON_CAP", "abc")
+        code, out, err = run_cli(capsys, "simulate", "-x", "0110", "--ins", "-b", "2", "-t", "1", "-N", "2")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "error[precondition]: invalid literal for int()" in err
 
     def test_ball_too_small_passthrough(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "-x", "0101", "--del", "-b", "2", "-t", "1", "-N", "2")

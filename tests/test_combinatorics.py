@@ -10,7 +10,6 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from burstrecon import (
-    ChannelParams,
     binom,
     count_centers_by_radius1_ball_size,
     del_ball_max,
@@ -311,26 +310,6 @@ class TestCenterCountsByBallSize:
             count_centers_by_radius1_ball_size(2, 2, 5, 5)
         with pytest.raises(ValueError):
             count_centers_by_radius1_ball_size(2, 2, 2, 1)
-
-
-class TestChannelParams:
-    def test_valid(self):
-        p = ChannelParams(q=2, b=2, t=1, n=5)
-        assert (p.q, p.b, p.t, p.n) == (2, 2, 1, 5)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(q=1, b=1, t=0, n=0),
-            dict(q=300, b=1, t=0, n=0),
-            dict(q=2, b=0, t=0, n=0),
-            dict(q=2, b=1, t=-1, n=0),
-            dict(q=2, b=1, t=0, n=-1),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ChannelParams(**kwargs)
 
 
 def test_no_floats_anywhere():

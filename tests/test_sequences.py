@@ -13,7 +13,6 @@ from burstrecon import (
     parse_word,
     radius1_del_ball_size,
     validate_word,
-    word,
     y_sequence,
 )
 
@@ -44,12 +43,12 @@ class TestParseFormat:
     @given(st.integers(2, 10), st.lists(st.integers(0, 9), max_size=12))
     def test_round_trip_digits(self, q, symbols):
         symbols = [s % q for s in symbols]
-        w = word(symbols)
+        w = bytes(symbols)
         assert parse_word(format_word(w, q), q) == w
 
     @given(st.lists(st.integers(0, 254), min_size=1, max_size=8))
     def test_round_trip_commas(self, symbols):
-        w = word(symbols)
+        w = bytes(symbols)
         assert parse_word(format_word(w, 255), 255) == w
 
 
