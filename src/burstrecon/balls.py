@@ -9,7 +9,7 @@ except to refuse hopeless enumerations up front.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Literal
+from typing import Literal
 
 from .combinatorics import ins_ball_size
 from .errors import EnumerationCapExceeded
@@ -83,18 +83,6 @@ def enumerate_deletion_ball(
         if len(words) > cap:
             raise EnumerationCapExceeded(len(words), cap)
     return frozenset(words)
-
-
-def intersection(a: Iterable[Word], b: Iterable[Word]) -> frozenset[Word]:
-    """Exact overlap of two output sets; nonempty sets must share one word length."""
-    sa = frozenset(a)
-    sb = frozenset(b)
-    if sa and sb:
-        la = len(next(iter(sa)))
-        lb = len(next(iter(sb)))
-        if la != lb:
-            raise ValueError(f"word length mismatch: {la} vs {lb}")
-    return sa & sb
 
 
 def max_intersection_exhaustive(

@@ -27,7 +27,6 @@ from .balls import (
     DEFAULT_CAP,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
-    intersection,
     max_intersection_exhaustive,
 )
 from .channel import format_event, sample_distinct_outputs, trial_seed
@@ -64,7 +63,6 @@ class SweepConfig:
     cap: int
     seed: int
     trials: int
-    fmt: str
     jobs: int
     corrupt: str | None = None
 
@@ -162,11 +160,8 @@ def _flip_pair_overlap(q, b, t, n, cap, *_):
     x = bytes(b) + b_cyclic(n - b, q, b, 1 % q)
     y = bytearray(x)
     y[b - 1] = 1
-    return len(
-        intersection(
-            enumerate_deletion_ball(x, t, b, cap), enumerate_deletion_ball(bytes(y), t, b, cap)
-        )
-    )
+    ball_x = enumerate_deletion_ball(x, t, b, cap)
+    return len(ball_x & enumerate_deletion_ball(bytes(y), t, b, cap))
 
 
 def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
@@ -187,13 +182,13 @@ def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
 
 
 def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng):
+    need = comb.ins_intersection_max(q, b, n, t) + 1
+    if comb.ins_ball_size(q, b, n, t) < need:
+        raise _Skip("no center admits threshold+1 distinct outputs")
+    if need > cap:
+        raise _Skip("threshold exceeds cap")
     successes = 0
     for _ in range(trials):
-        need = comb.ins_intersection_max(q, b, n, t) + 1
-        if comb.ins_ball_size(q, b, n, t) < need:
-            raise _Skip("no center admits threshold+1 distinct outputs")
-        if need > cap:
-            raise _Skip("threshold exceeds cap")
         center = bytes(rng.randrange(q) for _ in range(n))
         successes += _recovered(center, q, b, t, "insertion", need, cap, rng)
     return successes
@@ -368,21 +363,6 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return buffer.getvalue()
 
 
-def rows_from_csv(text: str) -> list[ResultRow]:
-    """Parse rows_to_csv output back into ResultRow values."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER.split(","):
-        raise ValueError(f"unexpected CSV header: {header}")
-    return [
-        ResultRow(
-            int(rec[0]), int(rec[1]), int(rec[2]), int(rec[3]),
-            rec[4], rec[5], rec[6], rec[7], float(rec[8]),
-        )
-        for rec in reader
-    ]
-
-
 def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps([asdict(r) for r in rows], indent=2)
 
@@ -432,7 +412,6 @@ def cmd_verify(args) -> int:
             cap=args.cap if args.cap is not None else default_cap(),
             seed=args.seed,
             trials=args.trials,
-            fmt=args.format,
             jobs=args.jobs,
             corrupt=args.corrupt,
         )
@@ -440,7 +419,7 @@ def cmd_verify(args) -> int:
         print(f"error[precondition]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     rows = run_sweep(config)
-    if config.fmt == "csv":
+    if args.format == "csv":
         sys.stdout.write(rows_to_csv(rows))
     else:
         print(rows_to_json(rows))
@@ -513,6 +492,9 @@ def cmd_reconstruct(args) -> int:
     except ReconstructionError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except EnumerationCapExceeded as exc:
+        print(f"error[cap-exceeded]: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error[precondition]: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

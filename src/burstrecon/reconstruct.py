@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .balls import is_deletion_descendant
+from .balls import DEFAULT_CAP, is_deletion_descendant
 from .combinatorics import (
     del_intersection_max_binary,
     del_intersection_threshold,
@@ -32,6 +32,7 @@ from .errors import (
     AmbiguousSymbol,
     BelowThreshold,
     CandidateFilterError,
+    EnumerationCapExceeded,
     InconsistentOutputs,
     ThresholdNotMet,
 )
@@ -89,15 +90,13 @@ def classify_first_symbol(outputs: Iterable[Word], q: int, b: int, t: int) -> Fi
     )
 
 
-def _largest_stripped_class(
-    class_words: Iterable[Word], prefix_len: int
-) -> tuple[Word, frozenset[Word]]:
+def _largest_stripped_class(class_words: Iterable[Word], prefix_len: int) -> frozenset[Word]:
     """Largest same-prefix subclass (ties: smallest prefix), prefix removed."""
     groups: dict[Word, list[Word]] = {}
     for w in class_words:
         groups.setdefault(w[:prefix_len], []).append(w)
-    prefix, members = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return prefix, frozenset(w[prefix_len:] for w in members)
+    _, members = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    return frozenset(w[prefix_len:] for w in members)
 
 
 @dataclass(frozen=True)
@@ -119,32 +118,15 @@ class ReconstructionResult:
     phase2_seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class PartialWord:
-    """A length-n binary word with some cells still undecided (None)."""
-
-    cells: tuple[int | None, ...]
-
-    def __post_init__(self):
-        for c in self.cells:
-            if c is not None and c not in (0, 1):
-                raise ValueError(f"cells must be 0, 1, or None, got {c!r}")
-
-    @property
-    def unknown_positions(self) -> tuple[int, ...]:
-        """0-based indices of the undecided cells."""
-        return tuple(i for i, c in enumerate(self.cells) if c is None)
-
-
-def candidate_expansion(partial: PartialWord) -> list[Word]:
-    """All binary completions, unknown cells counted up in lexicographic order."""
-    slots = partial.unknown_positions
+def candidate_expansion(cells: Sequence[int | None]) -> list[Word]:
+    """All binary completions of cells, the open (None) cells counted up lexicographically."""
+    slots = [i for i, c in enumerate(cells) if c is None]
     out = []
     for fill in product((0, 1), repeat=len(slots)):
-        cells = list(partial.cells)
+        word = list(cells)
         for idx, value in zip(slots, fill):
-            cells[idx] = value
-        out.append(bytes(cells))
+            word[idx] = value
+        out.append(bytes(word))
     return out
 
 
@@ -221,7 +203,7 @@ def reconstruct_from_insertions(
                 tuple(len(grid.classes[(winner, s)]) for s in range(1, t_rem + 2)),
             )
         )
-        _, stripped = _largest_stripped_class(
+        stripped = _largest_stripped_class(
             grid.classes[(winner, chosen_j + 1)], chosen_j * b + 1
         )
         if chosen_j == t_rem:
@@ -250,9 +232,11 @@ def reconstruct_from_deletions(
     the true symbol; when the majority class is no bigger than the next
     overlap bound, the front was eaten by a burst, so the symbol one burst
     ahead is the complement, the b-1 in-between cells become unknowns, and
-    decoding resumes past them on the complement class.  Phase 2 expands the
-    at most t*(b-1) unknowns and keeps the unique candidate whose ball
-    contains every output.
+    decoding resumes past them on the complement class.  Phase 1 returns only
+    once all t bursts are placed, so exactly t*(b-1) cells stay open; phase 2
+    expands them and keeps the unique candidate whose ball contains every
+    output.  When its 2**(t*(b-1)) candidates exceed DEFAULT_CAP the decoder
+    refuses with EnumerationCapExceeded before reading the outputs.
     """
     started = time.perf_counter()
     if b < 2 or t < 1:
@@ -261,6 +245,9 @@ def reconstruct_from_deletions(
         raise ValueError(
             f"word length must be at least b*(t+1)-1 = {b * (t + 1) - 1}, got {n}"
         )
+    candidates = 2 ** (t * (b - 1))
+    if candidates > DEFAULT_CAP:
+        raise EnumerationCapExceeded(candidates, DEFAULT_CAP)
     words = frozenset(outputs)
     for w in words:
         validate_word(w, 2)
@@ -312,15 +299,12 @@ def reconstruct_from_deletions(
                 tail = next(iter(current))
                 cells[i:] = list(tail)
                 break
-    unknown_count = sum(1 for c in cells if c is None)
-    assert unknown_count <= t * (b - 1), "unknown budget exceeded"
     phase1_seconds = time.perf_counter() - started
 
     started2 = time.perf_counter()
-    partial = PartialWord(tuple(cells))
     survivors = [
         v
-        for v in candidate_expansion(partial)
+        for v in candidate_expansion(cells)
         if all(is_deletion_descendant(v, u, t, b) for u in words)
     ]
     if len(survivors) != 1:

@@ -22,7 +22,6 @@ from burstrecon import (
     enumerate_insertion_ball,
     ins_ball_size,
     ins_intersection_max,
-    intersection,
     is_deletion_descendant,
     is_insertion_descendant,
     max_intersection_exhaustive,
@@ -79,10 +78,8 @@ def test_criterion_02_insertion_intersection_maximum():
                         for tail in (bytes(n - 1), bytes([1] * (n - 1))):
                             x = bytes([0]) + tail
                             y = bytes([1]) + tail
-                            overlap = intersection(
-                                enumerate_insertion_ball(x, q, t, b),
-                                enumerate_insertion_ball(y, q, t, b),
-                            )
+                            ball_x = enumerate_insertion_ball(x, q, t, b)
+                            overlap = ball_x & enumerate_insertion_ball(y, q, t, b)
                             assert len(overlap) == expected, (q, b, t, n, tail)
                         cells += 1
         return f"{cells} grid cells, exhaustive over all pairs"
@@ -145,9 +142,7 @@ def test_criterion_05_binary_deletion_intersection_maximum():
                 got, _ = max_intersection_exhaustive(n, 2, b, t, "deletion")
                 assert got == expected, (t, n, got, expected)
                 x, y = _flip_pair(2, b, n)
-                overlap = intersection(
-                    enumerate_deletion_ball(x, t, b), enumerate_deletion_ball(y, t, b)
-                )
+                overlap = enumerate_deletion_ball(x, t, b) & enumerate_deletion_ball(y, t, b)
                 assert len(overlap) == expected, (t, n)
                 cells += 1
         return f"{cells} grid cells, exhaustive over all pairs"
@@ -229,9 +224,7 @@ def test_criterion_08_threshold_tightness():
         q, b, t, n = 2, 2, 2, 3
         x = bytes([0, 1, 0])
         y = bytes([1, 1, 0])
-        overlap = intersection(
-            enumerate_insertion_ball(x, q, t, b), enumerate_insertion_ball(y, q, t, b)
-        )
+        overlap = enumerate_insertion_ball(x, q, t, b) & enumerate_insertion_ball(y, q, t, b)
         assert len(overlap) == ins_intersection_max(q, b, n, t)
         for w in overlap:
             assert is_insertion_descendant(x, w, t, b)
@@ -242,9 +235,7 @@ def test_criterion_08_threshold_tightness():
         # deletion side: the cyclic center and its flipped twin
         b, t, n = 2, 2, 7
         x, y = _flip_pair(2, b, n)
-        overlap = intersection(
-            enumerate_deletion_ball(x, t, b), enumerate_deletion_ball(y, t, b)
-        )
+        overlap = enumerate_deletion_ball(x, t, b) & enumerate_deletion_ball(y, t, b)
         assert len(overlap) == del_intersection_max_binary(b, n, t)
         for w in overlap:
             assert is_deletion_descendant(x, w, t, b)

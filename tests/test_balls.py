@@ -15,7 +15,6 @@ from burstrecon import (
     greedy_is_deletion_descendant,
     ins_ball_size,
     ins_intersection_max,
-    intersection,
     is_deletion_descendant,
     is_insertion_descendant,
     max_intersection_exhaustive,
@@ -125,23 +124,12 @@ class TestEnumerateDeletionBall:
 
 
 class TestIntersection:
-    def test_idempotent(self):
-        s = words_of("01", "10")
-        assert intersection(s, s) == s
-
-    def test_empty(self):
-        assert intersection(words_of("01"), frozenset()) == frozenset()
-
     def test_unit_burst_balls(self):
         a = enumerate_insertion_ball(b"\x00", 2, 1, 1)
         b = enumerate_insertion_ball(b"\x01", 2, 1, 1)
-        both = intersection(a, b)
+        both = a & b
         assert both == words_of("01", "10")
         assert len(both) == ins_intersection_max(2, 1, 1, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            intersection(words_of("01"), words_of("011"))
 
 
 class TestMaxIntersectionExhaustive:
@@ -181,12 +169,8 @@ class TestConstructedPairOverlap:
                         x = bytes(b) + b_cyclic(n - b, q, b, 1 % q)
                         y = bytearray(x)
                         y[b - 1] = 1
-                        got = len(
-                            intersection(
-                                enumerate_deletion_ball(x, t, b),
-                                enumerate_deletion_ball(bytes(y), t, b),
-                            )
-                        )
+                        ball_x = enumerate_deletion_ball(x, t, b)
+                        got = len(ball_x & enumerate_deletion_ball(bytes(y), t, b))
                         assert got == del_intersection_lower_bound(q, b, n, t)
 
     def test_binary_flip_pair_is_maximal(self):

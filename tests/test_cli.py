@@ -1,5 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism, round trips."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -13,11 +15,11 @@ from burstrecon.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PRECONDITION,
+    CSV_HEADER,
     VERIFY_KINDS,
     ResultRow,
     SweepConfig,
     main,
-    rows_from_csv,
     rows_to_csv,
     run_sweep,
 )
@@ -27,6 +29,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rows_of(text):
+    """Parse verify's CSV output back into ResultRow values."""
+    reader = csv.DictReader(io.StringIO(text))
+    assert reader.fieldnames == CSV_HEADER.split(",")
+    return [
+        ResultRow(
+            int(r["q"]), int(r["b"]), int(r["t"]), int(r["n"]),
+            r["kind"], r["formula"], r["oracle"], r["match"], float(r["ms"]),
+        )
+        for r in reader
+    ]
 
 
 class TestCount:
@@ -74,7 +89,7 @@ class TestVerify:
     def test_small_grid_all_match(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "3:5")
         assert code == EXIT_OK
-        rows = rows_from_csv(out)
+        rows = rows_of(out)
         assert rows and all(r.match in ("true", "skip") for r in rows)
         spot = [r for r in rows if r.kind == "del-int" and r.n == 3]
         assert spot and spot[0].formula == "2"  # overlap max at n = 2b-1 is b
@@ -86,17 +101,17 @@ class TestVerify:
             "--kinds", "ins-ball", "--corrupt", "ins-ball",
         )
         assert code == EXIT_MISMATCH
-        rows = rows_from_csv(out)
+        rows = rows_of(out)
         assert all(r.match == "false" for r in rows)
 
     def test_csv_round_trip(self):
         config = SweepConfig(
             q_values=(2,), b_values=(2,), t_values=(1, 2), n_values=(3, 4),
             kinds=("ins-ball", "del-int", "sphere", "del-int-lb"),
-            cap=10**7, seed=0, trials=2, fmt="csv", jobs=1,
+            cap=10**7, seed=0, trials=2, jobs=1,
         )
         rows = run_sweep(config)
-        assert rows_from_csv(rows_to_csv(rows)) == rows
+        assert rows_of(rows_to_csv(rows)) == rows
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -113,13 +128,13 @@ class TestVerify:
             "--kinds", "del-int",
         )
         assert code == EXIT_OK
-        rows = rows_from_csv(out)
+        rows = rows_of(out)
         assert rows[0].match == "skip"
         assert "q = 2" in rows[0].oracle
 
     def test_rows_ordered_by_parameter_tuple(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--q", "2:3", "--b", "1:2", "--t", "1", "--n", "1:2", "--kinds", "sphere")
-        rows = rows_from_csv(out)
+        rows = rows_of(out)
         keys = [(r.q, r.b, r.t, r.n) for r in rows]
         assert keys == sorted(keys)
 
@@ -167,7 +182,7 @@ class TestVerify:
             "--kinds", "roundtrip-ins", "--trials", "2",
         )
         assert code == EXIT_MISMATCH
-        rows = rows_from_csv(out)
+        rows = rows_of(out)
         assert [(r.formula, r.oracle, r.match) for r in rows] == [("2", "0", "false")] * 2
 
     def test_parallel_jobs_match_sequential(self):
@@ -176,7 +191,7 @@ class TestVerify:
             return run_sweep(
                 SweepConfig(
                     q_values=(2,), b_values=(1, 2), t_values=(1,), n_values=(2, 3, 4),
-                    kinds=VERIFY_KINDS, cap=10**7, seed=3, trials=2, fmt="csv", jobs=jobs,
+                    kinds=VERIFY_KINDS, cap=10**7, seed=3, trials=2, jobs=jobs,
                 )
             )
 
@@ -193,7 +208,7 @@ class TestVerify:
             "--kinds", "roundtrip-ins,roundtrip-del", "--trials", "3", "--seed", "1",
         )
         assert code == EXIT_OK
-        rows = rows_from_csv(out)
+        rows = rows_of(out)
         done = [r for r in rows if r.match != "skip"]
         assert done and all(r.formula == r.oracle == "3" for r in done)
 
@@ -343,6 +358,18 @@ class TestReconstructCommand:
         payload = json.loads(out)
         assert payload["word"] == "01100"
         assert payload["steps"]
+
+    def test_phase2_above_cap_refused(self, capsys, tmp_path):
+        # 2**(t*(b-1)) = 2**24 phase-2 candidates exceed the default cap
+        path = tmp_path / "outputs.txt"
+        path.write_text("0" * 14 + "\n")
+        code, out, err = run_cli(
+            capsys, "reconstruct", "--del", "--file", str(path),
+            "-n", "40", "-b", "13", "-t", "2",
+        )
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == "error[cap-exceeded]: enumeration needs 16777216 words, cap is 10000000\n"
 
     def test_nonbinary_deletion_rejected(self, capsys, tmp_path):
         path = tmp_path / "outputs.txt"

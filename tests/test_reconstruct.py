@@ -1,14 +1,16 @@
 """Both decoders: classifier machinery, round trips, refusal modes."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import burstrecon.reconstruct
 from burstrecon import (
+    DEFAULT_CAP,
     AmbiguousSymbol,
     BelowThreshold,
-    PartialWord,
+    EnumerationCapExceeded,
     ReconstructionError,
     all_words,
     b_cyclic,
@@ -18,7 +20,6 @@ from burstrecon import (
     enumerate_deletion_ball,
     enumerate_insertion_ball,
     ins_intersection_max,
-    intersection,
     parse_word,
     reconstruct_from_deletions,
     reconstruct_from_insertions,
@@ -52,12 +53,12 @@ class TestClassifier:
 
     def test_stripped_classes(self):
         grid = classify_first_symbol(self.U, 2, 2, 2)
-        assert _largest_stripped_class(grid.classes[(0, 1)], 1)[1] == words_of(
+        assert _largest_stripped_class(grid.classes[(0, 1)], 1) == words_of(
             "10000", "10100", "10101"
         )
-        assert _largest_stripped_class(grid.classes[(0, 2)], 3)[1] == words_of("001")
-        assert _largest_stripped_class(grid.classes[(0, 3)], 5)[1] == words_of("1")
-        assert _largest_stripped_class(grid.classes[(1, 1)], 1)[1] == words_of(
+        assert _largest_stripped_class(grid.classes[(0, 2)], 3) == words_of("001")
+        assert _largest_stripped_class(grid.classes[(0, 3)], 5) == words_of("1")
+        assert _largest_stripped_class(grid.classes[(1, 1)], 1) == words_of(
             "00001", "01001", "01011"
         )
 
@@ -91,10 +92,10 @@ class TestClassifier:
 
 class TestCandidateExpansion:
     def test_no_unknowns(self):
-        assert candidate_expansion(PartialWord((0, 1, 1))) == [parse_word("011", 2)]
+        assert candidate_expansion((0, 1, 1)) == [parse_word("011", 2)]
 
     def test_two_unknowns(self):
-        got = candidate_expansion(PartialWord((None, 1, None)))
+        got = candidate_expansion([None, 1, None])
         assert got == [
             parse_word("010", 2),
             parse_word("011", 2),
@@ -103,17 +104,17 @@ class TestCandidateExpansion:
         ]
 
     def test_single_unknown(self):
-        assert candidate_expansion(PartialWord((0, None, 1))) == [
+        assert candidate_expansion((0, None, 1)) == [
             parse_word("001", 2),
             parse_word("011", 2),
         ]
 
-    def test_bad_cell_rejected(self):
-        with pytest.raises(ValueError):
-            PartialWord((0, 2, None))
-
     def test_unknown_positions(self):
-        assert PartialWord((None, 1, None)).unknown_positions == (0, 2)
+        # only the open cells vary; every decided cell is copied through
+        got = candidate_expansion((1, None, 0, None, None))
+        assert len(got) == 8
+        assert {(w[0], w[2]) for w in got} == {(1, 0)}
+        assert {(w[1], w[3], w[4]) for w in got} == set(product((0, 1), repeat=3))
 
 
 class TestInsertionDecoder:
@@ -151,10 +152,8 @@ class TestInsertionDecoder:
                             assert result.word == x
 
     def test_refuses_exact_threshold(self):
-        overlap = intersection(
-            enumerate_insertion_ball(b"\x00", 2, 1, 2),
-            enumerate_insertion_ball(b"\x01", 2, 1, 2),
-        )
+        ball = enumerate_insertion_ball(b"\x00", 2, 1, 2)
+        overlap = ball & enumerate_insertion_ball(b"\x01", 2, 1, 2)
         assert len(overlap) == ins_intersection_max(2, 2, 1, 1)
         with pytest.raises(BelowThreshold):
             reconstruct_from_insertions(overlap, 1, 2, 2, 1)
@@ -234,9 +233,7 @@ class TestDeletionDecoder:
         y = bytearray(x)
         y[b - 1] = 1
         y = bytes(y)
-        overlap = intersection(
-            enumerate_deletion_ball(x, t, b), enumerate_deletion_ball(y, t, b)
-        )
+        overlap = enumerate_deletion_ball(x, t, b) & enumerate_deletion_ball(y, t, b)
         assert len(overlap) == del_intersection_max_binary(b, n, t) == 6
         with pytest.raises(BelowThreshold):
             reconstruct_from_deletions(overlap, n, b, t)
@@ -254,8 +251,7 @@ class TestDeletionDecoder:
             reconstruct_from_deletions(words_of("01"), 2, 2, 1)  # n too small
 
     def test_unknowns_stay_within_budget(self):
-        # centers that force minority branches still decode; the partial word
-        # never defers more than t*(b-1) cells (asserted inside the decoder)
+        # centers that force minority branches still decode
         for b in (2, 3):
             for t in (1, 2):
                 n = b * (t + 1) + t + 2
@@ -268,3 +264,42 @@ class TestDeletionDecoder:
                     result = reconstruct_from_deletions(ball, n, b, t)
                     assert result.word == x
                     assert result.phase2_seconds >= 0.0
+
+    def test_phase2_expands_exactly_t_times_b_minus_1_cells(self, monkeypatch):
+        # phase 1 returns only once all t bursts are placed, each leaving b-1
+        # cells open; phase 2 expands them in one call
+        expanded = []
+        real = burstrecon.reconstruct.candidate_expansion
+
+        def recording(cells):
+            expanded.append(sum(1 for c in cells if c is None))
+            return real(cells)
+
+        monkeypatch.setattr(burstrecon.reconstruct, "candidate_expansion", recording)
+        rng = random.Random(trial_seed(20261018, 5))
+        grid = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2))
+        decoded = []
+        for b, t in grid:
+            for n in range(b * (t + 1) - 1, b * (t + 1) + 3):
+                need = del_intersection_max_binary(b, n, t) + 1
+                centers = [b_cyclic(n, 2, b, 0), b_cyclic(n, 2, b, 1)]
+                centers += [bytes(rng.randrange(2) for _ in range(n)) for _ in range(4)]
+                for x in centers:
+                    if len(enumerate_deletion_ball(x, t, b)) < need:
+                        continue
+                    sample = sample_distinct_outputs(
+                        x, 2, t, b, "deletion", need, rng.getrandbits(48)
+                    )
+                    expanded.clear()
+                    assert reconstruct_from_deletions(sample.outputs, n, b, t).word == x
+                    assert expanded == [t * (b - 1)], (b, t, n, x)
+                    decoded.append((b, t))
+        assert set(decoded) == set(grid) and len(decoded) >= 40
+
+    def test_phase2_above_cap_refused_before_reading_outputs(self):
+        # 2**(t*(b-1)) candidates: 2**24 is above the default cap, 2**22 is not
+        with pytest.raises(EnumerationCapExceeded) as info:
+            reconstruct_from_deletions(iter(()), 40, 13, 2)
+        assert (info.value.required, info.value.cap) == (2**24, DEFAULT_CAP)
+        with pytest.raises(BelowThreshold):
+            reconstruct_from_deletions(iter(()), 40, 12, 2)
