@@ -16,24 +16,31 @@ from .combinatorics import MAX_ALPHABET
 
 Word = bytes
 
+# bytes.translate tables: the symbols of each alphabet, and the digit text
+# form of q <= 10 in both directions.
+_ALPHABETS = tuple(bytes(range(q)) for q in range(MAX_ALPHABET + 1))
+_TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
+
 
 def validate_word(x: Word, q: int) -> None:
+    """Raise ValueError unless q is a supported alphabet size and every symbol of x is below q."""
     if not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
-    for s in x:
-        if s >= q:
-            raise ValueError(f"symbol {s} out of range for alphabet of size {q}")
+    bad = x.translate(None, _ALPHABETS[q])
+    if bad:
+        raise ValueError(f"symbol {bad[0]} out of range for alphabet of size {q}")
 
 
 def parse_word(text: str, q: int) -> Word:
-    """Parse the text form of a word: digit string for q <= 10, comma-separated integers otherwise."""
+    """Parse the text form of a word: ASCII digit string for q <= 10, comma-separated integers otherwise."""
     text = text.strip()
     if not text:
         return b""
     if q <= 10:
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise ValueError(f"expected a digit string for alphabet of size {q}: {text!r}")
-        x = bytes(int(c) for c in text)
+        x = text.encode("ascii").translate(_FROM_TEXT)
     else:
         x = bytes(int(part) for part in text.split(","))
     validate_word(x, q)
@@ -41,10 +48,11 @@ def parse_word(text: str, q: int) -> Word:
 
 
 def format_word(x: Word, q: int) -> str:
-    """Render a word as text; inverse of parse_word for the same q."""
+    """Render a valid word as text; inverse of parse_word for the same q."""
+    validate_word(x, q)
     if q <= 10:
-        return "".join(str(s) for s in x)
-    return ",".join(str(s) for s in x)
+        return x.translate(_TO_TEXT).decode("ascii")
+    return ",".join(map(str, x))
 
 
 def all_words(q: int, n: int) -> Iterator[Word]:

@@ -7,7 +7,6 @@ check, which exists for machine noise alone.
 """
 
 import random
-import time
 
 import pytest
 

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism, round trips."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -248,6 +249,27 @@ class TestSimulate:
         assert code == EXIT_OK
         assert out == expected
 
+    # stdout of one large insertion pipe, pinned by its sha256: a change to the
+    # text layer or to how simulate writes must keep every byte
+    def test_large_pipe_bytes_pinned(self, capsys, tmp_path):
+        thue_morse = "".join(str(bin(i).count("1") % 2) for i in range(400))
+        code, out, err = run_cli(
+            capsys, "simulate", "-x", thue_morse, "--ins", "-q", "2", "-b", "2", "-t", "2",
+            "-N", "3217", "--seed", "11",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c4c465f76d7d45c14906fca688947ef4f030745472ccc25787bcef648ea04c03"
+        )
+        path = tmp_path / "outputs.txt"
+        path.write_text(out)
+        code, out, _ = run_cli(
+            capsys, "reconstruct", "--ins", "--file", str(path),
+            "-n", "400", "-q", "2", "-b", "2", "-t", "2",
+        )
+        assert code == EXIT_OK
+        assert out == thue_morse + "\n"
+
     def test_invalid_cap_variable_is_precondition(self, capsys, monkeypatch):
         monkeypatch.setenv("BURSTRECON_CAP", "abc")
         code, out, err = run_cli(capsys, "simulate", "-x", "0110", "--ins", "-b", "2", "-t", "1", "-N", "2")
@@ -370,6 +392,17 @@ class TestReconstructCommand:
         assert code == EXIT_CAP
         assert out == ""
         assert err == "error[cap-exceeded]: enumeration needs 16777216 words, cap is 10000000\n"
+
+    def test_non_ascii_digits_rejected(self, capsys, tmp_path):
+        path = tmp_path / "outputs.txt"
+        path.write_text("\uff11\uff10\uff10\n100\n110\n001\n011\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "reconstruct", "--ins", "--file", str(path),
+            "-n", "1", "-q", "2", "-b", "2", "-t", "1",
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("error[precondition]: expected a digit string for alphabet of size 2")
 
     def test_nonbinary_deletion_rejected(self, capsys, tmp_path):
         path = tmp_path / "outputs.txt"

@@ -40,16 +40,50 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_word("01a0", 2)
 
+    # fullwidth digits, Arabic-Indic digits, a superscript: str.isdigit()
+    # accepts all three, the digit form does not
+    @pytest.mark.parametrize("text", ["\uff11\uff10", "\u0660\u0661", "\u00b2"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ValueError, match="expected a digit string for alphabet of size 2"):
+            parse_word(text, 2)
+
+    def test_format_rejects_invalid_word(self):
+        # "123" would parse back as a different word
+        with pytest.raises(ValueError, match="symbol 12 out of range for alphabet of size 10"):
+            format_word(bytes([12, 3]), 10)
+
     @given(st.integers(2, 10), st.lists(st.integers(0, 9), max_size=12))
     def test_round_trip_digits(self, q, symbols):
         symbols = [s % q for s in symbols]
         w = bytes(symbols)
         assert parse_word(format_word(w, q), q) == w
 
-    @given(st.lists(st.integers(0, 254), min_size=1, max_size=8))
-    def test_round_trip_commas(self, symbols):
-        w = bytes(symbols)
-        assert parse_word(format_word(w, 255), 255) == w
+    @given(st.integers(11, 255), st.lists(st.integers(0, 254), min_size=1, max_size=8))
+    def test_round_trip_commas(self, q, symbols):
+        w = bytes(s % q for s in symbols)
+        assert parse_word(format_word(w, q), q) == w
+
+
+def reference_validate(x, q):
+    """The per-symbol check that validate_word's byte-level scan replaces."""
+    if not 2 <= q <= 255:
+        raise ValueError(f"alphabet size must be in [2, 255], got {q}")
+    for s in x:
+        if s >= q:
+            raise ValueError(f"symbol {s} out of range for alphabet of size {q}")
+
+
+class TestValidateWord:
+    @given(st.integers(-1, 257), st.binary(max_size=16))
+    def test_matches_reference_loop(self, q, x):
+        try:
+            reference_validate(x, q)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                validate_word(x, q)
+            assert str(caught.value) == str(exc)
+        else:
+            validate_word(x, q)
 
 
 class TestAllWords:
