@@ -120,12 +120,21 @@ def max_intersection_exhaustive(
     return best, witness
 
 
+def _common_prefix(a: Word, b: Word) -> int:
+    """Length of the longest common prefix of two equal-length words, at C speed."""
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return len(a) - (diff.bit_length() + 7) // 8
+
+
 def is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
     """True iff y is reachable from v by exactly t bursts of b deletions.
 
-    Dynamic program over (symbols of v consumed, bursts used); the number of
-    matched symbols of y is forced by those two, so there are O(len(v) * t)
-    states with constant work each.
+    Interval frontier over burst counts.  With f bursts spent, the reachable
+    prefix lengths of v are exactly the interval [f*b, reach_f]: matching
+    moves along the diagonal j = i - f*b, so a run of matches from any point
+    of the interval ends where the run from reach_f ends, and a burst shifts
+    the whole interval by b.  Each step is one common-prefix length of
+    v[reach:] and y[reach - f*b:], so a call costs t+1 C-speed comparisons.
     """
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
@@ -135,17 +144,13 @@ def is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
         raise ValueError(
             f"length mismatch: expected {len(v) - t * b}, got {len(y)}"
         )
-    nv, ny = len(v), len(y)
-    feasible: list[set[int]] = [set() for _ in range(nv + 1)]
-    feasible[0].add(0)
-    for i in range(nv):
-        for f in feasible[i]:
-            j = i - f * b
-            if j < ny and v[i] == y[j]:
-                feasible[i + 1].add(f)
-            if f < t and i + b <= nv:
-                feasible[i + b].add(f + 1)
-    return t in feasible[nv]
+    reach = 0
+    for f in range(t + 1):
+        if f:
+            reach += b
+        j = reach - f * b  # symbols of y matched at the frontier
+        reach += _common_prefix(v[reach : reach + len(y) - j], y[j:])
+    return reach == len(v)
 
 
 def is_insertion_descendant(x: Word, y: Word, t: int, b: int) -> bool:

@@ -23,7 +23,7 @@ from .balls import (
     enumerate_deletion_ball,
     enumerate_insertion_ball,
 )
-from .combinatorics import ins_ball_size
+from .combinatorics import del_ball_size, ins_ball_size
 from .errors import BallTooSmall, EnumerationCapExceeded
 from .sequences import Word, format_word, validate_word
 
@@ -152,10 +152,12 @@ def sample_distinct_outputs(
     """Sample `count` distinct members of the radius-t ball around x.
 
     A `count` above `cap` is refused with `EnumerationCapExceeded` before any
-    work.  Feasibility is checked next (closed form for insertions,
-    enumeration for deletions, whose ball sizes depend on the center); if the
-    ball is smaller than `count` the error reports the exact ball size.  A
-    fixed seed yields identical outputs and traces on every run.
+    work.  Feasibility is checked next by counting the ball (closed form for
+    insertions, `del_ball_size` for deletions, whose sizes depend on the
+    center); if the ball is smaller than `count` the error reports the exact
+    ball size, and a deletion ball above `cap`, which the fallback might
+    have to enumerate, is refused.  A fixed seed yields identical outputs
+    and traces on every run.
 
     Draws are trace-weighted: each output's chance is proportional to the
     number of burst event lists that produce it, with positions uniform over
@@ -174,10 +176,12 @@ def sample_distinct_outputs(
         raise ValueError(f"burst length must be at least 1, got {b}")
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    # the insertion ball's size is center-independent; enumerate it only if
-    # the fallback below needs its members
-    ball = enumerate_deletion_ball(x, t, b, cap) if kind == "deletion" else None
-    ball_size = ins_ball_size(q, b, len(x), t) if ball is None else len(ball)
+    if kind == "insertion":
+        ball_size = ins_ball_size(q, b, len(x), t)
+    else:
+        ball_size = del_ball_size(x, t, b)
+        if ball_size > cap:
+            raise EnumerationCapExceeded(ball_size, cap)
     if ball_size < count:
         raise BallTooSmall(count, ball_size)
 
@@ -193,8 +197,10 @@ def sample_distinct_outputs(
             rejections = 0
             chosen[trace.output] = trace
     if len(chosen) < count:
-        if ball is None:
+        if kind == "insertion":
             ball = enumerate_insertion_ball(x, q, t, b, cap)
+        else:
+            ball = enumerate_deletion_ball(x, t, b, cap)
         remaining = sorted(ball.difference(chosen))
         rng.shuffle(remaining)
         for w in remaining[: count - len(chosen)]:

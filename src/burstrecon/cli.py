@@ -196,9 +196,7 @@ def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng):
 
 def _roundtrip_del_trials(q, b, t, n, cap, trials, rng):
     need = comb.del_intersection_max_binary(b, n, t) + 1
-    eligible = [
-        x for x in all_words(2, n) if len(enumerate_deletion_ball(x, t, b, cap)) >= need
-    ]
+    eligible = [x for x in all_words(2, n) if comb.del_ball_size(x, t, b) >= need]
     if not eligible:
         raise _Skip("no center admits threshold+1 distinct outputs")
     return sum(
@@ -503,6 +501,11 @@ def cmd_reconstruct(args) -> int:
             print(
                 f"# step pos={step.position} symbol={step.symbol} "
                 f"bursts={step.consumed_bursts} classes={list(step.class_sizes)}",
+                file=sys.stderr,
+            )
+        if not args.ins:
+            print(
+                f"# phase2 tried={result.phase2_tried} of {2 ** (args.t * (args.b - 1))}",
                 file=sys.stderr,
             )
     if args.as_json:

@@ -127,6 +127,42 @@ def del_ball_max(q: int, b: int, n: int, t: int) -> int:
     )
 
 
+def del_ball_size(x: bytes, t: int, b: int) -> int:
+    """Exact size of the radius-t burst-deletion ball around the word x.
+
+    Every member has exactly one leftmost placement of its t deleted blocks:
+    scan x, keep symbols while they match, and at a mismatch delete the fewest
+    bursts that realign.  So the size is the number of deletion patterns in
+    which each run of f back-to-back bursts starting at i and followed by a
+    kept symbol c = x[i + f*b] has x[i + g*b] != c for g = 0..f-1; a run
+    that ends the word is always leftmost.  ``ways[i][u]`` counts those
+    patterns of the suffix x[i:] with u bursts, O(len(x) * t**2) steps in
+    all.  Like ``balls.enumerate_deletion_ball``, it refuses a word shorter
+    than t*b.
+    """
+    if t < 0:
+        raise ValueError(f"radius must be nonnegative, got {t}")
+    if b < 1:
+        raise ValueError(f"burst length must be at least 1, got {b}")
+    n = len(x)
+    if n < t * b:
+        raise ValueError(f"word of length {n} too short for {t} bursts of {b} deletions")
+    ways: list[list[int]] = [[]] * n + [[1] + [0] * t]
+    for i in range(n - 1, -1, -1):
+        row = ways[i] = ways[i + 1][:]  # keep x[i]
+        for f in range(1, t + 1):
+            end = i + f * b
+            if end >= n:
+                if end == n:
+                    row[f] += 1  # a run that ends the word
+                break
+            if x[end] not in x[i:end:b]:
+                after = ways[end + 1]
+                for u in range(f, t + 1):
+                    row[u] += after[u - f]
+    return ways[0][t]
+
+
 def del_intersection_max_binary(b: int, n: int, t: int) -> int:
     """Largest burst-deletion ball overlap between two distinct binary words.
 

@@ -51,8 +51,16 @@ class InconsistentOutputs(ReconstructionError):
 
 
 class CandidateFilterError(ReconstructionError):
-    """The final containment filter kept zero or several candidates."""
+    """No phase-2 candidate contains every output: zero survivors.
 
-    def __init__(self, survivors: int):
-        super().__init__(f"{survivors} candidates survived, expected exactly 1")
-        self.survivors = survivors
+    Several survivors cannot happen.  Two length-n words whose balls both
+    contain all N >= threshold+1 outputs would share more words than the
+    maximum overlap of two distinct balls, which the paper proves on the
+    decoder's domain (q = 2, b >= 2, n >= b*(t+1)-1).  So the search stops at
+    the first survivor, and this error means the outputs do not all come
+    from one center.
+    """
+
+    def __init__(self, candidates: int):
+        super().__init__(f"none of the {candidates} phase-2 candidates contains every output")
+        self.candidates = candidates

@@ -8,19 +8,23 @@ using exact class-size thresholds:
   then descends into the largest same-prefix class;
 * the deletion decoder (binary only) takes the first-symbol majority; a
   suspiciously small majority class proves a burst ate the word's front, in
-  which case b-1 positions are deferred as unknowns and a final containment
-  filter picks the unique completion.
+  which case b-1 positions are deferred as open cells, each with a vote
+  from the discarded majority class.  Phase 2 tries the completions of the
+  open cells in vote order (the majority fill first, then fills that flip
+  1, 2, ... of the least confident cells) and returns the first one whose
+  ball contains every output.
 
 Given at least one more output than the worst-case ball overlap, the peeled
-word is exact; with fewer outputs the decoders refuse.
+word is exact and no other completion contains every output, so the first
+survivor is the only one; with fewer outputs the decoders refuse.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .balls import DEFAULT_CAP, is_deletion_descendant
 from .combinatorics import (
@@ -116,18 +120,46 @@ class ReconstructionResult:
     steps: tuple[StepInfo, ...]
     phase1_seconds: float
     phase2_seconds: float = 0.0
+    phase2_tried: int = 0  # phase-2 candidates checked, the survivor included
 
 
-def candidate_expansion(cells: Sequence[int | None]) -> list[Word]:
-    """All binary completions of cells, the open (None) cells counted up lexicographically."""
+class _Completions:
+    """The binary completions of a cell list, sized up front and built one at a time."""
+
+    def __init__(self, fill: bytes, flip_order: list[int]):
+        self.fill = fill
+        self.flip_order = flip_order
+
+    def __len__(self) -> int:
+        return 2 ** len(self.flip_order)
+
+    def __iter__(self) -> Iterator[Word]:
+        for flips in range(len(self.flip_order) + 1):
+            for chosen in combinations(self.flip_order, flips):
+                word = bytearray(self.fill)
+                for idx in chosen:
+                    word[idx] ^= 1
+                yield bytes(word)
+
+
+def candidate_expansion(cells: Sequence[int | None], votes: Sequence[int]) -> _Completions:
+    """Every binary completion of the open (None) cells, each once, in vote order.
+
+    ``votes`` holds one tally per open cell, left to right: ones minus zeros
+    among the outputs that voted on it.  The first completion is the vote
+    majority (0 on a tie); then come the fills that flip 1, 2, ... cells,
+    the least confident cells (smallest ``abs(vote)``, leftmost on a tie)
+    flipped first.  The result has ``len() == 2**open_cells`` and builds
+    each word only when iterated.
+    """
     slots = [i for i, c in enumerate(cells) if c is None]
-    out = []
-    for fill in product((0, 1), repeat=len(slots)):
-        word = list(cells)
-        for idx, value in zip(slots, fill):
-            word[idx] = value
-        out.append(bytes(word))
-    return out
+    if len(votes) != len(slots):
+        raise ValueError(f"{len(slots)} open cells but {len(votes)} votes")
+    fill = bytearray(0 if c is None else c for c in cells)
+    for idx, vote in zip(slots, votes):
+        fill[idx] = vote > 0
+    ranked = sorted(range(len(slots)), key=lambda k: abs(votes[k]))
+    return _Completions(bytes(fill), [slots[k] for k in ranked])
 
 
 def reconstruct_from_insertions(
@@ -232,11 +264,15 @@ def reconstruct_from_deletions(
     the true symbol; when the majority class is no bigger than the next
     overlap bound, the front was eaten by a burst, so the symbol one burst
     ahead is the complement, the b-1 in-between cells become unknowns, and
-    decoding resumes past them on the complement class.  Phase 1 returns only
-    once all t bursts are placed, so exactly t*(b-1) cells stay open; phase 2
-    expands them and keeps the unique candidate whose ball contains every
-    output.  When its 2**(t*(b-1)) candidates exceed DEFAULT_CAP the decoder
-    refuses with EnumerationCapExceeded before reading the outputs.
+    decoding resumes past them on the complement class.  The discarded
+    majority class still shows the open cells at offsets 1..b-1, so each
+    open cell gets its vote there.  Phase 1 returns only once all t bursts
+    are placed, so exactly t*(b-1) cells stay open.  Phase 2 tries their
+    completions in vote order and returns the first whose ball contains
+    every output; at most one can, since two such words would share more
+    outputs than the overlap maximum allows.  When the 2**(t*(b-1))
+    candidates exceed DEFAULT_CAP the decoder refuses with
+    EnumerationCapExceeded before reading the outputs.
     """
     started = time.perf_counter()
     if b < 2 or t < 1:
@@ -260,6 +296,7 @@ def reconstruct_from_deletions(
         raise BelowThreshold(len(words), threshold + 1)
 
     cells: list[int | None] = [None] * n
+    votes: list[int] = []  # ones minus zeros, per open cell left to right
     current: set[Word] = set(words)
     n_rem = n
     t_rem = t
@@ -284,9 +321,13 @@ def reconstruct_from_deletions(
             n_rem -= 1
         else:
             # a burst consumed the front: the complement sits one burst ahead
-            # and the b-1 cells between stay open for phase 2
+            # and the b-1 cells between stay open for phase 2, each with the
+            # vote of the discarded majority class
             steps.append(StepInfo(i + 1, beta, 1, (zeros, ones)))
             cells[i + b] = 1 - beta
+            gaps = [w[1:b] for w in current if w[0] == beta]
+            tallies = [2 * sum(column) - len(gaps) for column in zip(*gaps)]
+            votes += tallies + [0] * (b - 1 - len(tallies))
             current = {w[1:] for w in current if w[0] == 1 - beta}
             i += b + 1
             n_rem -= b + 1
@@ -302,17 +343,15 @@ def reconstruct_from_deletions(
     phase1_seconds = time.perf_counter() - started
 
     started2 = time.perf_counter()
-    survivors = [
-        v
-        for v in candidate_expansion(cells)
-        if all(is_deletion_descendant(v, u, t, b) for u in words)
-    ]
-    if len(survivors) != 1:
-        raise CandidateFilterError(len(survivors))
-    return ReconstructionResult(
-        survivors[0],
-        len(steps),
-        tuple(steps),
-        phase1_seconds,
-        time.perf_counter() - started2,
-    )
+    candidates = candidate_expansion(cells, votes)
+    for tried, v in enumerate(candidates, 1):
+        if all(is_deletion_descendant(v, u, t, b) for u in words):
+            return ReconstructionResult(
+                v,
+                len(steps),
+                tuple(steps),
+                phase1_seconds,
+                time.perf_counter() - started2,
+                tried,
+            )
+    raise CandidateFilterError(len(candidates))

@@ -23,17 +23,30 @@ _TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def validate_word(x: Word, q: int) -> None:
-    """Raise ValueError unless q is a supported alphabet size and every symbol of x is below q."""
+def _check_alphabet(q: int) -> None:
     if not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
+
+
+def _out_of_range(symbol: int, q: int) -> ValueError:
+    return ValueError(f"symbol {symbol} out of range for alphabet of size {q}")
+
+
+def validate_word(x: Word, q: int) -> None:
+    """Raise ValueError unless q is a supported alphabet size and every symbol of x is below q."""
+    _check_alphabet(q)
     bad = x.translate(None, _ALPHABETS[q])
     if bad:
-        raise ValueError(f"symbol {bad[0]} out of range for alphabet of size {q}")
+        raise _out_of_range(bad[0], q)
 
 
 def parse_word(text: str, q: int) -> Word:
-    """Parse the text form of a word: ASCII digit string for q <= 10, comma-separated integers otherwise."""
+    """Parse the text form of a word.
+
+    For q <= 10 it is a string of ASCII digits; above, ASCII decimal
+    integers separated by single commas, with nothing else in between.
+    Surrounding whitespace is ignored.
+    """
     text = text.strip()
     if not text:
         return b""
@@ -41,10 +54,17 @@ def parse_word(text: str, q: int) -> Word:
         if not (text.isascii() and text.isdigit()):
             raise ValueError(f"expected a digit string for alphabet of size {q}: {text!r}")
         x = text.encode("ascii").translate(_FROM_TEXT)
-    else:
-        x = bytes(int(part) for part in text.split(","))
-    validate_word(x, q)
-    return x
+        validate_word(x, q)
+        return x
+    _check_alphabet(q)
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"expected comma-separated ASCII integers for alphabet of size {q}: {text!r}")
+    symbols = [int(part) for part in parts]
+    for symbol in symbols:
+        if symbol >= q:
+            raise _out_of_range(symbol, q)
+    return bytes(symbols)
 
 
 def format_word(x: Word, q: int) -> str:

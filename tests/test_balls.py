@@ -26,6 +26,25 @@ def words_of(*texts):
     return frozenset(parse_word(t, 10) for t in texts)
 
 
+def reference_is_deletion_descendant(v, y, t, b):
+    """The per-symbol set dynamic program that the interval frontier replaced.
+
+    ``feasible[i]`` holds the burst counts f with which the first i symbols
+    of v can be consumed, i - f*b of them matched against y.
+    """
+    nv, ny = len(v), len(y)
+    feasible = [set() for _ in range(nv + 1)]
+    feasible[0].add(0)
+    for i in range(nv):
+        for f in feasible[i]:
+            j = i - f * b
+            if j < ny and v[i] == y[j]:
+                feasible[i + 1].add(f)
+            if f < t and i + b <= nv:
+                feasible[i + b].add(f + 1)
+    return t in feasible[nv]
+
+
 class TestEnumerateInsertionBall:
     def test_single_symbol_unit_burst(self):
         assert enumerate_insertion_ball(b"\x00", 2, 1, 1) == words_of("00", "01", "10")
@@ -214,6 +233,45 @@ class TestDeletionMembership:
         y = bytes(data.draw(st.integers(0, q - 1)) for _ in range(n - t * b))
         ball = enumerate_deletion_ball(v, t, b)
         assert is_deletion_descendant(v, y, t, b) == (y in ball)
+
+
+    def test_matches_reference_exhaustively(self):
+        pairs = 0
+        for q in (2, 3):
+            for b in (1, 2, 3):
+                for t in (0, 1, 2, 3):
+                    for n in range(t * b, t * b + 6):
+                        if q ** (2 * n - t * b) > 20000:
+                            break
+                        for v in all_words(q, n):
+                            for y in all_words(q, n - t * b):
+                                assert is_deletion_descendant(v, y, t, b) == (
+                                    reference_is_deletion_descendant(v, y, t, b)
+                                ), (v, y, t, b)
+                                pairs += 1
+        assert pairs > 100000
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_flipped_members(self, data):
+        # a member of the ball, then the same word with one symbol changed:
+        # near misses are where a wrong frontier would go astray
+        q = data.draw(st.sampled_from([2, 3]))
+        b = data.draw(st.integers(1, 6))
+        t = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(t * b, t * b + 24))
+        v = bytes(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+        y = v
+        for _ in range(t):
+            start = data.draw(st.integers(0, len(y) - b))
+            y = y[:start] + y[start + b :]
+        assert is_deletion_descendant(v, y, t, b)
+        if y:
+            k = data.draw(st.integers(0, len(y) - 1))
+            flipped = y[:k] + bytes([(y[k] + 1) % q]) + y[k + 1 :]
+            assert is_deletion_descendant(v, flipped, t, b) == (
+                reference_is_deletion_descendant(v, flipped, t, b)
+            )
 
 
 class TestInsertionMembership:

@@ -18,6 +18,7 @@ from burstrecon import (
     parse_word,
     sample_distinct_outputs,
     trial_seed,
+    y_sequence,
 )
 
 
@@ -103,6 +104,25 @@ class TestSampling:
         with pytest.raises(EnumerationCapExceeded) as info:
             sample_distinct_outputs(bytes([0, 1, 0, 1]), 2, 1, 1, "insertion", 6, 0, cap=5)
         assert (info.value.required, info.value.cap) == (6, 5)
+
+    def test_deletion_feasibility_counted_not_enumerated(self, monkeypatch):
+        # one output from a 78,607-word ball: only the fallback may enumerate
+        def enumerated(*args):
+            raise AssertionError("deletion ball enumerated outside the fallback")
+
+        monkeypatch.setattr("burstrecon.channel.enumerate_deletion_ball", enumerated)
+        x = y_sequence(400, 2, 2, 0, 0)
+        sample = sample_distinct_outputs(x, 2, 2, 2, "deletion", 1, seed=1)
+        assert sample.traces[0].replay() == sample.outputs[0]
+        with pytest.raises(BallTooSmall) as info:
+            sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 2, seed=1)
+        assert info.value.ball_size == 1
+
+    def test_deletion_ball_above_cap_refused(self):
+        # the ball {0010, 0110, 1010} is what the fallback might have to enumerate
+        with pytest.raises(EnumerationCapExceeded) as info:
+            sample_distinct_outputs(parse_word("011010", 2), 2, 1, 2, "deletion", 2, 0, cap=2)
+        assert (info.value.required, info.value.cap) == (3, 2)
 
     def test_single_output(self):
         sample = sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 1, seed=1)

@@ -369,6 +369,24 @@ class TestReconstructCommand:
         assert out.strip() == "01100"
         assert "step pos=1" in err
 
+    def test_diagnostics_phase2_line(self, capsys, tmp_path):
+        # one '# phase2' line on stderr for a deletion decode; stdout unchanged
+        path = tmp_path / "outputs.txt"
+        path.write_text("100\n000\n010\n")
+        base = ("reconstruct", "--del", "--file", str(path), "-n", "5", "-b", "2", "-t", "1")
+        for extra in ((), ("--as-json",)):
+            _, plain, quiet = run_cli(capsys, *base, *extra)
+            code, out, err = run_cli(capsys, *base, *extra, "--diagnostics")
+            assert code == EXIT_OK and out == plain and quiet == ""
+            assert [ln for ln in err.splitlines() if ln.startswith("# phase2")] == [
+                "# phase2 tried=2 of 2"
+            ]
+        _, _, err = run_cli(
+            capsys, "reconstruct", "--ins", "--file", str(path),
+            "-n", "1", "-q", "2", "-b", "2", "-t", "1", "--diagnostics",
+        )
+        assert "phase2" not in err
+
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "outputs.txt"
         path.write_text("100\n000\n010\n")

@@ -10,16 +10,20 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from burstrecon import (
+    all_words,
     binom,
     count_centers_by_radius1_ball_size,
     del_ball_max,
+    del_ball_size,
     del_intersection_lower_bound,
     del_intersection_max_binary,
     del_intersection_threshold,
+    enumerate_deletion_ball,
     ins_ball_size,
     ins_intersection_max,
     ins_recurrence_check,
     sphere_packing_bound,
+    y_sequence,
 )
 
 GRID_Q = (2, 3)
@@ -119,6 +123,37 @@ class TestInsRecurrences:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             ins_recurrence_check(2, 2, 0, 1)
+
+
+class TestDelBallSize:
+    def test_matches_enumeration_on_grid(self):
+        # every center of the acceptance grid's sizes, both alphabets
+        for q in GRID_Q:
+            for b in GRID_B:
+                for t in (0, 1, 2, 3):
+                    for n in range(b * t, b * t + 7):
+                        if q**n > 3000:
+                            break
+                        for x in all_words(q, n):
+                            assert del_ball_size(x, t, b) == len(
+                                enumerate_deletion_ball(x, t, b)
+                            ), (x, t, b)
+
+    def test_extremal_centers_reach_the_maximum(self):
+        for b in (2, 3):
+            for t in (1, 2, 3):
+                for n in (*range(b * t, b * t + 12), 400):
+                    for j in range(b):
+                        center = y_sequence(n, 2, b, 0, j)
+                        assert del_ball_size(center, t, b) == del_ball_max(2, b, n, t)
+
+    def test_refuses_like_enumeration(self):
+        with pytest.raises(ValueError, match="too short for 2 bursts of 2 deletions"):
+            del_ball_size(bytes(3), 2, 2)
+        with pytest.raises(ValueError):
+            del_ball_size(bytes(3), -1, 2)
+        with pytest.raises(ValueError):
+            del_ball_size(bytes(3), 1, 0)
 
 
 class TestDelBallMax:

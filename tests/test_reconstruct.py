@@ -4,12 +4,14 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burstrecon.reconstruct
 from burstrecon import (
     DEFAULT_CAP,
     AmbiguousSymbol,
     BelowThreshold,
+    CandidateFilterError,
     EnumerationCapExceeded,
     ReconstructionError,
     all_words,
@@ -20,6 +22,7 @@ from burstrecon import (
     enumerate_deletion_ball,
     enumerate_insertion_ball,
     ins_intersection_max,
+    is_deletion_descendant,
     parse_word,
     reconstruct_from_deletions,
     reconstruct_from_insertions,
@@ -90,31 +93,87 @@ class TestClassifier:
             classify_first_symbol(words_of("01"), 2, 2, 2)
 
 
+def completions(cells):
+    """Every binary completion of the open (None) cells, as a set."""
+    slots = [i for i, c in enumerate(cells) if c is None]
+    out = set()
+    for fill in product((0, 1), repeat=len(slots)):
+        word = list(cells)
+        for idx, value in zip(slots, fill):
+            word[idx] = value
+        out.add(bytes(word))
+    return out
+
+
 class TestCandidateExpansion:
     def test_no_unknowns(self):
-        assert candidate_expansion((0, 1, 1)) == [parse_word("011", 2)]
+        got = candidate_expansion((0, 1, 1), ())
+        assert len(got) == 1
+        assert list(got) == [parse_word("011", 2)]
 
     def test_two_unknowns(self):
-        got = candidate_expansion([None, 1, None])
-        assert got == [
+        # tied votes: the all-zero fill, then the leftmost cell flipped first
+        assert list(candidate_expansion([None, 1, None], (0, 0))) == [
             parse_word("010", 2),
+            parse_word("110", 2),
             parse_word("011", 2),
+            parse_word("111", 2),
+        ]
+        # majority fill 1?0; the cell voted -1 is less confident than the one voted 3
+        assert list(candidate_expansion([None, 1, None], (3, -1))) == [
             parse_word("110", 2),
             parse_word("111", 2),
+            parse_word("010", 2),
+            parse_word("011", 2),
         ]
 
     def test_single_unknown(self):
-        assert candidate_expansion((0, None, 1)) == [
+        assert list(candidate_expansion((0, None, 1), (0,))) == [
             parse_word("001", 2),
             parse_word("011", 2),
+        ]
+        assert list(candidate_expansion((0, None, 1), (2,))) == [
+            parse_word("011", 2),
+            parse_word("001", 2),
         ]
 
     def test_unknown_positions(self):
         # only the open cells vary; every decided cell is copied through
-        got = candidate_expansion((1, None, 0, None, None))
+        got = list(candidate_expansion((1, None, 0, None, None), (0, 0, 0)))
         assert len(got) == 8
         assert {(w[0], w[2]) for w in got} == {(1, 0)}
         assert {(w[1], w[3], w[4]) for w in got} == set(product((0, 1), repeat=3))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_each_completion_once_in_vote_order(self, data):
+        cells = data.draw(st.lists(st.sampled_from([0, 1, None]), max_size=9))
+        k = cells.count(None)
+        votes = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+        expansion = candidate_expansion(cells, votes)
+        got = list(expansion)
+        assert len(expansion) == len(got) == 2**k
+        assert len(set(got)) == len(got) and set(got) == completions(cells)
+        slots = [i for i, c in enumerate(cells) if c is None]
+        majority = got[0]
+        assert [majority[i] for i in slots] == [int(v > 0) for v in votes]
+        flipped = [sum(w[i] != majority[i] for i in slots) for w in got]
+        assert flipped == sorted(flipped)
+        if k:
+            # the first single flip is the least confident cell, leftmost on a tie
+            weakest = min(range(k), key=lambda j: abs(votes[j]))
+            assert [i for i in slots if got[1][i] != majority[i]] == [slots[weakest]]
+
+    def test_built_lazily(self):
+        # 2**60 completions: sized up front, each word built only when iterated
+        cells = [None] * 60 + [1]
+        expansion = candidate_expansion(cells, [1] * 60)
+        assert len(expansion) == 2**60
+        assert next(iter(expansion)) == bytes([1] * 61)
+
+    def test_votes_must_match_open_cells(self):
+        with pytest.raises(ValueError):
+            candidate_expansion((None, 1, None), (1,))
 
 
 class TestInsertionDecoder:
@@ -271,9 +330,9 @@ class TestDeletionDecoder:
         expanded = []
         real = burstrecon.reconstruct.candidate_expansion
 
-        def recording(cells):
+        def recording(cells, votes):
             expanded.append(sum(1 for c in cells if c is None))
-            return real(cells)
+            return real(cells, votes)
 
         monkeypatch.setattr(burstrecon.reconstruct, "candidate_expansion", recording)
         rng = random.Random(trial_seed(20261018, 5))
@@ -303,3 +362,46 @@ class TestDeletionDecoder:
         assert (info.value.required, info.value.cap) == (2**24, DEFAULT_CAP)
         with pytest.raises(BelowThreshold):
             reconstruct_from_deletions(iter(()), 40, 12, 2)
+
+    def test_first_survivor_is_the_only_one(self, monkeypatch):
+        # every candidate of the expansion is checked against every output:
+        # exactly one survives, it is the decoded word, and phase 2 stopped on it
+        expansions = []
+        real = burstrecon.reconstruct.candidate_expansion
+
+        def recording(cells, votes):
+            expansions.append(real(cells, votes))
+            return expansions[-1]
+
+        monkeypatch.setattr(burstrecon.reconstruct, "candidate_expansion", recording)
+        rng = random.Random(trial_seed(20261018, 7))
+        decodes = 0
+        for b, t in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)):
+            for n in range(b * (t + 1) - 1, b * (t + 1) + 3):
+                need = del_intersection_max_binary(b, n, t) + 1
+                centers = [b_cyclic(n, 2, b, 0), b_cyclic(n, 2, b, 1)]
+                centers += [bytes(rng.randrange(2) for _ in range(n)) for _ in range(4)]
+                for x in centers:
+                    if len(enumerate_deletion_ball(x, t, b)) < need:
+                        continue
+                    sample = sample_distinct_outputs(
+                        x, 2, t, b, "deletion", need, rng.getrandbits(48)
+                    )
+                    expansions.clear()
+                    result = reconstruct_from_deletions(sample.outputs, n, b, t)
+                    (expansion,) = expansions
+                    order = list(expansion)
+                    survivors = [
+                        v for v in order
+                        if all(is_deletion_descendant(v, u, t, b) for u in sample.outputs)
+                    ]
+                    assert result.word == x and survivors == [x], (b, t, n, x)
+                    assert order.index(x) + 1 == result.phase2_tried
+                    decodes += 1
+        assert decodes >= 40
+
+    def test_no_survivor_refused(self):
+        # phase 1 leaves one open cell; neither completion's ball holds all three
+        with pytest.raises(CandidateFilterError) as info:
+            reconstruct_from_deletions(words_of("000", "001", "101"), 5, 2, 1)
+        assert info.value.candidates == 2

@@ -47,6 +47,19 @@ class TestParseFormat:
         with pytest.raises(ValueError, match="expected a digit string for alphabet of size 2"):
             parse_word(text, 2)
 
+    # each comma-separated part must be nonempty ASCII digits
+    @pytest.mark.parametrize("text", ["\uff11\uff10,3", " 3 , 4", "+3,4", "3_0,1", "-1,2", "3,,4", ",3", "3,"])
+    def test_comma_form_strict(self, text):
+        with pytest.raises(ValueError, match="expected comma-separated ASCII integers for alphabet of size 20"):
+            parse_word(text, 20)
+
+    def test_comma_form_names_out_of_range_symbol(self):
+        with pytest.raises(ValueError, match="symbol 300 out of range for alphabet of size 20"):
+            parse_word("300,1", 20)
+        with pytest.raises(ValueError, match="symbol 20 out of range for alphabet of size 20"):
+            parse_word("3,20,25", 20)
+        assert parse_word("  007,19\n", 20) == bytes([7, 19])
+
     def test_format_rejects_invalid_word(self):
         # "123" would parse back as a different word
         with pytest.raises(ValueError, match="symbol 12 out of range for alphabet of size 10"):
