@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Literal
 
-from .combinatorics import ins_ball_size
+from .combinatorics import _check_radius_burst, ins_ball_size
 from .errors import EnumerationCapExceeded
 from .sequences import Word, all_words, validate_word
 
@@ -38,10 +38,7 @@ def enumerate_insertion_ball(
     exceeds the cap; intermediate rounds are never larger than the final one.
     """
     validate_word(x, q)
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    _check_radius_burst(t, b)
     expected = ins_ball_size(q, b, len(x), t)
     if expected > cap:
         raise EnumerationCapExceeded(expected, cap)
@@ -64,10 +61,7 @@ def enumerate_deletion_ball(
     x: Word, t: int, b: int, cap: int = DEFAULT_CAP
 ) -> frozenset[Word]:
     """The exact set of words reachable from x by t bursts of b deletions."""
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    _check_radius_burst(t, b)
     if len(x) < t * b:
         raise ValueError(
             f"word of length {len(x)} too short for {t} bursts of {b} deletions"
@@ -136,10 +130,7 @@ def is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
     the whole interval by b.  Each step is one common-prefix length of
     v[reach:] and y[reach - f*b:], so a call costs t+1 C-speed comparisons.
     """
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    _check_radius_burst(t, b)
     if len(y) != len(v) - t * b:
         raise ValueError(
             f"length mismatch: expected {len(v) - t * b}, got {len(y)}"
@@ -166,21 +157,19 @@ def is_insertion_descendant(x: Word, y: Word, t: int, b: int) -> bool:
     return is_deletion_descendant(y, x, t, b)
 
 
-def _greedy_block_starts(v: Word, y: Word, t: int, b: int) -> list[int] | None:
-    """0-based starts in v of t deleted blocks that leave y, or None.
+def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
+    """Left-to-right scan variant of is_deletion_descendant.
 
-    Scans left to right.  At the first disagreement, drop the smallest burst
-    multiple that realigns the longer word v with the next undecided symbol
-    of y; deleted blocks can always be slid up to the first mismatch, so the
-    smallest jump is safe.  The blocks found are the leftmost placement.
+    At the first disagreement, drop the smallest burst multiple that realigns
+    the longer word v with the next undecided symbol of y; deleted blocks can
+    always be slid up to the first mismatch, so the smallest jump is safe.
+    Kept as an independent linear-time cross-check of the interval frontier.
     """
-    if t < 0 or b < 1:
-        raise ValueError("radius must be nonnegative and burst length positive")
+    _check_radius_burst(t, b)
     if len(y) != len(v) - t * b:
         raise ValueError(
             f"length mismatch: expected {len(v) - t * b}, got {len(y)}"
         )
-    starts: list[int] = []
     i = j = 0
     nv, ny = len(v), len(y)
     while True:
@@ -189,24 +178,10 @@ def _greedy_block_starts(v: Word, y: Word, t: int, b: int) -> list[int] | None:
             j += 1
         if j == ny:
             # lengths force the leftover suffix to be exactly the unspent bursts
-            starts.extend(range(i, nv, b))
-            return starts
-        remaining = t - len(starts)
-        jump = 0
-        for f in range(1, remaining + 1):
+            return True
+        for f in range(1, t - (i - j) // b + 1):
             if i + f * b < nv and v[i + f * b] == y[j]:
-                jump = f
+                i += f * b
                 break
-        if jump == 0:
-            return None
-        starts.extend(range(i, i + jump * b, b))
-        i += jump * b
-
-
-def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
-    """Left-to-right scan variant of is_deletion_descendant.
-
-    Kept as an independent linear-time cross-check; the dynamic program is
-    authoritative.
-    """
-    return _greedy_block_starts(v, y, t, b) is not None
+        else:
+            return False

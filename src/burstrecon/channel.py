@@ -1,34 +1,26 @@
 """Noisy channel simulation: apply specific bursts or sample distinct outputs.
 
-Sampling draws random burst event lists and rejects duplicate outputs, so it
-is trace-weighted, not uniform over the ball: each output's chance is
-proportional to the number of burst event lists that produce it, with every
-burst position uniform over the legal ones and payload symbols uniform.
-After too many consecutive rejections it falls back to shuffling the ball
-members not yet drawn (enumerated by ``balls``) and records the greedy
-leftmost trace for each one it takes.  Everything is driven by a named,
-seedable generator so runs reproduce bit for bit.
+Sampling is exact and uniform over the ball.  Every member has one leftmost
+(canonical) burst placement, so the members can be counted and numbered: the
+sampler draws distinct ranks from a named, seedable generator, so runs
+reproduce bit for bit, and turns each rank back into its canonical bursts.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import comb
 
-from .balls import (
-    DEFAULT_CAP,
-    BallKind,
-    _check_kind,
-    _greedy_block_starts,
-    enumerate_deletion_ball,
-    enumerate_insertion_ball,
-)
-from .combinatorics import del_ball_size, ins_ball_size
+from .balls import DEFAULT_CAP, BallKind, _check_kind
+from .combinatorics import _check_radius_burst, _deletion_ways
 from .errors import BallTooSmall, EnumerationCapExceeded
 from .sequences import Word, format_word, validate_word
 
-RNG_ALGORITHM = "mt19937"  # random.Random; stable across platforms and versions
-FALLBACK_REJECTIONS_PER_OUTPUT = 64
+# random.Random, stable across platforms and versions, drawing ranks to unrank
+RNG_ALGORITHM = "mt19937/unrank-v1"
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier
 
@@ -112,31 +104,86 @@ def format_event(event: BurstEvent, q: int) -> str:
     return f"del {event.position}"
 
 
-def _random_trace(rng: random.Random, x: Word, q: int, t: int, b: int, kind: BallKind) -> ChannelTrace:
-    w = x
-    events = []
-    for _ in range(t):
-        if kind == "insertion":
-            position = rng.randint(1, len(w) + 1)
-            payload = bytes(rng.randrange(q) for _ in range(b))
-            events.append(BurstEvent("insertion", position, payload))
+def _insertion_unranker(
+    x: Word, q: int, t: int, b: int
+) -> tuple[int, Callable[[int], ChannelTrace]]:
+    """The insertion ball's size, and the map from a rank to its member's trace.
+
+    A canonical pattern puts f_j bursts right before x[j], each starting with
+    a symbol other than x[j] ((q-1)*q**(b-1) payloads), and the other bursts
+    after x[-1] (q**b payloads).  Ranks are ordered by k, the bursts before
+    x[-1], then by the k-multiset of slots (combinadic), then by payload.
+    """
+    n = len(x)
+    rest_choices = q ** (b - 1)
+    head, tail = (q - 1) * rest_choices, q**b
+    # payload choices and members with k bursts before x[-1], for k = 0..t
+    payloads = [head**k * tail ** (t - k) for k in range(t + 1)]
+    sizes = [(comb(n + k - 1, k) if n else k == 0) * p for k, p in enumerate(payloads)]
+    columns = [[comb(c, i) for c in range(n + t)] for i in range(t + 1)]
+
+    def unrank(rank: int) -> ChannelTrace:
+        for k, size in enumerate(sizes):
+            if rank < size:
+                break
+            rank -= size
+        combination, rank = divmod(rank, payloads[k])
+        slots = [n] * t
+        top = n + k - 1
+        for i in range(k, 0, -1):  # the i-th smallest of k elements of range(top)
+            top = bisect_right(columns[i], combination, 0, top) - 1
+            combination -= columns[i][top]
+            slots[i - 1] = top - i + 1
+        w, events = x, []
+        for done, j in enumerate(slots):
+            if j < n:  # the leading base-q digit skips x[j]
+                rank, digits = divmod(rank, head)
+                digits += (digits // rest_choices >= x[j]) * rest_choices
+            else:
+                rank, digits = divmod(rank, tail)
+            payload = bytes(digits // q**e % q for e in range(b - 1, -1, -1))
+            position = j + done * b + 1
             w = apply_burst_insertion(w, position, payload)
-        else:
-            position = rng.randint(1, len(w) - b + 1)
-            events.append(BurstEvent("deletion", position))
-            w = apply_burst_deletion(w, position, b)
-    return ChannelTrace(x, tuple(events), w, b)
+            events.append(BurstEvent("insertion", position, payload))
+        return ChannelTrace(x, tuple(events), w, b)
+
+    return sum(sizes), unrank
 
 
-def _greedy_trace(x: Word, w: Word, t: int, b: int, kind: BallKind) -> ChannelTrace:
-    """The leftmost-placement trace from x to a member w of its ball."""
-    if kind == "insertion":
-        starts = _greedy_block_starts(w, x, t, b)
-        events = [BurstEvent("insertion", s + 1, w[s : s + b]) for s in starts]
-    else:
-        starts = _greedy_block_starts(x, w, t, b)
-        events = [BurstEvent("deletion", s - k * b + 1) for k, s in enumerate(starts)]
-    return ChannelTrace(x, tuple(events), w, b)
+def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], ChannelTrace]]:
+    """The deletion ball's size, and the map from a rank to its member's trace.
+
+    Walks ``ways`` (``combinatorics._deletion_ways``): at each position the
+    ranks below ``ways[i + 1][u]`` keep x[i], the next ones delete 1, 2, ...
+    bursts there.  ``ways[i][u]`` never increases with i, so the run of kept
+    symbols before the next deletion is one bisection.
+    """
+    n = len(x)
+    ways = _deletion_ways(x, t, b)
+    rising = [[-row[u] for row in ways] for u in range(t + 1)]
+
+    def unrank(rank: int) -> ChannelTrace:
+        w, events, i, u = x, [], 0, t
+        while u:
+            # keep x[i] while rank < ways[i + 1][u]; rising[u] is that column negated
+            i = bisect_left(rising[u], -rank, i + 1) - 1
+            rank -= ways[i + 1][u]
+            for f in range(1, u + 1):
+                end = i + f * b
+                if end == n:
+                    break  # the last bursts end the word
+                if x[end] not in x[i:end:b]:
+                    if rank < ways[end + 1][u - f]:
+                        break
+                    rank -= ways[end + 1][u - f]
+            position = i - (t - u) * b + 1
+            for _ in range(f):
+                w = apply_burst_deletion(w, position, b)
+                events.append(BurstEvent("deletion", position))
+            i, u = end + 1, u - f
+        return ChannelTrace(x, tuple(events), w, b)
+
+    return ways[0][t], unrank
 
 
 def sample_distinct_outputs(
@@ -149,60 +196,35 @@ def sample_distinct_outputs(
     seed: int,
     cap: int = DEFAULT_CAP,
 ) -> ChannelSample:
-    """Sample `count` distinct members of the radius-t ball around x.
+    """Sample `count` distinct members of the radius-t ball around x, uniformly.
 
     A `count` above `cap` is refused with `EnumerationCapExceeded` before any
-    work.  Feasibility is checked next by counting the ball (closed form for
-    insertions, `del_ball_size` for deletions, whose sizes depend on the
-    center); if the ball is smaller than `count` the error reports the exact
-    ball size, and a deletion ball above `cap`, which the fallback might
-    have to enumerate, is refused.  A fixed seed yields identical outputs
-    and traces on every run.
-
-    Draws are trace-weighted: each output's chance is proportional to the
-    number of burst event lists that produce it, with positions uniform over
-    the legal ones and payload symbols uniform; it is not uniform over the
-    ball.  After `FALLBACK_REJECTIONS_PER_OUTPUT * count` consecutive
-    duplicates the remaining ball members are shuffled and taken in order,
-    each with the greedy leftmost trace (blocks slid as far left as they go).
+    work.  The ball is counted, never enumerated; if it holds fewer than
+    `count` words, `BallTooSmall` reports its exact size.  Floyd's algorithm
+    draws `count` distinct ranks in exactly `count` draws, at any ball size,
+    and each rank becomes its member with the canonical trace (every burst
+    slid as far left as it goes).  A fixed seed yields identical outputs and
+    traces on every run.
     """
     validate_word(x, q)
     _check_kind(kind)
     if count < 1:
         raise ValueError(f"need at least one output, got {count}")
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    _check_radius_burst(t, b)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
     if kind == "insertion":
-        ball_size = ins_ball_size(q, b, len(x), t)
+        ball_size, unrank = _insertion_unranker(x, q, t, b)
     else:
-        ball_size = del_ball_size(x, t, b)
-        if ball_size > cap:
-            raise EnumerationCapExceeded(ball_size, cap)
+        ball_size, unrank = _deletion_unranker(x, t, b)
     if ball_size < count:
         raise BallTooSmall(count, ball_size)
 
     rng = random.Random(seed)
-    chosen: dict[Word, ChannelTrace] = {}
-    rejections = 0
-    limit = FALLBACK_REJECTIONS_PER_OUTPUT * count
-    while len(chosen) < count and rejections < limit:
-        trace = _random_trace(rng, x, q, t, b, kind)
-        if trace.output in chosen:
-            rejections += 1
-        else:
-            rejections = 0
-            chosen[trace.output] = trace
-    if len(chosen) < count:
-        if kind == "insertion":
-            ball = enumerate_insertion_ball(x, q, t, b, cap)
-        else:
-            ball = enumerate_deletion_ball(x, t, b, cap)
-        remaining = sorted(ball.difference(chosen))
-        rng.shuffle(remaining)
-        for w in remaining[: count - len(chosen)]:
-            chosen[w] = _greedy_trace(x, w, t, b, kind)
-    return ChannelSample(tuple(chosen), tuple(chosen.values()), seed)
+    ranks: dict[int, None] = {}
+    # Floyd: one draw per rank; a repeat takes top, which no earlier draw could reach
+    for top in range(ball_size - count, ball_size):
+        rank = rng.randrange(top + 1)
+        ranks[top if rank in ranks else rank] = None
+    traces = tuple(map(unrank, ranks))
+    return ChannelSample(tuple(trace.output for trace in traces), traces, seed)

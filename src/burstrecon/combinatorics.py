@@ -39,6 +39,13 @@ def _check_alphabet_burst(q: int, b: int) -> None:
         raise ValueError(f"burst length must be at least 1, got {b}")
 
 
+def _check_radius_burst(t: int, b: int) -> None:
+    if t < 0:
+        raise ValueError(f"radius must be nonnegative, got {t}")
+    if b < 1:
+        raise ValueError(f"burst length must be at least 1, got {b}")
+
+
 def ins_ball_size(q: int, b: int, n: int, t: int) -> int:
     """Size of the radius-t burst-insertion ball around any length-n word.
 
@@ -127,23 +134,20 @@ def del_ball_max(q: int, b: int, n: int, t: int) -> int:
     )
 
 
-def del_ball_size(x: bytes, t: int, b: int) -> int:
-    """Exact size of the radius-t burst-deletion ball around the word x.
+def _deletion_ways(x: bytes, t: int, b: int) -> list[list[int]]:
+    """The table ``ways[i][u]`` of leftmost deletion patterns of x[i:] with u bursts.
 
-    Every member has exactly one leftmost placement of its t deleted blocks:
-    scan x, keep symbols while they match, and at a mismatch delete the fewest
-    bursts that realign.  So the size is the number of deletion patterns in
-    which each run of f back-to-back bursts starting at i and followed by a
-    kept symbol c = x[i + f*b] has x[i + g*b] != c for g = 0..f-1; a run
-    that ends the word is always leftmost.  ``ways[i][u]`` counts those
-    patterns of the suffix x[i:] with u bursts, O(len(x) * t**2) steps in
-    all.  Like ``balls.enumerate_deletion_ball``, it refuses a word shorter
-    than t*b.
+    Every member of the radius-t burst-deletion ball has exactly one leftmost
+    placement of its t deleted blocks: scan x, keep symbols while they match,
+    and at a mismatch delete the fewest bursts that realign.  So the members
+    correspond to the deletion patterns in which each run of f back-to-back
+    bursts starting at i and followed by a kept symbol c = x[i + f*b] has
+    x[i + g*b] != c for g = 0..f-1; a run that ends the word is always
+    leftmost.  Each row starts as a copy of the next one (keep x[i]), so
+    ``ways[i][u]`` never increases with i.  O(len(x) * t**2) steps.  Like
+    ``balls.enumerate_deletion_ball``, it refuses a word shorter than t*b.
     """
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    _check_radius_burst(t, b)
     n = len(x)
     if n < t * b:
         raise ValueError(f"word of length {n} too short for {t} bursts of {b} deletions")
@@ -160,7 +164,15 @@ def del_ball_size(x: bytes, t: int, b: int) -> int:
                 after = ways[end + 1]
                 for u in range(f, t + 1):
                     row[u] += after[u - f]
-    return ways[0][t]
+    return ways
+
+
+def del_ball_size(x: bytes, t: int, b: int) -> int:
+    """Exact size of the radius-t burst-deletion ball around the word x.
+
+    The number of leftmost deletion patterns, ``_deletion_ways(x, t, b)[0][t]``.
+    """
+    return _deletion_ways(x, t, b)[0][t]
 
 
 def del_intersection_max_binary(b: int, n: int, t: int) -> int:

@@ -1,6 +1,6 @@
 """Channel operations: burst application, traces, seeded distinct sampling."""
 
-import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from burstrecon import (
     BallTooSmall,
     EnumerationCapExceeded,
+    all_words,
     apply_burst_deletion,
     apply_burst_insertion,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
     format_event,
+    ins_ball_size,
     is_deletion_descendant,
     is_insertion_descendant,
     parse_word,
@@ -20,6 +22,7 @@ from burstrecon import (
     trial_seed,
     y_sequence,
 )
+from burstrecon.channel import _deletion_unranker, _insertion_unranker
 
 
 class TestApplyBursts:
@@ -106,23 +109,38 @@ class TestSampling:
         assert (info.value.required, info.value.cap) == (6, 5)
 
     def test_deletion_feasibility_counted_not_enumerated(self, monkeypatch):
-        # one output from a 78,607-word ball: only the fallback may enumerate
+        # one output from a 78,607-word ball, and whole small balls: nothing enumerates
         def enumerated(*args):
-            raise AssertionError("deletion ball enumerated outside the fallback")
+            raise AssertionError("ball enumerated by the sampler")
 
-        monkeypatch.setattr("burstrecon.channel.enumerate_deletion_ball", enumerated)
+        monkeypatch.setattr("burstrecon.balls.enumerate_insertion_ball", enumerated)
+        monkeypatch.setattr("burstrecon.balls.enumerate_deletion_ball", enumerated)
         x = y_sequence(400, 2, 2, 0, 0)
         sample = sample_distinct_outputs(x, 2, 2, 2, "deletion", 1, seed=1)
         assert sample.traces[0].replay() == sample.outputs[0]
         with pytest.raises(BallTooSmall) as info:
             sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 2, seed=1)
         assert info.value.ball_size == 1
+        for kind, size in (("insertion", 16), ("deletion", 3)):
+            sample = sample_distinct_outputs(parse_word("011010", 2), 2, 1, 2, kind, size, seed=2)
+            assert len(set(sample.outputs)) == size
+            assert all(tr.replay() == w for w, tr in zip(sample.outputs, sample.traces))
 
-    def test_deletion_ball_above_cap_refused(self):
-        # the ball {0010, 0110, 1010} is what the fallback might have to enumerate
-        with pytest.raises(EnumerationCapExceeded) as info:
-            sample_distinct_outputs(parse_word("011010", 2), 2, 1, 2, "deletion", 2, 0, cap=2)
-        assert (info.value.required, info.value.cap) == (3, 2)
+    def test_deletion_ball_above_cap_sampled(self):
+        # the ball {0010, 0110, 1010} is counted, never enumerated, so only count > cap refuses
+        sample = sample_distinct_outputs(parse_word("011010", 2), 2, 1, 2, "deletion", 2, 0, cap=2)
+        assert len(set(sample.outputs)) == 2
+        assert set(sample.outputs) <= {parse_word(w, 2) for w in ("0010", "0110", "1010")}
+
+    def test_ball_above_maxsize(self):
+        x = bytes(range(0, 200, 10))
+        assert ins_ball_size(255, 3, 20, 3) > sys.maxsize
+        sample = sample_distinct_outputs(x, 255, 3, 3, "insertion", 5, seed=6)
+        assert len(set(sample.outputs)) == 5
+        for w, trace in zip(sample.outputs, sample.traces):
+            assert len(trace.events) == 3
+            assert trace.replay() == w
+            assert is_insertion_descendant(x, w, 3, 3)
 
     def test_single_output(self):
         sample = sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 1, seed=1)
@@ -140,18 +158,22 @@ class TestSampling:
     )
     @pytest.mark.parametrize("whole", [True, False], ids=["whole", "half"])
     def test_fallback_takes_shuffled_ball_with_greedy_traces(self, monkeypatch, kind, q, b, x, whole):
-        # with no rejections allowed, every output comes from the fallback
-        monkeypatch.setattr("burstrecon.channel.FALLBACK_REJECTIONS_PER_OUTPUT", 0)
+        # whole- and half-ball requests, which an enumerate-and-shuffle fallback with
+        # greedy traces once served, are drawn by rank like any other: no enumeration
         t = 2
         if kind == "insertion":
             ball, member = enumerate_insertion_ball(x, q, t, b), is_insertion_descendant
         else:
             ball, member = enumerate_deletion_ball(x, t, b), is_deletion_descendant
+
+        def enumerated(*args):
+            raise AssertionError("ball enumerated by the sampler")
+
+        monkeypatch.setattr("burstrecon.balls.enumerate_insertion_ball", enumerated)
+        monkeypatch.setattr("burstrecon.balls.enumerate_deletion_ball", enumerated)
         count = len(ball) if whole else len(ball) // 2
         sample = sample_distinct_outputs(x, q, t, b, kind, count, seed=4)
-        shuffled = sorted(ball)
-        random.Random(4).shuffle(shuffled)
-        assert sample.outputs == tuple(shuffled[:count])
+        assert sample == sample_distinct_outputs(x, q, t, b, kind, count, seed=4)
         assert len(set(sample.outputs)) == count and set(sample.outputs) <= ball
         if whole:
             assert frozenset(sample.outputs) == ball
@@ -161,9 +183,38 @@ class TestSampling:
             assert trace.output == trace.replay() == w
             assert member(x, w, t, b)
 
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("kind", ["insertion", "deletion"])
+    def test_unranking_is_exact_bijection(self, kind, q, b):
+        # every rank of every small ball: distinct members, the whole ball, replaying traces
+        for t in range(4):
+            if kind == "insertion":
+                lengths = range(5 if q == 2 else 4)
+            else:
+                lengths = range(t * b, 11 if q == 2 else 7)
+            for n in lengths:
+                if kind == "insertion" and ins_ball_size(q, b, n, t) > 3000:
+                    continue
+                for x in all_words(q, n):
+                    if kind == "insertion":
+                        size, unrank = _insertion_unranker(x, q, t, b)
+                        assert size == ins_ball_size(q, b, n, t)
+                        ball = enumerate_insertion_ball(x, q, t, b)
+                    else:
+                        size, unrank = _deletion_unranker(x, t, b)
+                        ball = enumerate_deletion_ball(x, t, b)
+                        assert size == len(ball)
+                    traces = [unrank(rank) for rank in range(size)]
+                    words = [trace.output for trace in traces]
+                    assert len(set(words)) == size and set(words) == ball
+                    for trace in traces:
+                        assert trace.input == x and len(trace.events) == t
+                        assert trace.replay() == trace.output
+
     def test_rng_metadata(self):
         sample = sample_distinct_outputs(b"\x00", 2, 1, 1, "insertion", 2, seed=0)
-        assert sample.rng_algorithm == "mt19937"
+        assert sample.rng_algorithm == "mt19937/unrank-v1"
         assert sample.seed == 0
 
     @given(st.integers(0, 2**32), st.integers(1, 3))

@@ -232,14 +232,14 @@ class TestSimulate:
         [
             (
                 "-x 01100 --del -b 2 -t 1 -N 3 --seed 7",
-                "# rng mt19937 seed 7\n010\n# del 3\n000\n# del 2\n011\n# del 4\n",
+                "# rng mt19937/unrank-v1 seed 7\n010\n# del 3\n011\n# del 4\n100\n# del 1\n",
             ),
             (
                 "-x 0110 --ins -q 2 -b 2 -t 1 -N 9 --seed 11",
-                "# rng mt19937 seed 11\n"
-                "011110\n# ins 4 11\n011000\n# ins 5 00\n011010\n# ins 5 10\n"
-                "110110\n# ins 1 11\n000110\n# ins 2 00\n011011\n# ins 5 11\n"
-                "011001\n# ins 5 01\n010110\n# ins 3 01\n011100\n# ins 4 10\n",
+                "# rng mt19937/unrank-v1 seed 11\n"
+                "011011\n# ins 5 11\n100110\n# ins 1 10\n110110\n# ins 1 11\n"
+                "000110\n# ins 2 00\n001110\n# ins 2 01\n011010\n# ins 5 10\n"
+                "010010\n# ins 3 00\n011100\n# ins 4 10\n011110\n# ins 4 11\n",
             ),
         ],
         ids=["readme-del", "readme-ins"],
@@ -259,7 +259,7 @@ class TestSimulate:
         )
         assert (code, err) == (EXIT_OK, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c4c465f76d7d45c14906fca688947ef4f030745472ccc25787bcef648ea04c03"
+            "8142e843c29de46ac998a5171ba7f0fb07b4ec2cb9709ff9fcf6a905a3700dec"
         )
         path = tmp_path / "outputs.txt"
         path.write_text(out)
@@ -289,7 +289,7 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[0].startswith("# rng mt19937 seed 3")
+        assert lines[0].startswith("# rng mt19937/unrank-v1 seed 3")
         trace_lines = [ln for ln in lines if ln.startswith("# ins")]
         assert len(trace_lines) == 2
 
@@ -299,7 +299,7 @@ class TestSimulate:
             "-N", "2", "--seed", "3", "--as-json",
         )
         payload = json.loads(out)
-        assert payload["rng"] == "mt19937"
+        assert payload["rng"] == "mt19937/unrank-v1"
         assert len(payload["outputs"]) == 2
         assert all(o["events"] for o in payload["outputs"])
 
@@ -313,7 +313,7 @@ class TestSimulate:
 
     def test_cap_exceeded_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("BURSTRECON_CAP", "2")
-        code, _, err = run_cli(capsys, "simulate", "-x", "011010", "--del", "-b", "2", "-t", "1", "-N", "2")
+        code, _, err = run_cli(capsys, "simulate", "-x", "011010", "--del", "-b", "2", "-t", "1", "-N", "3")
         assert code == EXIT_CAP
         assert "cap" in err
 
