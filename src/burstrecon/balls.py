@@ -155,33 +155,3 @@ def is_insertion_descendant(x: Word, y: Word, t: int, b: int) -> bool:
             f"length mismatch: expected {len(x) + t * b}, got {len(y)}"
         )
     return is_deletion_descendant(y, x, t, b)
-
-
-def greedy_is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
-    """Left-to-right scan variant of is_deletion_descendant.
-
-    At the first disagreement, drop the smallest burst multiple that realigns
-    the longer word v with the next undecided symbol of y; deleted blocks can
-    always be slid up to the first mismatch, so the smallest jump is safe.
-    Kept as an independent linear-time cross-check of the interval frontier.
-    """
-    _check_radius_burst(t, b)
-    if len(y) != len(v) - t * b:
-        raise ValueError(
-            f"length mismatch: expected {len(v) - t * b}, got {len(y)}"
-        )
-    i = j = 0
-    nv, ny = len(v), len(y)
-    while True:
-        while j < ny and v[i] == y[j]:
-            i += 1
-            j += 1
-        if j == ny:
-            # lengths force the leftover suffix to be exactly the unspent bursts
-            return True
-        for f in range(1, t - (i - j) // b + 1):
-            if i + f * b < nv and v[i + f * b] == y[j]:
-                i += f * b
-                break
-        else:
-            return False

@@ -1,9 +1,18 @@
 """Command line front end: exact counts, oracle sweeps, simulation, decoding.
 
-Exit codes: 0 success, 2 precondition violation, 3 oracle mismatch,
-4 enumeration cap exceeded.  The ``BURSTRECON_CAP`` environment variable
-overrides the default enumeration cap; an explicit ``--cap`` flag wins over
-both.
+Exit codes, for every command:
+
+* 0 success;
+* 2 precondition violation, with one stderr line: ``error[ball-too-small]``
+  when ``simulate -N`` exceeds the ball, ``error[<class name>]`` for a named
+  decoder refusal, ``error[precondition]`` for any other bad input (argparse
+  errors also exit 2);
+* 3 oracle mismatch in a ``verify`` row;
+* 4 enumeration cap exceeded, ``error[cap-exceeded]``.
+
+``main`` holds the only mapping from refusal to exit code.  The enumeration
+cap is ``--cap`` on ``verify`` and ``simulate`` (default ``DEFAULT_CAP``);
+``reconstruct --del`` refuses above the fixed ``DEFAULT_CAP``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -48,11 +56,6 @@ COUNT_KINDS = ("ins-ball", "ins-int", "del-ball", "del-int", "del-int-lb", "sphe
 CSV_HEADER = "q,b,t,n,kind,formula,oracle,match,ms"
 
 
-def default_cap() -> int:
-    raw = os.environ.get("BURSTRECON_CAP")
-    return int(raw) if raw else DEFAULT_CAP
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     q_values: tuple[int, ...]
@@ -84,6 +87,8 @@ class SweepConfig:
                 raise ValueError(f"unknown verify kind {kind!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -347,8 +352,9 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
         for kind in config.kinds
     ]
     specs.sort(key=lambda s: (s[0], s[1], s[2], s[3], VERIFY_KINDS.index(s[4])))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    jobs = min(config.jobs, len(specs))  # a pool forks all its workers up front
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_compute_row, specs))
     return [_compute_row(item) for item in specs]
 
@@ -378,11 +384,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def cmd_count(args) -> int:
     q, b, t, n = args.q, args.b, args.t, args.n
-    try:
-        value = CHECKS[args.kind].formula(q, b, t, n)
-    except ValueError as exc:
-        print(f"error[precondition]: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    value = CHECKS[args.kind].formula(q, b, t, n)
     if args.as_json:
         payload = {"params": {"q": q, "b": b, "t": t, "n": n}, "kind": args.kind}
         if args.kind == "sphere":
@@ -398,24 +400,18 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = SweepConfig(
-            q_values=_parse_range(args.q),
-            b_values=_parse_range(args.b),
-            t_values=_parse_range(args.t),
-            n_values=_parse_range(args.n),
-            kinds=tuple(VERIFY_KINDS)
-            if args.kinds == "all"
-            else tuple(args.kinds.split(",")),
-            cap=args.cap if args.cap is not None else default_cap(),
-            seed=args.seed,
-            trials=args.trials,
-            jobs=args.jobs,
-            corrupt=args.corrupt,
-        )
-    except ValueError as exc:
-        print(f"error[precondition]: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    config = SweepConfig(
+        q_values=_parse_range(args.q),
+        b_values=_parse_range(args.b),
+        t_values=_parse_range(args.t),
+        n_values=_parse_range(args.n),
+        kinds=VERIFY_KINDS if args.kinds == "all" else tuple(args.kinds.split(",")),
+        cap=args.cap,
+        seed=args.seed,
+        trials=args.trials,
+        jobs=args.jobs,
+        corrupt=args.corrupt,
+    )
     rows = run_sweep(config)
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(rows))
@@ -429,19 +425,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     q = args.q
     kind = "insertion" if args.ins else "deletion"
-    try:
-        cap = args.cap if args.cap is not None else default_cap()
-        x = parse_word(args.x, q)
-        sample = sample_distinct_outputs(x, q, args.t, args.b, kind, args.N, args.seed, cap)
-    except BallTooSmall as exc:
-        print(f"error[ball-too-small]: ball size {exc.ball_size}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except EnumerationCapExceeded as exc:
-        print(f"error[cap-exceeded]: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error[precondition]: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    x = parse_word(args.x, q)
+    sample = sample_distinct_outputs(x, q, args.t, args.b, kind, args.N, args.seed, args.cap)
     if args.as_json:
         print(
             json.dumps(
@@ -470,32 +455,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     q = args.q
-    try:
-        if args.file:
-            with open(args.file, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        else:
-            lines = sys.stdin.readlines()
-        words = {
-            parse_word(line, q)
-            for line in (ln.strip() for ln in lines)
-            if line and not line.startswith("#")
-        }
-        if args.ins:
-            result = reconstruct_from_insertions(words, args.n, q, args.b, args.t)
-        else:
-            if q != 2:
-                raise ValueError("deletion reconstruction is defined for q = 2 only")
-            result = reconstruct_from_deletions(words, args.n, args.b, args.t)
-    except ReconstructionError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except EnumerationCapExceeded as exc:
-        print(f"error[cap-exceeded]: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, OSError) as exc:
-        print(f"error[precondition]: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    if args.file:
+        with open(args.file, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    else:
+        lines = sys.stdin.readlines()
+    words = {
+        parse_word(line, q)
+        for line in (ln.strip() for ln in lines)
+        if line and not line.startswith("#")
+    }
+    if args.ins:
+        result = reconstruct_from_insertions(words, args.n, q, args.b, args.t)
+    else:
+        if q != 2:
+            raise ValueError("deletion reconstruction is defined for q = 2 only")
+        result = reconstruct_from_deletions(words, args.n, args.b, args.t)
     if args.diagnostics:
         for step in result.steps:
             print(
@@ -513,7 +488,7 @@ def cmd_reconstruct(args) -> int:
             json.dumps(
                 {
                     "word": format_word(result.word, q),
-                    "iterations": result.iterations,
+                    "iterations": len(result.steps),
                     "steps": [
                         {
                             "position": s.position,
@@ -553,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--t", default="1:2")
     verify.add_argument("--n", default="1:4")
     verify.add_argument("--kinds", default="all", help=f"comma list from {','.join(VERIFY_KINDS)}")
-    verify.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    verify.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=5, help="round-trip trials per grid point")
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -561,31 +536,27 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
-    simulate = sub.add_parser("simulate", help="sample distinct channel outputs")
-    simulate.add_argument("-x", required=True, help="input word")
-    group = simulate.add_mutually_exclusive_group(required=True)
+    # the channel arguments shared by simulate and reconstruct
+    channel = argparse.ArgumentParser(add_help=False)
+    group = channel.add_mutually_exclusive_group(required=True)
     group.add_argument("--ins", action="store_true", help="burst insertions")
     group.add_argument("--del", dest="dele", action="store_true", help="burst deletions")
-    simulate.add_argument("-q", type=int, default=2)
-    simulate.add_argument("-b", type=int, required=True)
-    simulate.add_argument("-t", type=int, required=True)
+    channel.add_argument("-q", type=int, default=2)
+    channel.add_argument("-b", type=int, required=True)
+    channel.add_argument("-t", type=int, required=True)
+    channel.add_argument("--as-json", action="store_true")
+
+    simulate = sub.add_parser("simulate", parents=[channel], help="sample distinct channel outputs")
+    simulate.add_argument("-x", required=True, help="input word")
     simulate.add_argument("-N", type=int, required=True, help="distinct outputs to draw")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--cap", type=int, default=None)
-    simulate.add_argument("--as-json", action="store_true")
+    simulate.add_argument("--cap", type=int, default=DEFAULT_CAP)
     simulate.set_defaults(func=cmd_simulate)
 
-    rec = sub.add_parser("reconstruct", help="decode a word from channel outputs")
+    rec = sub.add_parser("reconstruct", parents=[channel], help="decode a word from channel outputs")
     rec.add_argument("--file", default=None, help="outputs, one per line (default stdin)")
-    group = rec.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ins", action="store_true")
-    group.add_argument("--del", dest="dele", action="store_true")
     rec.add_argument("-n", type=int, required=True, help="length of the transmitted word")
-    rec.add_argument("-q", type=int, default=2)
-    rec.add_argument("-b", type=int, required=True)
-    rec.add_argument("-t", type=int, required=True)
     rec.add_argument("--diagnostics", action="store_true", help="per-step class sizes on stderr")
-    rec.add_argument("--as-json", action="store_true")
     rec.set_defaults(func=cmd_reconstruct)
 
     return parser
@@ -593,7 +564,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the refusal table, checked in order: BallTooSmall is also a ValueError
+    try:
+        return args.func(args)
+    except BallTooSmall as exc:
+        label, detail, code = "ball-too-small", f"ball size {exc.ball_size}", EXIT_PRECONDITION
+    except EnumerationCapExceeded as exc:
+        label, detail, code = "cap-exceeded", exc, EXIT_CAP
+    except ReconstructionError as exc:
+        label, detail, code = type(exc).__name__, exc, EXIT_PRECONDITION
+    except (ValueError, OSError) as exc:
+        label, detail, code = "precondition", exc, EXIT_PRECONDITION
+    print(f"error[{label}]: {detail}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

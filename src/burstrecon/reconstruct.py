@@ -116,7 +116,6 @@ class StepInfo:
 @dataclass(frozen=True)
 class ReconstructionResult:
     word: Word
-    iterations: int
     steps: tuple[StepInfo, ...]
     phase1_seconds: float
     phase2_seconds: float = 0.0
@@ -251,7 +250,7 @@ def reconstruct_from_insertions(
         t_rem -= chosen_j
         n_rem -= 1
     return ReconstructionResult(
-        bytes(recovered), len(steps), tuple(steps), time.perf_counter() - started
+        bytes(recovered), tuple(steps), time.perf_counter() - started
     )
 
 
@@ -348,7 +347,6 @@ def reconstruct_from_deletions(
         if all(is_deletion_descendant(v, u, t, b) for u in words):
             return ReconstructionResult(
                 v,
-                len(steps),
                 tuple(steps),
                 phase1_seconds,
                 time.perf_counter() - started2,

@@ -186,6 +186,42 @@ class TestVerify:
         rows = rows_of(out)
         assert [(r.formula, r.oracle, r.match) for r in rows] == [("2", "0", "false")] * 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "3",
+            "--kinds", "ins-ball", "--jobs", jobs,
+        )
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == f"error[precondition]: jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize("n_values, workers", [("3", []), ("3:4", [2]), ("1:9", [6])])
+    def test_pool_no_larger_than_the_grid(self, capsys, monkeypatch, n_values, workers):
+        started = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process; forks nothing."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(burstrecon.cli, "ProcessPoolExecutor", RecordingPool)
+        code, _, _ = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", n_values,
+            "--kinds", "ins-ball", "--jobs", "6",
+        )
+        assert code == EXIT_OK
+        assert started == workers
+
     def test_parallel_jobs_match_sequential(self):
         # every kind crosses the process boundary as a plain tuple
         def sweep(jobs):
@@ -270,12 +306,13 @@ class TestSimulate:
         assert code == EXIT_OK
         assert out == thue_morse + "\n"
 
-    def test_invalid_cap_variable_is_precondition(self, capsys, monkeypatch):
-        monkeypatch.setenv("BURSTRECON_CAP", "abc")
-        code, out, err = run_cli(capsys, "simulate", "-x", "0110", "--ins", "-b", "2", "-t", "1", "-N", "2")
-        assert code == EXIT_PRECONDITION
-        assert out == ""
-        assert "error[precondition]: invalid literal for int()" in err
+    def test_invalid_cap_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "-x", "0110", "--ins", "-b", "2", "-t", "1", "-N", "2", "--cap", "abc"])
+        captured = capsys.readouterr()
+        assert info.value.code == EXIT_PRECONDITION
+        assert captured.out == ""
+        assert "argument --cap: invalid int value: 'abc'" in captured.err
 
     def test_ball_too_small_passthrough(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "-x", "0101", "--del", "-b", "2", "-t", "1", "-N", "2")
@@ -311,9 +348,10 @@ class TestSimulate:
         assert out == ""
         assert "error[cap-exceeded]: enumeration needs 6 words, cap is 5" in err
 
-    def test_cap_exceeded_exit(self, capsys, monkeypatch):
-        monkeypatch.setenv("BURSTRECON_CAP", "2")
-        code, _, err = run_cli(capsys, "simulate", "-x", "011010", "--del", "-b", "2", "-t", "1", "-N", "3")
+    def test_cap_exceeded_exit(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "-x", "011010", "--del", "-b", "2", "-t", "1", "-N", "3", "--cap", "2"
+        )
         assert code == EXIT_CAP
         assert "cap" in err
 
@@ -431,3 +469,65 @@ class TestReconstructCommand:
         )
         assert code == EXIT_PRECONDITION
         assert "q = 2" in err
+
+
+# the refusal table in main, row by row: each refusal's exact stderr line and
+# exit code, and nothing on stdout
+@pytest.mark.parametrize(
+    "argv, file_text, code, err",
+    [
+        (
+            "simulate -x 0101 --del -b 2 -t 1 -N 2",
+            None, EXIT_PRECONDITION, "error[ball-too-small]: ball size 1",
+        ),
+        (
+            "simulate -x 0101 --ins -b 1 -t 1 -N 6 --cap 5",
+            None, EXIT_CAP, "error[cap-exceeded]: enumeration needs 6 words, cap is 5",
+        ),
+        (
+            "reconstruct --del --file {file} -n 40 -b 13 -t 2",
+            "0" * 14 + "\n", EXIT_CAP,
+            "error[cap-exceeded]: enumeration needs 16777216 words, cap is 10000000",
+        ),
+        (
+            "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
+            "100\n110\n001\n011\n", EXIT_PRECONDITION,
+            "error[BelowThreshold]: 4 outputs given, need at least 5",
+        ),
+        (
+            "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
+            None, EXIT_PRECONDITION,
+            "error[precondition]: [Errno 2] No such file or directory: '{file}'",
+        ),
+        (
+            "count del-int -q 3 -b 2 -n 7 -t 2",
+            None, EXIT_PRECONDITION,
+            "error[precondition]: exact deletion overlap is known only for q = 2; "
+            "use 'del-int-lb' for the general-q lower bound",
+        ),
+        (
+            "reconstruct --del --file {file} -n 5 -q 3 -b 2 -t 1",
+            "012\n", EXIT_PRECONDITION,
+            "error[precondition]: deletion reconstruction is defined for q = 2 only",
+        ),
+        (
+            "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
+            "1a0\n100\n", EXIT_PRECONDITION,
+            "error[precondition]: expected a digit string for alphabet of size 2: '1a0'",
+        ),
+        (
+            "verify --q 2 --b 2 --t 1 --n 4 --trials 0",
+            None, EXIT_PRECONDITION, "error[precondition]: trials must be at least 1, got 0",
+        ),
+    ],
+    ids=[
+        "ball-too-small", "simulate-cap", "phase2-cap", "below-threshold", "missing-file",
+        "del-int-q3", "reconstruct-del-q3", "non-digit-word", "trials-zero",
+    ],
+)
+def test_refusal_table(capsys, tmp_path, argv, file_text, code, err):
+    path = tmp_path / "outputs.txt"
+    if file_text is not None:
+        path.write_text(file_text)
+    got_code, out, got_err = run_cli(capsys, *argv.format(file=path).split())
+    assert (got_code, out, got_err) == (code, "", err.format(file=path) + "\n")

@@ -238,7 +238,7 @@ class TestInsertionDecoder:
         ball = enumerate_insertion_ball(x, 3, 2, 2)
         result = reconstruct_from_insertions(ball, 4, 3, 2, 2)
         assert result.word == x
-        assert result.iterations == len(result.steps) >= 1
+        assert len(result.steps) >= 1
         assert result.phase1_seconds >= 0.0
         first = result.steps[0]
         assert first.position == 1 and first.symbol == x[0]

@@ -19,3 +19,22 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_no_environment_reads():
+    # every setting is a command-line option or a function argument; a hidden
+    # environment knob would change behaviour that no test or --help shows
+    readers = {"environ", "environb", "getenv", "getenvb"}
+
+    def reads_environment(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in readers and isinstance(node.value, ast.Name) and node.value.id == "os"
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "os" and any(alias.name in readers for alias in node.names)
+        return False
+
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if reads_environment(node)]
+    assert found == []
