@@ -21,7 +21,6 @@ from .channel import (
     RNG_ALGORITHM,
     BurstEvent,
     ChannelSample,
-    ChannelTrace,
     apply_burst_deletion,
     apply_burst_insertion,
     format_event,
@@ -39,7 +38,6 @@ from .combinatorics import (
     del_intersection_threshold,
     ins_ball_size,
     ins_intersection_max,
-    ins_recurrence_check,
     sphere_packing_bound,
 )
 from .errors import (
@@ -62,28 +60,23 @@ from .reconstruct import (
     reconstruct_from_insertions,
 )
 from .sequences import (
-    ArrayRepresentation,
     Word,
     all_words,
-    array_representation,
     b_cyclic,
     format_word,
     parse_word,
-    radius1_del_ball_size,
     validate_word,
     y_sequence,
 )
 
 __all__ = [
     "AmbiguousSymbol",
-    "ArrayRepresentation",
     "BallKind",
     "BallTooSmall",
     "BelowThreshold",
     "BurstEvent",
     "CandidateFilterError",
     "ChannelSample",
-    "ChannelTrace",
     "DEFAULT_CAP",
     "EnumerationCapExceeded",
     "FirstSymbolClasses",
@@ -98,7 +91,6 @@ __all__ = [
     "all_words",
     "apply_burst_deletion",
     "apply_burst_insertion",
-    "array_representation",
     "b_cyclic",
     "binom",
     "candidate_expansion",
@@ -115,12 +107,10 @@ __all__ = [
     "format_word",
     "ins_ball_size",
     "ins_intersection_max",
-    "ins_recurrence_check",
     "is_deletion_descendant",
     "is_insertion_descendant",
     "max_intersection_exhaustive",
     "parse_word",
-    "radius1_del_ball_size",
     "reconstruct_from_deletions",
     "reconstruct_from_insertions",
     "sample_distinct_outputs",

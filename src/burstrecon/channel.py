@@ -4,6 +4,8 @@ Sampling is exact and uniform over the ball.  Every member has one leftmost
 (canonical) burst placement, so the members can be counted and numbered: the
 sampler draws distinct ranks from a named, seedable generator, so runs
 reproduce bit for bit, and turns each rank back into its canonical bursts.
+A sample is one `ChannelSample` record: the input, the channel, the outputs
+and, per output, the burst events that produce it from the input.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .balls import DEFAULT_CAP, BallKind, _check_kind
@@ -32,47 +34,47 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return (value * _MIX) % 2**63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurstEvent:
-    """One burst applied at a 1-based position of the current word.
+    """One burst at a 1-based position of the current word.
 
-    Insertions carry the inserted block as payload; deletions carry none and
-    take their length from the enclosing trace.
+    An insertion carries the inserted block as payload; a deletion carries
+    none and removes the sample's burst length of symbols.
     """
 
-    kind: str
     position: int
     payload: Word | None = None
 
 
 @dataclass(frozen=True)
-class ChannelTrace:
-    """An input word, the burst events applied in order, and the output."""
+class ChannelSample:
+    """Distinct channel outputs of one input word, in sampled order.
+
+    ``traces[i]`` is the tuple of burst events that, applied in order, turns
+    ``input`` into ``outputs[i]``.
+    """
 
     input: Word
-    events: tuple[BurstEvent, ...]
-    output: Word
+    kind: BallKind
     burst_length: int
+    outputs: tuple[Word, ...]
+    traces: tuple[tuple[BurstEvent, ...], ...]
+    seed: int
+    rng_algorithm: str = RNG_ALGORITHM
 
-    def replay(self) -> Word:
-        """Re-apply the events to the input; equals output for valid traces."""
+    def replay(self, i: int) -> Word:
+        """Re-apply the events of ``traces[i]`` to the input; equals ``outputs[i]``."""
         w = self.input
-        for e in self.events:
-            if e.kind == "insertion":
-                w = apply_burst_insertion(w, e.position, e.payload)
-            else:
+        for e in self.traces[i]:
+            if e.payload is None:
                 w = apply_burst_deletion(w, e.position, self.burst_length)
+            else:
+                w = apply_burst_insertion(w, e.position, e.payload)
         return w
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """Distinct channel outputs in sampled order, each with its trace."""
-
-    outputs: tuple[Word, ...]
-    traces: tuple[ChannelTrace, ...]
-    seed: int
-    rng_algorithm: str = field(default=RNG_ALGORITHM)
+# an unranked ball member and the burst events that produce it
+_Member = tuple[Word, tuple[BurstEvent, ...]]
 
 
 def apply_burst_insertion(x: Word, position: int, payload: Word) -> Word:
@@ -99,15 +101,13 @@ def apply_burst_deletion(x: Word, position: int, b: int) -> Word:
 
 def format_event(event: BurstEvent, q: int) -> str:
     """Line form of one event: 'ins POS PAYLOAD' or 'del POS'."""
-    if event.kind == "insertion":
-        return f"ins {event.position} {format_word(event.payload, q)}"
-    return f"del {event.position}"
+    if event.payload is None:
+        return f"del {event.position}"
+    return f"ins {event.position} {format_word(event.payload, q)}"
 
 
-def _insertion_unranker(
-    x: Word, q: int, t: int, b: int
-) -> tuple[int, Callable[[int], ChannelTrace]]:
-    """The insertion ball's size, and the map from a rank to its member's trace.
+def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, Callable[[int], _Member]]:
+    """The insertion ball's size, and the map from a rank to its member and trace.
 
     A canonical pattern puts f_j bursts right before x[j], each starting with
     a symbol other than x[j] ((q-1)*q**(b-1) payloads), and the other bursts
@@ -122,7 +122,7 @@ def _insertion_unranker(
     sizes = [(comb(n + k - 1, k) if n else k == 0) * p for k, p in enumerate(payloads)]
     columns = [[comb(c, i) for c in range(n + t)] for i in range(t + 1)]
 
-    def unrank(rank: int) -> ChannelTrace:
+    def unrank(rank: int) -> _Member:
         for k, size in enumerate(sizes):
             if rank < size:
                 break
@@ -144,14 +144,14 @@ def _insertion_unranker(
             payload = bytes(digits // q**e % q for e in range(b - 1, -1, -1))
             position = j + done * b + 1
             w = apply_burst_insertion(w, position, payload)
-            events.append(BurstEvent("insertion", position, payload))
-        return ChannelTrace(x, tuple(events), w, b)
+            events.append(BurstEvent(position, payload))
+        return w, tuple(events)
 
     return sum(sizes), unrank
 
 
-def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], ChannelTrace]]:
-    """The deletion ball's size, and the map from a rank to its member's trace.
+def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], _Member]]:
+    """The deletion ball's size, and the map from a rank to its member and trace.
 
     Walks ``ways`` (``combinatorics._deletion_ways``): at each position the
     ranks below ``ways[i + 1][u]`` keep x[i], the next ones delete 1, 2, ...
@@ -162,7 +162,7 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], Ch
     ways = _deletion_ways(x, t, b)
     rising = [[-row[u] for row in ways] for u in range(t + 1)]
 
-    def unrank(rank: int) -> ChannelTrace:
+    def unrank(rank: int) -> _Member:
         w, events, i, u = x, [], 0, t
         while u:
             # keep x[i] while rank < ways[i + 1][u]; rising[u] is that column negated
@@ -179,9 +179,9 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], Ch
             position = i - (t - u) * b + 1
             for _ in range(f):
                 w = apply_burst_deletion(w, position, b)
-                events.append(BurstEvent("deletion", position))
+                events.append(BurstEvent(position))
             i, u = end + 1, u - f
-        return ChannelTrace(x, tuple(events), w, b)
+        return w, tuple(events)
 
     return ways[0][t], unrank
 
@@ -226,5 +226,5 @@ def sample_distinct_outputs(
     for top in range(ball_size - count, ball_size):
         rank = rng.randrange(top + 1)
         ranks[top if rank in ranks else rank] = None
-    traces = tuple(map(unrank, ranks))
-    return ChannelSample(tuple(trace.output for trace in traces), traces, seed)
+    outputs, traces = zip(*map(unrank, ranks))
+    return ChannelSample(x, kind, b, outputs, traces, seed)

@@ -437,18 +437,18 @@ def cmd_simulate(args) -> int:
                     "outputs": [
                         {
                             "word": format_word(w, q),
-                            "events": [format_event(e, q) for e in tr.events],
+                            "events": [format_event(e, q) for e in events],
                         }
-                        for w, tr in zip(sample.outputs, sample.traces)
+                        for w, events in zip(sample.outputs, sample.traces)
                     ],
                 }
             )
         )
     else:
         print(f"# rng {sample.rng_algorithm} seed {sample.seed}")
-        for w, trace in zip(sample.outputs, sample.traces):
+        for w, events in zip(sample.outputs, sample.traces):
             print(format_word(w, q))
-            for event in trace.events:
+            for event in events:
                 print(f"# {format_event(event, q)}")
     return EXIT_OK
 

@@ -179,23 +179,12 @@ def del_intersection_max_binary(b: int, n: int, t: int) -> int:
     """Largest burst-deletion ball overlap between two distinct binary words.
 
     Proven exactly on ``b >= 2``, ``t >= 1``, ``n >= b*(t+1) - 1``; calling it
-    outside that range is a usage error.  The value equals both
+    outside that range is a usage error.  The value is
+    ``del_intersection_lower_bound(2, b, n, t)``, which equals both
     ``D(n,t) - D(n-b,t) + D(n-3b,t-2)`` and ``D(n,t) - binom(n-(t+1)*b+1, t)``
     where ``D`` is the binary ``del_ball_max``.
     """
-    if b < 2:
-        raise ValueError(f"burst length must be at least 2, got {b}")
-    if t < 1:
-        raise ValueError(f"radius must be at least 1, got {t}")
-    if n < b * (t + 1) - 1:
-        raise ValueError(
-            f"overlap maximum unproven for n < b*(t+1)-1 = {b * (t + 1) - 1}, got n={n}"
-        )
-    return (
-        del_ball_max(2, b, n, t)
-        - del_ball_max(2, b, n - b, t)
-        + del_ball_max(2, b, n - 3 * b, t - 2)
-    )
+    return del_intersection_lower_bound(2, b, n, t)
 
 
 def del_intersection_threshold(b: int, n: int, t: int) -> int:
@@ -223,13 +212,9 @@ def del_intersection_lower_bound(q: int, b: int, n: int, t: int) -> int:
     true maximum, which is not known in closed form.
     """
     _check_alphabet_burst(q, b)
-    if b < 2:
-        raise ValueError(f"burst length must be at least 2, got {b}")
-    if t < 1:
-        raise ValueError(f"radius must be at least 1, got {t}")
-    if n < (t + 1) * b - 1:
+    if b < 2 or t < 1 or n < b * (t + 1) - 1:
         raise ValueError(
-            f"construction needs n >= (t+1)*b-1 = {(t + 1) * b - 1}, got n={n}"
+            f"deletion overlap needs b >= 2, t >= 1 and n >= b*(t+1)-1, got b={b}, t={t}, n={n}"
         )
     return (
         del_ball_max(q, b, n, t)

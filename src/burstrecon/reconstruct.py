@@ -40,7 +40,7 @@ from .errors import (
     InconsistentOutputs,
     ThresholdNotMet,
 )
-from .sequences import Word, validate_word
+from .sequences import Word, _out_of_range, validate_word
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,10 @@ def classify_first_symbol(outputs: Iterable[Word], q: int, b: int, t: int) -> Fi
             if symbol not in first:
                 first[symbol] = slot + 1
         for symbol, slot in first.items():
-            classes[(symbol, slot)].add(w)
+            try:
+                classes[(symbol, slot)].add(w)
+            except KeyError:
+                raise _out_of_range(symbol, q) from None
         for alpha, slot in first.items():
             for beta in range(q):
                 if beta != alpha and slot < first.get(beta, never):
@@ -161,6 +164,20 @@ def candidate_expansion(cells: Sequence[int | None], votes: Sequence[int]) -> _C
     return _Completions(bytes(fill), [slots[k] for k in ranked])
 
 
+def _read_outputs(
+    outputs: Iterable[Word], q: int, length: int, rule: str, threshold: int
+) -> frozenset[Word]:
+    """The distinct outputs, each a valid length-``length`` word, at least threshold+1 of them."""
+    words = frozenset(outputs)
+    for w in words:
+        validate_word(w, q)
+        if len(w) != length:
+            raise ValueError(f"outputs must have length {rule} = {length}, got {len(w)}")
+    if len(words) < threshold + 1:
+        raise BelowThreshold(len(words), threshold + 1)
+    return words
+
+
 def reconstruct_from_insertions(
     outputs: Iterable[Word], n: int, q: int, b: int, t: int
 ) -> ReconstructionResult:
@@ -177,18 +194,7 @@ def reconstruct_from_insertions(
         raise ValueError(f"word length must be at least 1, got {n}")
     if q < 2 or b < 1 or t < 1:
         raise ValueError("need q >= 2, b >= 1, t >= 1")
-    words = frozenset(outputs)
-    for w in words:
-        validate_word(w, q)
-        if len(w) != n + t * b:
-            raise ValueError(
-                f"outputs must have length n + t*b = {n + t * b}, got {len(w)}"
-            )
-    threshold = ins_intersection_max(q, b, n, t)
-    if len(words) < threshold + 1:
-        raise BelowThreshold(len(words), threshold + 1)
-
-    current: frozenset[Word] = words
+    current = _read_outputs(outputs, q, n + t * b, "n + t*b", ins_intersection_max(q, b, n, t))
     n_rem = n
     t_rem = t
     recovered: list[int] = []
@@ -274,25 +280,11 @@ def reconstruct_from_deletions(
     EnumerationCapExceeded before reading the outputs.
     """
     started = time.perf_counter()
-    if b < 2 or t < 1:
-        raise ValueError("need b >= 2 and t >= 1")
-    if n < b * (t + 1) - 1:
-        raise ValueError(
-            f"word length must be at least b*(t+1)-1 = {b * (t + 1) - 1}, got {n}"
-        )
+    threshold = del_intersection_max_binary(b, n, t)  # refuses outside the proven domain
     candidates = 2 ** (t * (b - 1))
     if candidates > DEFAULT_CAP:
         raise EnumerationCapExceeded(candidates, DEFAULT_CAP)
-    words = frozenset(outputs)
-    for w in words:
-        validate_word(w, 2)
-        if len(w) != n - t * b:
-            raise ValueError(
-                f"outputs must have length n - t*b = {n - t * b}, got {len(w)}"
-            )
-    threshold = del_intersection_max_binary(b, n, t)
-    if len(words) < threshold + 1:
-        raise BelowThreshold(len(words), threshold + 1)
+    words = _read_outputs(outputs, 2, n - t * b, "n - t*b", threshold)
 
     cells: list[int | None] = [None] * n
     votes: list[int] = []  # ones minus zeros, per open cell left to right

@@ -1,12 +1,15 @@
 """Channel operations: burst application, traces, seeded distinct sampling."""
 
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstrecon import (
     BallTooSmall,
+    BurstEvent,
+    ChannelSample,
     EnumerationCapExceeded,
     all_words,
     apply_burst_deletion,
@@ -91,11 +94,10 @@ class TestSampling:
     def test_traces_replay(self):
         x = parse_word("0110", 2)
         sample = sample_distinct_outputs(x, 2, 2, 1, "insertion", 10, seed=9)
-        for w, trace in zip(sample.outputs, sample.traces):
-            assert trace.input == x
-            assert trace.output == w
-            assert trace.replay() == w
-            assert len(trace.events) == 2
+        assert (sample.input, sample.kind, sample.burst_length) == (x, "insertion", 1)
+        for i, w in enumerate(sample.outputs):
+            assert sample.replay(i) == w
+            assert len(sample.traces[i]) == 2
 
     def test_ball_too_small_reports_size(self):
         with pytest.raises(BallTooSmall) as info:
@@ -117,14 +119,14 @@ class TestSampling:
         monkeypatch.setattr("burstrecon.balls.enumerate_deletion_ball", enumerated)
         x = y_sequence(400, 2, 2, 0, 0)
         sample = sample_distinct_outputs(x, 2, 2, 2, "deletion", 1, seed=1)
-        assert sample.traces[0].replay() == sample.outputs[0]
+        assert sample.replay(0) == sample.outputs[0]
         with pytest.raises(BallTooSmall) as info:
             sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 2, seed=1)
         assert info.value.ball_size == 1
         for kind, size in (("insertion", 16), ("deletion", 3)):
             sample = sample_distinct_outputs(parse_word("011010", 2), 2, 1, 2, kind, size, seed=2)
             assert len(set(sample.outputs)) == size
-            assert all(tr.replay() == w for w, tr in zip(sample.outputs, sample.traces))
+            assert all(sample.replay(i) == w for i, w in enumerate(sample.outputs))
 
     def test_deletion_ball_above_cap_sampled(self):
         # the ball {0010, 0110, 1010} is counted, never enumerated, so only count > cap refuses
@@ -137,15 +139,15 @@ class TestSampling:
         assert ins_ball_size(255, 3, 20, 3) > sys.maxsize
         sample = sample_distinct_outputs(x, 255, 3, 3, "insertion", 5, seed=6)
         assert len(set(sample.outputs)) == 5
-        for w, trace in zip(sample.outputs, sample.traces):
-            assert len(trace.events) == 3
-            assert trace.replay() == w
+        for i, w in enumerate(sample.outputs):
+            assert len(sample.traces[i]) == 3
+            assert sample.replay(i) == w
             assert is_insertion_descendant(x, w, 3, 3)
 
     def test_single_output(self):
         sample = sample_distinct_outputs(parse_word("0101", 2), 2, 1, 2, "deletion", 1, seed=1)
         assert sample.outputs == (parse_word("01", 2),)
-        assert sample.traces[0].replay() == sample.outputs[0]
+        assert sample.replay(0) == sample.outputs[0]
 
     @pytest.mark.parametrize(
         "kind, q, b, x",
@@ -177,10 +179,10 @@ class TestSampling:
         assert len(set(sample.outputs)) == count and set(sample.outputs) <= ball
         if whole:
             assert frozenset(sample.outputs) == ball
-        for w, trace in zip(sample.outputs, sample.traces):
-            assert trace.input == x
-            assert len(trace.events) == t
-            assert trace.output == trace.replay() == w
+        assert sample.input == x
+        for i, w in enumerate(sample.outputs):
+            assert len(sample.traces[i]) == t
+            assert sample.replay(i) == w
             assert member(x, w, t, b)
 
     @pytest.mark.parametrize("b", [1, 2, 3])
@@ -205,12 +207,23 @@ class TestSampling:
                         size, unrank = _deletion_unranker(x, t, b)
                         ball = enumerate_deletion_ball(x, t, b)
                         assert size == len(ball)
-                    traces = [unrank(rank) for rank in range(size)]
-                    words = [trace.output for trace in traces]
+                    words, traces = zip(*map(unrank, range(size)))
                     assert len(set(words)) == size and set(words) == ball
-                    for trace in traces:
-                        assert trace.input == x and len(trace.events) == t
-                        assert trace.replay() == trace.output
+                    sample = ChannelSample(x, kind, b, words, traces, 0)
+                    for i, w in enumerate(words):
+                        assert len(traces[i]) == t
+                        assert sample.replay(i) == w
+
+    def test_one_record_per_sample(self):
+        # each sampled fact is stored once: events carry no kind, traces no input
+        assert [f.name for f in fields(ChannelSample)] == [
+            "input", "kind", "burst_length", "outputs", "traces", "seed", "rng_algorithm",
+        ]
+        assert [f.name for f in fields(BurstEvent)] == ["position", "payload"]
+        ins = sample_distinct_outputs(b"\x00", 2, 1, 2, "insertion", 3, seed=0)
+        dele = sample_distinct_outputs(parse_word("0110", 2), 2, 1, 2, "deletion", 2, seed=0)
+        assert all(e.payload is not None for events in ins.traces for e in events)
+        assert all(e.payload is None for events in dele.traces for e in events)
 
     def test_rng_metadata(self):
         sample = sample_distinct_outputs(b"\x00", 2, 1, 1, "insertion", 2, seed=0)
@@ -223,8 +236,8 @@ class TestSampling:
         x = parse_word("011010", 2)
         sample = sample_distinct_outputs(x, 2, t, 1, "insertion", 4, seed=seed)
         assert len(set(sample.outputs)) == 4
-        for w, trace in zip(sample.outputs, sample.traces):
-            assert trace.replay() == w
+        for i, w in enumerate(sample.outputs):
+            assert sample.replay(i) == w
             assert is_insertion_descendant(x, w, t, 1)
 
 
@@ -241,10 +254,10 @@ class TestEventFormat:
     def test_lines(self):
         x = parse_word("01100", 2)
         sample = sample_distinct_outputs(x, 2, 1, 2, "deletion", 2, seed=7)
-        for trace in sample.traces:
-            line = format_event(trace.events[0], 2)
+        for events in sample.traces:
+            line = format_event(events[0], 2)
             assert line.startswith("del ")
         sample = sample_distinct_outputs(x, 2, 1, 2, "insertion", 2, seed=7)
-        line = format_event(sample.traces[0].events[0], 2)
+        line = format_event(sample.traces[0][0], 2)
         kind, pos, payload = line.split()
         assert kind == "ins" and pos.isdigit() and len(payload) == 2

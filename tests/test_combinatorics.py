@@ -21,10 +21,10 @@ from burstrecon import (
     enumerate_deletion_ball,
     ins_ball_size,
     ins_intersection_max,
-    ins_recurrence_check,
     sphere_packing_bound,
     y_sequence,
 )
+from burstrecon.combinatorics import ins_recurrence_check
 
 GRID_Q = (2, 3)
 GRID_B = (1, 2, 3)
@@ -254,10 +254,14 @@ class TestDelIntersectionThreshold:
         assert del_intersection_threshold(3, 1, 0) == 0
 
     def test_matches_public_value_on_overlap_domain(self):
-        for b in (2, 3):
-            for t in (1, 2):
-                for n in range(b * (t + 1) - 1, 13):
+        # D(n,t) - binom(n-(t+1)*b+1, t) against D(n,t) - D(n-b,t) + D(n-3b,t-2)
+        cells = 0
+        for b in range(2, 8):
+            for t in range(1, 7):
+                for n in range(b * (t + 1) - 1, 60):
                     assert del_intersection_threshold(b, n, t) == del_intersection_max_binary(b, n, t)
+                    cells += 1
+        assert cells == 1467
 
     def test_short_word(self):
         assert del_intersection_threshold(2, 1, 1) == 0

@@ -21,6 +21,7 @@ from burstrecon import (
     del_intersection_max_binary,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
+    ins_ball_size,
     ins_intersection_max,
     is_deletion_descendant,
     parse_word,
@@ -91,6 +92,11 @@ class TestClassifier:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             classify_first_symbol(words_of("01"), 2, 2, 2)
+
+    def test_out_of_range_symbol_rejected(self):
+        # the grid shows symbol 3, which has no class in a binary alphabet
+        with pytest.raises(ValueError, match="symbol 3 out of range for alphabet of size 2"):
+            classify_first_symbol([bytes([0, 3, 1])], 2, 1, 2)
 
 
 def completions(cells):
@@ -405,3 +411,65 @@ class TestDeletionDecoder:
         with pytest.raises(CandidateFilterError) as info:
             reconstruct_from_deletions(words_of("000", "001", "101"), 5, 2, 1)
         assert info.value.candidates == 2
+
+
+class TestExtremalPairs:
+    """The paper's pairs of centers whose balls share the maximum number of outputs.
+
+    Their intersection has exactly the maximum size, so it alone is refused,
+    and one more word from either ball's own part decodes to that ball's center.
+    """
+
+    @staticmethod
+    def check_pair(x, y, ball, decode, threshold, per_side, rng):
+        ball_x, ball_y = ball(x), ball(y)
+        common = ball_x & ball_y
+        assert len(common) == threshold, (x, y)
+        with pytest.raises(BelowThreshold):
+            decode(common)
+        decodes = 0
+        for center, own in ((x, ball_x - ball_y), (y, ball_y - ball_x)):
+            own = sorted(own)
+            for w in own if per_side is None else rng.sample(own, min(per_side, len(own))):
+                assert decode(common | {w}).word == center, (x, y, w)
+                decodes += 1
+        return decodes
+
+    def test_insertion_pairs_differ_in_the_first_symbol(self):
+        # 0z against 1z, for z all zeros, all (q-1)s and one seeded random tail
+        rng = random.Random(10)
+        decodes = 0
+        for q, b, t, n in product((2, 3), (1, 2, 3), (1, 2), range(1, 6)):
+            if ins_ball_size(q, b, n, t) > 4000:
+                continue
+            tails = {bytes(n - 1), bytes([q - 1] * (n - 1))}
+            tails.add(bytes(rng.randrange(q) for _ in range(n - 1)))
+            for z in sorted(tails):
+                decodes += self.check_pair(
+                    b"\x00" + z,
+                    b"\x01" + z,
+                    lambda x: enumerate_insertion_ball(x, q, t, b),
+                    lambda words: reconstruct_from_insertions(words, n, q, b, t),
+                    ins_intersection_max(q, b, n, t),
+                    5,
+                    rng,
+                )
+        assert decodes >= 1000
+
+    def test_deletion_pairs_differ_in_the_bth_symbol(self):
+        # 0^b 1^b 0^b ... against 0^(b-1) 1 1^b 0^b ..., every word of each side
+        decodes = 0
+        for b, t in product((2, 3), (1, 2)):
+            for n in range(b * (t + 1) - 1, 13):
+                x = b_cyclic(n, 2, b, 0)
+                y = x[: b - 1] + b"\x01" + x[b:]
+                decodes += self.check_pair(
+                    x,
+                    y,
+                    lambda w: enumerate_deletion_ball(w, t, b),
+                    lambda words: reconstruct_from_deletions(words, n, b, t),
+                    del_intersection_max_binary(b, n, t),
+                    None,
+                    None,
+                )
+        assert decodes >= 200

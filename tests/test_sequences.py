@@ -5,16 +5,15 @@ from hypothesis import given, strategies as st
 
 from burstrecon import (
     all_words,
-    array_representation,
     b_cyclic,
     del_ball_max,
     enumerate_deletion_ball,
     format_word,
     parse_word,
-    radius1_del_ball_size,
     validate_word,
     y_sequence,
 )
+from burstrecon.sequences import array_representation, radius1_del_ball_size
 
 
 class TestParseFormat:

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import burstrecon
@@ -38,3 +39,12 @@ def test_no_environment_reads():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if reads_environment(node)]
     assert found == []
+
+
+def test_readme_api_table_is_the_public_api():
+    # one row per exported name in README.md's "Public API" table, no more, no fewer
+    readme = (PACKAGE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(burstrecon.__all__)
