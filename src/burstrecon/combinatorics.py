@@ -74,37 +74,6 @@ def ins_intersection_max(q: int, b: int, n: int, t: int) -> int:
     )
 
 
-def ins_recurrence_check(q: int, b: int, n: int, t: int) -> tuple[bool, bool]:
-    """Re-derive the insertion counts through their recurrences (n, t >= 1).
-
-    Returns ``(sizes_ok, overlaps_ok)``: whether the ball-size recurrences and
-    the overlap recurrences reproduce the closed forms at these parameters.
-    Used as a self-test surface; both components hold identically.
-    """
-    if n < 1 or t < 1:
-        raise ValueError("recurrences need n >= 1 and t >= 1")
-    size = ins_ball_size
-    over = ins_intersection_max
-    step = (q - 1) * q ** (b - 1)
-    sizes_ok = (
-        size(q, b, n, t) == size(q, b, n - 1, t) + step * size(q, b, n, t - 1)
-        and size(q, b, n, t)
-        == sum((q - 1) ** i * q ** (i * (b - 1)) * size(q, b, n - 1, t - i) for i in range(t + 1))
-    )
-    overlaps_ok = (
-        over(q, b, n - 1, t) + q ** (b - 1) * over(q, b, n, t - 1)
-        == 2 * q ** (b - 1) * size(q, b, n, t - 1)
-        and over(q, b, n, t) == over(q, b, n - 1, t) + step * over(q, b, n, t - 1)
-        and over(q, b, n, t)
-        == sum((q - 1) ** i * q ** (i * (b - 1)) * over(q, b, n - 1, t - i) for i in range(t))
-        and over(q, b, n, t)
-        == 2 * q ** (b - 1) * size(q, b, n, t - 1) + (q - 2) * q ** (b - 1) * over(q, b, n, t - 1)
-        and over(q, b, n, t)
-        == 2 * sum((q - 2) ** (i - 1) * q ** (i * (b - 1)) * size(q, b, n, t - i) for i in range(1, t + 1))
-    )
-    return sizes_ok, overlaps_ok
-
-
 @lru_cache(maxsize=None)
 def _unit_burst_del_max(q: int, n: int, t: int) -> int:
     """Largest radius-t deletion ball for unit bursts (b = 1), q-ary alphabet.

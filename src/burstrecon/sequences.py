@@ -7,8 +7,6 @@ hashable, compact, and lexicographically comparable, and cap symbols at 255.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -110,58 +108,3 @@ def y_sequence(n: int, q: int, b: int, start: int = 0, prefix_len: int = 0) -> W
     if n < prefix_len:
         raise ValueError(f"length {n} shorter than the prefix {prefix_len}")
     return bytes([start]) * prefix_len + b_cyclic(n - prefix_len, q, b, (start + 1) % q)
-
-
-def radius1_del_ball_size(x: Word, b: int) -> int:
-    """Exact size of the radius-1 burst-deletion ball of x.
-
-    Counts the length-b runs of x: one plus the number of positions whose
-    symbol differs from the symbol b places earlier.  Needs len(x) >= b+1.
-    """
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
-    if len(x) < b + 1:
-        raise ValueError(f"word of length {len(x)} too short for burst length {b}")
-    return 1 + sum(1 for j in range(b, len(x)) if x[j] != x[j - b])
-
-
-@dataclass(frozen=True)
-class ArrayRepresentation:
-    """Column-major b-row layout of a word, short rows padded by repetition.
-
-    ``rows[i][c]`` holds the symbol at 0-based index ``c*b + i`` of the word;
-    rows that end early repeat their final symbol out to the full width, so
-    padding never adds a run.  ``run_counts[i]`` is the number of runs in row
-    i (0 for a row with no symbols at all).
-    """
-
-    rows: tuple[Word, ...]
-    run_counts: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
-
-
-def array_representation(x: Word, b: int) -> ArrayRepresentation:
-    """Lay x out column by column into b rows and count runs per row.
-
-    The total of (runs - 1) over the rows, plus one, reproduces
-    radius1_del_ball_size whenever every row is populated (len(x) >= b).
-    """
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
-    if len(x) < 1:
-        raise ValueError("word must be nonempty")
-    width = math.ceil(len(x) / b)
-    rows = []
-    for r in range(b):
-        row = x[r::b]
-        if row and len(row) < width:
-            row = row + row[-1:] * (width - len(row))
-        rows.append(row)
-    run_counts = tuple(
-        1 + sum(1 for k in range(1, len(row)) if row[k] != row[k - 1]) if row else 0
-        for row in rows
-    )
-    return ArrayRepresentation(tuple(rows), run_counts)

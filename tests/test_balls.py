@@ -1,5 +1,8 @@
 """Brute-force oracles: enumeration, exhaustive overlap search, membership."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +45,28 @@ def reference_is_deletion_descendant(v, y, t, b):
             if f < t and i + b <= nv:
                 feasible[i + b].add(f + 1)
     return t in feasible[nv]
+
+
+def reference_max_intersection(n, q, b, t, kind):
+    """The pairwise loop the bitmask overlap count replaced.
+
+    Holds every ball as a frozenset and counts each pair's overlap with ``&``,
+    scanning pairs i < j in center order and keeping the first strict maximum.
+    """
+    centers = list(all_words(q, n))
+    if kind == "insertion":
+        balls = [enumerate_insertion_ball(x, q, t, b) for x in centers]
+    else:
+        balls = [enumerate_deletion_ball(x, t, b) for x in centers]
+    best = -1
+    witness = (centers[0], centers[1])
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            m = len(balls[i] & balls[j])
+            if m > best:
+                best = m
+                witness = (centers[i], centers[j])
+    return best, witness
 
 
 class TestEnumerateInsertionBall:
@@ -176,6 +201,46 @@ class TestMaxIntersectionExhaustive:
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
             max_intersection_exhaustive(8, 2, 2, 1, "deletion", cap=100)
+
+    def test_matches_pairwise_reference(self):
+        # every cell of q 2,3 x b 1..3 x t 0..2, both kinds, from the shortest
+        # legal n (and the one after it) until the centers' balls hold more
+        # than 10,000 words in all
+        cells = 0
+        for kind in ("insertion", "deletion"):
+            for q in (2, 3):
+                for b in (1, 2, 3):
+                    for t in (0, 1, 2):
+                        first = 1 if kind == "insertion" else max(1, t * b)
+                        for n in range(first, first + 6):
+                            size = (
+                                ins_ball_size(q, b, n, t)
+                                if kind == "insertion"
+                                else del_ball_max(q, b, n, t)
+                            )
+                            if n > first + 1 and q**n * size > 10000:
+                                break
+                            got = max_intersection_exhaustive(n, q, b, t, kind)
+                            assert got == reference_max_intersection(n, q, b, t, kind), (
+                                kind, q, b, t, n,
+                            )
+                            cells += 1
+        assert cells > 150
+
+    def test_holds_no_ball_sets(self):
+        # the 81 insertion balls of this cell hold 5,913 words each; keeping
+        # them all, as the pairwise loop did, peaks at their summed size
+        ball = enumerate_insertion_ball(bytes(4), 3, 2, 3)
+        summed = 3**4 * (sys.getsizeof(ball) + sum(sys.getsizeof(w) for w in ball))
+        del ball
+        tracemalloc.start()
+        try:
+            best, _ = max_intersection_exhaustive(4, 3, 3, 2, "insertion")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert best == ins_intersection_max(3, 3, 4, 2)
+        assert peak * 3 < summed, (peak, summed)
 
 
 class TestConstructedPairOverlap:

@@ -19,12 +19,13 @@ from burstrecon import (
     del_intersection_max_binary,
     del_intersection_threshold,
     enumerate_deletion_ball,
+    enumerate_insertion_ball,
     ins_ball_size,
     ins_intersection_max,
+    max_intersection_exhaustive,
     sphere_packing_bound,
     y_sequence,
 )
-from burstrecon.combinatorics import ins_recurrence_check
 
 GRID_Q = (2, 3)
 GRID_B = (1, 2, 3)
@@ -108,21 +109,61 @@ class TestInsIntersectionMax:
                         ) * ins_intersection_max(q, 1, n, t)
 
 
+def ins_recurrences_hold(size, over, q, b, n, t):
+    """Whether ball sizes and maximum overlaps satisfy the insertion recurrences.
+
+    ``size(q, b, n, t)`` and ``over(q, b, n, t)`` are the counts at length n
+    and radius t (n, t >= 1).  Returns ``(sizes_ok, overlaps_ok)``: whether
+    the ball-size recurrences and the overlap recurrences hold at this point.
+    """
+    step = (q - 1) * q ** (b - 1)
+    sizes_ok = (
+        size(q, b, n, t) == size(q, b, n - 1, t) + step * size(q, b, n, t - 1)
+        and size(q, b, n, t)
+        == sum((q - 1) ** i * q ** (i * (b - 1)) * size(q, b, n - 1, t - i) for i in range(t + 1))
+    )
+    overlaps_ok = (
+        over(q, b, n - 1, t) + q ** (b - 1) * over(q, b, n, t - 1)
+        == 2 * q ** (b - 1) * size(q, b, n, t - 1)
+        and over(q, b, n, t) == over(q, b, n - 1, t) + step * over(q, b, n, t - 1)
+        and over(q, b, n, t)
+        == sum((q - 1) ** i * q ** (i * (b - 1)) * over(q, b, n - 1, t - i) for i in range(t))
+        and over(q, b, n, t)
+        == 2 * q ** (b - 1) * size(q, b, n, t - 1) + (q - 2) * q ** (b - 1) * over(q, b, n, t - 1)
+        and over(q, b, n, t)
+        == 2 * sum((q - 2) ** (i - 1) * q ** (i * (b - 1)) * size(q, b, n, t - i) for i in range(1, t + 1))
+    )
+    return sizes_ok, overlaps_ok
+
+
 class TestInsRecurrences:
     @pytest.mark.parametrize("q,b,n,t", [(2, 2, 3, 1), (3, 2, 2, 2), (2, 1, 4, 2)])
     def test_spec_points(self, q, b, n, t):
-        assert ins_recurrence_check(q, b, n, t) == (True, True)
+        assert ins_recurrences_hold(ins_ball_size, ins_intersection_max, q, b, n, t) == (True, True)
 
     def test_grid(self):
         for q in GRID_Q:
             for b in GRID_B:
                 for t in (1, 2):
                     for n in range(1, 9):
-                        assert ins_recurrence_check(q, b, n, t) == (True, True)
+                        assert ins_recurrences_hold(
+                            ins_ball_size, ins_intersection_max, q, b, n, t
+                        ) == (True, True)
 
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            ins_recurrence_check(2, 2, 0, 1)
+    def test_enumerated_counts(self):
+        # the same recurrences over counts taken from the brute-force oracles;
+        # n >= 2 keeps every overlap on words of length at least 1
+        def size(q, b, n, t):
+            return len(enumerate_insertion_ball(bytes(n), q, t, b))
+
+        def over(q, b, n, t):
+            return max_intersection_exhaustive(n, q, b, t, "insertion")[0]
+
+        for q in GRID_Q:
+            for b in (1, 2):
+                for t in (1, 2):
+                    for n in (2, 3):
+                        assert ins_recurrences_hold(size, over, q, b, n, t) == (True, True)
 
 
 class TestDelBallSize:

@@ -48,3 +48,33 @@ def test_readme_api_table_is_the_public_api():
     names = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(burstrecon.__all__)
+
+
+def unreferenced_definitions(package_dir):
+    """Top-level functions and classes that no other top-level statement names.
+
+    Maps each such name to its file and line.  A name counts as referenced
+    when it appears as a variable or attribute in any top-level statement of
+    the package other than its own definition.
+    """
+    defined = {}
+    referenced = set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined[own] = f"{path.name}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    referenced.add(node.attr)
+    return {name: where for name, where in defined.items() if name not in referenced}
+
+
+def test_every_definition_is_used_or_exported():
+    # library code that only the tests call belongs in the tests
+    unused = unreferenced_definitions(PACKAGE_DIR)
+    assert {name: where for name, where in unused.items() if name not in burstrecon.__all__} == {}
