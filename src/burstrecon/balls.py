@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Literal
 
-from .combinatorics import _check_radius_burst, ins_ball_size
+from .combinatorics import _check_deletable, _check_params, ins_ball_size
 from .errors import EnumerationCapExceeded
 from .sequences import Word, all_words, validate_word
 
@@ -42,8 +42,7 @@ def enumerate_insertion_ball(
     exceeds the cap; intermediate rounds are never larger than the final one.
     """
     validate_word(x, q)
-    _check_radius_burst(t, b)
-    expected = ins_ball_size(q, b, len(x), t)
+    expected = ins_ball_size(q, b, len(x), t)  # checks b and t
     if expected > cap:
         raise EnumerationCapExceeded(expected, cap)
     payloads = _payloads(q, b)
@@ -65,11 +64,8 @@ def enumerate_deletion_ball(
     x: Word, t: int, b: int, cap: int = DEFAULT_CAP
 ) -> frozenset[Word]:
     """The exact set of words reachable from x by t bursts of b deletions."""
-    _check_radius_burst(t, b)
-    if len(x) < t * b:
-        raise ValueError(
-            f"word of length {len(x)} too short for {t} bursts of {b} deletions"
-        )
+    _check_params(b=b, t=t)
+    _check_deletable(len(x), t, b)
     words = {x}
     for _ in range(t):
         shrunk: set[Word] = set()
@@ -112,10 +108,11 @@ def max_intersection_exhaustive(
     words, where a held ball would take some 80 bytes per member.
     """
     _check_kind(kind)
+    _check_params(q=q, b=b, t=t, n=n)
     if n < 1:
         raise ValueError(f"need words of length at least 1, got {n}")
-    if kind == "deletion" and n < t * b:
-        raise ValueError(f"length {n} words cannot absorb {t} bursts of {b} deletions")
+    if kind == "deletion":
+        _check_deletable(n, t, b)
     if q**n > cap:
         raise EnumerationCapExceeded(q**n, cap)
     centers = list(all_words(q, n))
@@ -152,7 +149,7 @@ def is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
     the whole interval by b.  Each step is one common-prefix length of
     v[reach:] and y[reach - f*b:], so a call costs t+1 C-speed comparisons.
     """
-    _check_radius_burst(t, b)
+    _check_params(b=b, t=t)
     if len(y) != len(v) - t * b:
         raise ValueError(
             f"length mismatch: expected {len(v) - t * b}, got {len(y)}"

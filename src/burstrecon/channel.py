@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .balls import DEFAULT_CAP, BallKind, _check_kind
-from .combinatorics import _check_radius_burst, _deletion_ways
+from .combinatorics import _check_params, _deletion_ways
 from .errors import BallTooSmall, EnumerationCapExceeded
 from .sequences import Word, format_word, validate_word
 
@@ -89,8 +89,7 @@ def apply_burst_insertion(x: Word, position: int, payload: Word) -> Word:
 
 def apply_burst_deletion(x: Word, position: int, b: int) -> Word:
     """Remove the b symbols starting at the given 1-based position."""
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    _check_params(b=b)
     if not 1 <= position <= len(x) - b + 1:
         raise ValueError(
             f"deletion position must be in [1, {len(x) - b + 1}], got {position}"
@@ -210,7 +209,7 @@ def sample_distinct_outputs(
     _check_kind(kind)
     if count < 1:
         raise ValueError(f"need at least one output, got {count}")
-    _check_radius_burst(t, b)
+    _check_params(b=b, t=t)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
     if kind == "insertion":

@@ -70,18 +70,11 @@ class SweepConfig:
     corrupt: str | None = None
 
     def __post_init__(self):
-        for name, values, low, high in (
-            ("q", self.q_values, 2, comb.MAX_ALPHABET),
-            ("b", self.b_values, 1, None),
-            ("t", self.t_values, 0, None),
-            ("n", self.n_values, 0, None),
-        ):
+        for name, values in zip("qbtn", (self.q_values, self.b_values, self.t_values, self.n_values)):
             if not values:
                 raise ValueError(f"empty range for {name}")
             for v in values:
-                if v < low or (high is not None and v > high):
-                    allowed = f"in [{low}, {high}]" if high else f"at least {low}"
-                    raise ValueError(f"{name} must be {allowed}, got {v}")
+                comb._check_params(**{name: v})
         for kind in self.kinds:
             if kind not in CHECKS:
                 raise ValueError(f"unknown verify kind {kind!r}")
@@ -162,7 +155,7 @@ def _ins_ball_regularity(q, b, t, n, cap, *_):
 
 
 def _flip_pair_overlap(q, b, t, n, cap, *_):
-    x = bytes(b) + b_cyclic(n - b, q, b, 1 % q)
+    x = b_cyclic(n, q, b)
     y = bytearray(x)
     y[b - 1] = 1
     ball_x = enumerate_deletion_ball(x, t, b, cap)

@@ -9,6 +9,13 @@ Conventions used throughout (they make every formula total):
 * a radius-0 ball has size 1 and two radius-0 balls never overlap;
 * deletion-side counts are 0 when the radius is negative or the word is
   shorter than ``b*t``, and 1 when the word length is exactly ``b*t``.
+
+``_check_params`` is the package's only range rule for the alphabet size q,
+the burst length b, the radius t and the word length n, and
+``_check_deletable`` its only rule for a word too short to lose t bursts of
+b symbols.  Every module refuses out-of-range values through them, so each
+value has one message; narrower domains (the proven range of an overlap
+formula, for instance) are checked where they apply, after these.
 """
 
 from __future__ import annotations
@@ -32,18 +39,26 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_alphabet_burst(q: int, b: int) -> None:
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if b < 1:
+def _check_params(
+    *, q: int | None = None, b: int | None = None, t: int | None = None, n: int | None = None
+) -> None:
+    """Refuse an alphabet size outside [2, MAX_ALPHABET], a burst length below 1,
+    or a negative radius or word length; a parameter left as None is not checked.
+    """
+    if q is not None and not 2 <= q <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
+    if b is not None and b < 1:
         raise ValueError(f"burst length must be at least 1, got {b}")
-
-
-def _check_radius_burst(t: int, b: int) -> None:
-    if t < 0:
+    if t is not None and t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
+    if n is not None and n < 0:
+        raise ValueError(f"word length must be nonnegative, got {n}")
+
+
+def _check_deletable(n: int, t: int, b: int) -> None:
+    """Refuse a word of length n that t bursts of b deletions do not fit in."""
+    if n < t * b:
+        raise ValueError(f"word of length {n} too short for {t} bursts of {b} deletions")
 
 
 def ins_ball_size(q: int, b: int, n: int, t: int) -> int:
@@ -52,9 +67,7 @@ def ins_ball_size(q: int, b: int, n: int, t: int) -> int:
     Equals ``q**(t*(b-1)) * sum(binom(n+t, i) * (q-1)**i for i in 0..t)``;
     the count does not depend on the chosen center.
     """
-    _check_alphabet_burst(q, b)
-    if n < 0 or t < 0:
-        raise ValueError("word length and radius must be nonnegative")
+    _check_params(q=q, b=b, t=t, n=n)
     return q ** (t * (b - 1)) * sum(
         binom(n + t, i) * (q - 1) ** i for i in range(t + 1)
     )
@@ -66,9 +79,7 @@ def ins_intersection_max(q: int, b: int, n: int, t: int) -> int:
     Equals ``q**(t*(b-1)) * sum(binom(n+t, i) * (q-1)**i * (1 - (-1)**(t-i)))``
     over ``i in 0..t-1``; returns 0 for ``t == 0``.
     """
-    _check_alphabet_burst(q, b)
-    if n < 0 or t < 0:
-        raise ValueError("word length and radius must be nonnegative")
+    _check_params(q=q, b=b, t=t, n=n)
     return q ** (t * (b - 1)) * sum(
         binom(n + t, i) * (q - 1) ** i * (1 - (-1) ** (t - i)) for i in range(t)
     )
@@ -95,7 +106,7 @@ def del_ball_max(q: int, b: int, n: int, t: int) -> int:
     ``sum(binom(n - b*t, i) * unit(q-1, t, t-i) for i in 0..t)`` where ``unit``
     is the b = 1 count.  For q = 2 this collapses to a binomial partial sum.
     """
-    _check_alphabet_burst(q, b)
+    _check_params(q=q, b=b)
     if t < 0 or n < b * t:
         return 0
     return sum(
@@ -116,10 +127,9 @@ def _deletion_ways(x: bytes, t: int, b: int) -> list[list[int]]:
     ``ways[i][u]`` never increases with i.  O(len(x) * t**2) steps.  Like
     ``balls.enumerate_deletion_ball``, it refuses a word shorter than t*b.
     """
-    _check_radius_burst(t, b)
+    _check_params(b=b, t=t)
     n = len(x)
-    if n < t * b:
-        raise ValueError(f"word of length {n} too short for {t} bursts of {b} deletions")
+    _check_deletable(n, t, b)
     ways: list[list[int]] = [[]] * n + [[1] + [0] * t]
     for i in range(n - 1, -1, -1):
         row = ways[i] = ways[i + 1][:]  # keep x[i]
@@ -180,7 +190,7 @@ def del_intersection_lower_bound(q: int, b: int, n: int, t: int) -> int:
     exact maximum; for q > 2 it is reported strictly as a lower bound on the
     true maximum, which is not known in closed form.
     """
-    _check_alphabet_burst(q, b)
+    _check_params(q=q, b=b, t=t, n=n)
     if b < 2 or t < 1 or n < b * (t + 1) - 1:
         raise ValueError(
             f"deletion overlap needs b >= 2, t >= 1 and n >= b*(t+1)-1, got b={b}, t={t}, n={n}"
@@ -199,10 +209,8 @@ def sphere_packing_bound(q: int, b: int, n: int, t: int) -> tuple[Fraction, int]
     integer floor.  The ratio is identical for every burst length b, so it
     also matches the unit-burst bound ``q**(n+t) / ins_ball_size(q,1,n,t)``.
     """
-    _check_alphabet_burst(q, b)
-    if n < 0 or t < 0:
-        raise ValueError("word length and radius must be nonnegative")
-    value = Fraction(q ** (n + t * b), ins_ball_size(q, b, n, t))
+    size = ins_ball_size(q, b, n, t)  # checks q, b, t and n
+    value = Fraction(q ** (n + t * b), size)
     return value, math.floor(value)
 
 
@@ -212,7 +220,7 @@ def count_centers_by_radius1_ball_size(q: int, b: int, n: int, i: int) -> int:
     Equals ``q**b * (q-1)**(i-1) * binom(n-b, i-1)``; valid for ``n >= b+1``
     and ``i in [1, n-b+1]``, and the counts over all i sum to ``q**n``.
     """
-    _check_alphabet_burst(q, b)
+    _check_params(q=q, b=b, n=n)
     if n < b + 1:
         raise ValueError(f"word length must be at least b+1 = {b + 1}, got {n}")
     if not 1 <= i <= n - b + 1:

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .balls import DEFAULT_CAP, is_deletion_descendant
 from .combinatorics import (
+    _check_params,
     del_intersection_max_binary,
     del_intersection_threshold,
     ins_intersection_max,
@@ -60,15 +61,12 @@ class FirstSymbolClasses:
 
 def classify_first_symbol(outputs: Iterable[Word], q: int, b: int, t: int) -> FirstSymbolClasses:
     """Scan each output at positions 1, b+1, ..., t*b+1 and bucket it."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if b < 1 or t < 0:
-        raise ValueError("burst length must be positive and radius nonnegative")
+    _check_params(q=q, b=b, t=t)
     words = set(outputs)
     for w in words:
         if len(w) < t * b + 1:
             raise ValueError(
-                f"output of length {len(w)} too short for the grid (needs >= {t * b + 1})"
+                f"output of length {len(w)} does not reach the grid (needs >= {t * b + 1})"
             )
     classes: dict[tuple[int, int], set[Word]] = {
         (symbol, slot): set() for symbol in range(q) for slot in range(1, t + 2)
@@ -190,11 +188,10 @@ def reconstruct_from_insertions(
     restarts on the stripped largest same-prefix subclass.
     """
     started = time.perf_counter()
-    if n < 1:
-        raise ValueError(f"word length must be at least 1, got {n}")
-    if q < 2 or b < 1 or t < 1:
-        raise ValueError("need q >= 2, b >= 1, t >= 1")
-    current = _read_outputs(outputs, q, n + t * b, "n + t*b", ins_intersection_max(q, b, n, t))
+    threshold = ins_intersection_max(q, b, n, t)  # checks q, b, t and n
+    if n < 1 or t < 1:
+        raise ValueError(f"the insertion decoder needs n >= 1 and t >= 1, got n={n}, t={t}")
+    current = _read_outputs(outputs, q, n + t * b, "n + t*b", threshold)
     n_rem = n
     t_rem = t
     recovered: list[int] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from .combinatorics import MAX_ALPHABET
+from .combinatorics import MAX_ALPHABET, _check_params
 
 Word = bytes
 
@@ -21,18 +21,13 @@ _TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _check_alphabet(q: int) -> None:
-    if not 2 <= q <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
-
-
 def _out_of_range(symbol: int, q: int) -> ValueError:
     return ValueError(f"symbol {symbol} out of range for alphabet of size {q}")
 
 
 def validate_word(x: Word, q: int) -> None:
     """Raise ValueError unless q is a supported alphabet size and every symbol of x is below q."""
-    _check_alphabet(q)
+    _check_params(q=q)
     bad = x.translate(None, _ALPHABETS[q])
     if bad:
         raise _out_of_range(bad[0], q)
@@ -45,6 +40,7 @@ def parse_word(text: str, q: int) -> Word:
     integers separated by single commas, with nothing else in between.
     Surrounding whitespace is ignored.
     """
+    _check_params(q=q)
     text = text.strip()
     if not text:
         return b""
@@ -54,7 +50,6 @@ def parse_word(text: str, q: int) -> Word:
         x = text.encode("ascii").translate(_FROM_TEXT)
         validate_word(x, q)
         return x
-    _check_alphabet(q)
     parts = text.split(",")
     if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"expected comma-separated ASCII integers for alphabet of size {q}: {text!r}")
@@ -74,9 +69,9 @@ def format_word(x: Word, q: int) -> str:
 
 
 def all_words(q: int, n: int) -> Iterator[Word]:
-    """Yield every length-n word over {0..q-1} in lexicographic order."""
-    for symbols in product(range(q), repeat=n):
-        yield bytes(symbols)
+    """Every length-n word over {0..q-1}, lazily, in lexicographic order."""
+    _check_params(q=q, n=n)
+    return map(bytes, product(range(q), repeat=n))
 
 
 def b_cyclic(n: int, q: int, b: int, start: int = 0) -> Word:
@@ -86,12 +81,9 @@ def b_cyclic(n: int, q: int, b: int, start: int = 0) -> Word:
     all length-n words it has the most length-b runs, hence the largest
     radius-1 burst-deletion ball.
     """
+    _check_params(q=q, b=b, n=n)
     if not 0 <= start < q:
         raise ValueError(f"start symbol {start} out of range for alphabet of size {q}")
-    if b < 1:
-        raise ValueError(f"burst length must be at least 1, got {b}")
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
     return bytes((start + i // b) % q for i in range(n))
 
 
@@ -101,6 +93,7 @@ def y_sequence(n: int, q: int, b: int, start: int = 0, prefix_len: int = 0) -> W
     For every prefix_len in [0, b-1] the radius-t burst-deletion ball of this
     word attains the maximum size over all length-n centers.
     """
+    _check_params(q=q, b=b, n=n)
     if not 0 <= prefix_len <= b - 1:
         raise ValueError(f"prefix length must be in [0, {b - 1}], got {prefix_len}")
     if not 0 <= start < q:

@@ -147,11 +147,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "option, message",
         [
-            ("--q=1:2", "q must be in [2, 255], got 1"),
-            ("--q=255:256", "q must be in [2, 255], got 256"),
-            ("--b=0", "b must be at least 1, got 0"),
-            ("--t=-1:1", "t must be at least 0, got -1"),
-            ("--n=-1", "n must be at least 0, got -1"),
+            ("--q=1:2", "alphabet size must be in [2, 255], got 1"),
+            ("--q=255:256", "alphabet size must be in [2, 255], got 256"),
+            ("--b=0", "burst length must be at least 1, got 0"),
+            ("--t=-1:1", "radius must be nonnegative, got -1"),
+            ("--n=-1", "word length must be nonnegative, got -1"),
         ],
     )
     def test_invalid_range_rejected(self, capsys, option, message):

@@ -10,8 +10,14 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from burstrecon import (
+    BelowThreshold,
+    BurstEvent,
+    MAX_ALPHABET,
     all_words,
+    apply_burst_deletion,
+    b_cyclic,
     binom,
+    classify_first_symbol,
     count_centers_by_radius1_ball_size,
     del_ball_max,
     del_ball_size,
@@ -20,12 +26,22 @@ from burstrecon import (
     del_intersection_threshold,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
+    format_event,
+    format_word,
     ins_ball_size,
     ins_intersection_max,
+    is_deletion_descendant,
+    is_insertion_descendant,
     max_intersection_exhaustive,
+    parse_word,
+    reconstruct_from_deletions,
+    reconstruct_from_insertions,
+    sample_distinct_outputs,
     sphere_packing_bound,
+    validate_word,
     y_sequence,
 )
+from burstrecon.combinatorics import _check_params
 
 GRID_Q = (2, 3)
 GRID_B = (1, 2, 3)
@@ -400,3 +416,159 @@ def test_no_floats_anywhere():
     value, floor = sphere_packing_bound(3, 3, 200, 2)
     assert isinstance(value, Fraction) and isinstance(floor, int)
     assert floor > 2**64
+
+
+# --- the one range rule for q, b, t and n ------------------------------------
+
+# Every public function that takes q, b, t or n, called at (q, b, t, n); the
+# string names the parameters it refuses with the shared messages.  A word
+# argument has length n, so functions that take a word instead of n omit "n".
+# del_ball_max omits t and n (negative radii and short words count 0) and
+# del_intersection_threshold omits everything (total in n and t, b >= 2 of its
+# own).
+REFUSERS = {
+    "ins_ball_size": ("qbtn", lambda q, b, t, n: ins_ball_size(q, b, n, t)),
+    "ins_intersection_max": ("qbtn", lambda q, b, t, n: ins_intersection_max(q, b, n, t)),
+    "del_ball_max": ("qb", lambda q, b, t, n: del_ball_max(q, b, n, t)),
+    "del_ball_size": ("bt", lambda q, b, t, n: del_ball_size(bytes(n), t, b)),
+    "del_intersection_lower_bound": (
+        "qbtn", lambda q, b, t, n: del_intersection_lower_bound(q, b, n, t)
+    ),
+    "del_intersection_max_binary": (
+        "btn", lambda q, b, t, n: del_intersection_max_binary(b, n, t)
+    ),
+    "sphere_packing_bound": ("qbtn", lambda q, b, t, n: sphere_packing_bound(q, b, n, t)),
+    "count_centers_by_radius1_ball_size": (
+        "qbn", lambda q, b, t, n: count_centers_by_radius1_ball_size(q, b, n, 1)
+    ),
+    "all_words": ("qn", lambda q, b, t, n: all_words(q, n)),
+    "b_cyclic": ("qbn", lambda q, b, t, n: b_cyclic(n, q, b)),
+    "y_sequence": ("qbn", lambda q, b, t, n: y_sequence(n, q, b)),
+    "validate_word": ("q", lambda q, b, t, n: validate_word(bytes(n), q)),
+    "format_word": ("q", lambda q, b, t, n: format_word(bytes(n), q)),
+    "parse_word": ("q", lambda q, b, t, n: parse_word("0" * n, q)),
+    "format_event": ("q", lambda q, b, t, n: format_event(BurstEvent(1, bytes(b)), q)),
+    "enumerate_insertion_ball": (
+        "qbt", lambda q, b, t, n: enumerate_insertion_ball(bytes(n), q, t, b)
+    ),
+    "enumerate_deletion_ball": ("bt", lambda q, b, t, n: enumerate_deletion_ball(bytes(n), t, b)),
+    "max_intersection_exhaustive/insertion": (
+        "qbtn", lambda q, b, t, n: max_intersection_exhaustive(n, q, b, t, "insertion")
+    ),
+    "max_intersection_exhaustive/deletion": (
+        "qbtn", lambda q, b, t, n: max_intersection_exhaustive(n, q, b, t, "deletion")
+    ),
+    "is_deletion_descendant": (
+        "bt", lambda q, b, t, n: is_deletion_descendant(bytes(n), bytes(n - t * b), t, b)
+    ),
+    "is_insertion_descendant": (
+        "bt", lambda q, b, t, n: is_insertion_descendant(bytes(n), bytes(n + t * b), t, b)
+    ),
+    "apply_burst_deletion": ("b", lambda q, b, t, n: apply_burst_deletion(bytes(n), 1, b)),
+    "sample_distinct_outputs/insertion": (
+        "qbt", lambda q, b, t, n: sample_distinct_outputs(bytes(n), q, t, b, "insertion", 1, 0)
+    ),
+    "sample_distinct_outputs/deletion": (
+        "qbt", lambda q, b, t, n: sample_distinct_outputs(bytes(n), q, t, b, "deletion", 1, 0)
+    ),
+    "classify_first_symbol": ("qbt", lambda q, b, t, n: classify_first_symbol([], q, b, t)),
+    "reconstruct_from_insertions": (
+        "qbtn", lambda q, b, t, n: reconstruct_from_insertions([], n, q, b, t)
+    ),
+    "reconstruct_from_deletions": (
+        "btn", lambda q, b, t, n: reconstruct_from_deletions([], n, b, t)
+    ),
+}
+
+VALID = {"q": 2, "b": 2, "t": 1, "n": 4}
+OUT_OF_RANGE = {
+    "q": [(1, "alphabet size must be in [2, 255], got 1"),
+          (0, "alphabet size must be in [2, 255], got 0"),
+          (256, "alphabet size must be in [2, 255], got 256")],
+    "b": [(0, "burst length must be at least 1, got 0")],
+    "t": [(-1, "radius must be nonnegative, got -1")],
+    "n": [(-1, "word length must be nonnegative, got -1")],
+}
+
+
+def refusal_cases():
+    for name, (params, call) in REFUSERS.items():
+        for param in params:
+            for value, message in OUT_OF_RANGE[param]:
+                args = {**VALID, param: value}
+                yield pytest.param(call, args, message, id=f"{name}-{param}={value}")
+
+
+class TestOneRangeRule:
+    @pytest.mark.parametrize("call, args, message", refusal_cases())
+    def test_out_of_range_value_has_the_shared_message(self, call, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            call(**args)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name", sorted(REFUSERS))
+    def test_valid_point_is_accepted(self, name):
+        # the table's base point is inside every function's domain, so each
+        # refusal above comes from the one value put out of range
+        _, call = REFUSERS[name]
+        if name.startswith("reconstruct"):
+            # the decoders get no outputs, so they pass the checks and stop short of the threshold
+            with pytest.raises(BelowThreshold):
+                call(**VALID)
+        else:
+            call(**VALID)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: max_intersection_exhaustive(2, 1, 1, 1, "deletion"),
+             "alphabet size must be in [2, 255], got 1"),
+            (lambda: max_intersection_exhaustive(1, 300, 1, 1, "deletion"),
+             "alphabet size must be in [2, 255], got 300"),
+            (lambda: b_cyclic(4, 300, 1, 299), "alphabet size must be in [2, 255], got 300"),
+            (lambda: b_cyclic(4, 1, 1, 0), "alphabet size must be in [2, 255], got 1"),
+            (lambda: y_sequence(4, 1, 2), "alphabet size must be in [2, 255], got 1"),
+            (lambda: y_sequence(4, 2, 0), "burst length must be at least 1, got 0"),
+        ],
+        ids=["exhaustive-q1", "exhaustive-q300", "b_cyclic-q300", "b_cyclic-q1",
+             "y_sequence-q1", "y_sequence-b0"],
+    )
+    def test_former_gaps_refused_by_the_rule(self, call, message):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+    def test_largest_alphabet_accepted(self):
+        assert ins_ball_size(MAX_ALPHABET, 1, 1, 1) == 1 + 2 * (MAX_ALPHABET - 1)
+        assert b_cyclic(3, MAX_ALPHABET, 1, MAX_ALPHABET - 1) == bytes([254, 0, 1])
+
+    def test_short_word_for_deletions_has_one_message(self):
+        message = "word of length 3 too short for 2 bursts of 2 deletions"
+        for call in (
+            lambda: del_ball_size(bytes(3), 2, 2),
+            lambda: enumerate_deletion_ball(bytes(3), 2, 2),
+            lambda: max_intersection_exhaustive(3, 2, 2, 2, "deletion"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+    def test_narrower_domains_checked_after_the_rule(self):
+        cases = [
+            (lambda: del_intersection_threshold(1, 4, 1), "burst length must be at least 2, got 1"),
+            (lambda: reconstruct_from_insertions([], 0, 2, 2, 1),
+             "the insertion decoder needs n >= 1 and t >= 1, got n=0, t=1"),
+            (lambda: max_intersection_exhaustive(0, 2, 2, 1, "insertion"),
+             "need words of length at least 1, got 0"),
+            (lambda: count_centers_by_radius1_ball_size(2, 2, 2, 1),
+             "word length must be at least b+1 = 3, got 2"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+    def test_parameters_are_keyword_only(self):
+        # positional calls could silently swap t and n, which the library orders both ways
+        with pytest.raises(TypeError):
+            _check_params(2, 1, 1, 4)

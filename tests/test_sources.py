@@ -78,3 +78,39 @@ def test_every_definition_is_used_or_exported():
     # library code that only the tests call belongs in the tests
     unused = unreferenced_definitions(PACKAGE_DIR)
     assert {name: where for name, where in unused.items() if name not in burstrecon.__all__} == {}
+
+
+RANGE_RULE_PHRASES = (
+    "alphabet size must",
+    "burst length must be at least 1",
+    "radius must be nonnegative",
+    "word length must be nonnegative",
+    "too short for",
+)
+RANGE_RULE_HOMES = {"_check_params", "_check_deletable"}
+
+
+def range_rule_copies(package_dir):
+    """Places outside the range-rule helpers whose string literals word a range refusal."""
+    found = []
+
+    def visit(node, inside_home):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_home = inside_home or node.name in RANGE_RULE_HOMES
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and not inside_home:
+            found.extend(
+                f"{path.name}:{node.lineno}: {phrase}"
+                for phrase in RANGE_RULE_PHRASES
+                if phrase in node.value
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_home)
+
+    for path in sorted(package_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), False)
+    return found
+
+
+def test_range_rule_is_worded_in_one_place():
+    # a second copy of a range check drifts from the first; call the helpers instead
+    assert range_rule_copies(PACKAGE_DIR) == []
