@@ -5,6 +5,9 @@ enumerations stay strictly operational: apply every burst at every legal
 position, round by round, and deduplicate.  Nothing here consults a formula
 except to refuse hopeless enumerations up front.
 
+``_check_cap`` is the package's one cap rule, wherever a requirement (a ball,
+a sample count, the decoder's phase-2 candidates) meets the enumeration cap.
+
 The exhaustive overlap search enumerates one ball at a time and keeps it only
 as a bitmask over the words numbered so far, so an overlap is the popcount of
 an AND and no ball set outlives its own enumeration.
@@ -15,13 +18,20 @@ from __future__ import annotations
 from itertools import product
 from typing import Literal
 
-from .combinatorics import _check_deletable, _check_params, ins_ball_size
+from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
 from .errors import EnumerationCapExceeded
 from .sequences import Word, all_words, validate_word
 
 BallKind = Literal["insertion", "deletion"]
 
 DEFAULT_CAP = 10**7
+
+
+def _check_cap(required: int, cap: int) -> None:
+    """Refuse a cap below 1, then any requirement of more than ``cap`` words."""
+    _check_params(cap=cap)
+    if required > cap:
+        raise EnumerationCapExceeded(required, cap)
 
 
 def _check_kind(kind: str) -> None:
@@ -42,9 +52,7 @@ def enumerate_insertion_ball(
     exceeds the cap; intermediate rounds are never larger than the final one.
     """
     validate_word(x, q)
-    expected = ins_ball_size(q, b, len(x), t)  # checks b and t
-    if expected > cap:
-        raise EnumerationCapExceeded(expected, cap)
+    _check_cap(ins_ball_size(q, b, len(x), t), cap)  # checks b and t
     payloads = _payloads(q, b)
     words = {x}
     for _ in range(t):
@@ -63,9 +71,16 @@ def enumerate_insertion_ball(
 def enumerate_deletion_ball(
     x: Word, t: int, b: int, cap: int = DEFAULT_CAP
 ) -> frozenset[Word]:
-    """The exact set of words reachable from x by t bursts of b deletions."""
-    _check_params(b=b, t=t)
+    """The exact set of words reachable from x by t bursts of b deletions.
+
+    Refuses up front (EnumerationCapExceeded) with the exact size of the first
+    round over the cap; rounds are counted only when (len(x)-b+1)**t exceeds it.
+    """
+    _check_params(b=b, t=t, cap=cap)
     _check_deletable(len(x), t, b)
+    if (len(x) - b + 1) ** t > cap:
+        for size in _deletion_ways(x, t, b)[0][1:]:
+            _check_cap(size, cap)
     words = {x}
     for _ in range(t):
         shrunk: set[Word] = set()
@@ -74,8 +89,6 @@ def enumerate_deletion_ball(
             for i in range(len(w) - b + 1):
                 add(w[:i] + w[i + b :])
         words = shrunk
-        if len(words) > cap:
-            raise EnumerationCapExceeded(len(words), cap)
     return frozenset(words)
 
 
@@ -113,8 +126,7 @@ def max_intersection_exhaustive(
         raise ValueError(f"need words of length at least 1, got {n}")
     if kind == "deletion":
         _check_deletable(n, t, b)
-    if q**n > cap:
-        raise EnumerationCapExceeded(q**n, cap)
+    _check_cap(q**n, cap)
     centers = list(all_words(q, n))
     index: dict[Word, int] = {}
     if kind == "insertion":

@@ -16,9 +16,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
-from .balls import DEFAULT_CAP, BallKind, _check_kind
+from .balls import DEFAULT_CAP, BallKind, _check_cap, _check_kind
 from .combinatorics import _check_params, _deletion_ways
-from .errors import BallTooSmall, EnumerationCapExceeded
+from .errors import BallTooSmall
 from .sequences import Word, format_word, validate_word
 
 # random.Random, stable across platforms and versions, drawing ranks to unrank
@@ -197,21 +197,20 @@ def sample_distinct_outputs(
 ) -> ChannelSample:
     """Sample `count` distinct members of the radius-t ball around x, uniformly.
 
-    A `count` above `cap` is refused with `EnumerationCapExceeded` before any
-    work.  The ball is counted, never enumerated; if it holds fewer than
-    `count` words, `BallTooSmall` reports its exact size.  Floyd's algorithm
-    draws `count` distinct ranks in exactly `count` draws, at any ball size,
-    and each rank becomes its member with the canonical trace (every burst
-    slid as far left as it goes).  A fixed seed yields identical outputs and
-    traces on every run.
+    A `count` above `cap` is refused with `EnumerationCapExceeded`, and a
+    negative seed with `ValueError`, before any work.  The ball is counted,
+    never enumerated; if it holds fewer than `count` words, `BallTooSmall`
+    reports its exact size.  Floyd's algorithm draws `count` distinct ranks
+    in exactly `count` draws, at any ball size, and each rank becomes its
+    member with the canonical trace (every burst slid as far left as it
+    goes).  A fixed seed yields identical outputs and traces on every run.
     """
     validate_word(x, q)
     _check_kind(kind)
     if count < 1:
         raise ValueError(f"need at least one output, got {count}")
-    _check_params(b=b, t=t)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
+    _check_params(b=b, t=t, seed=seed)
+    _check_cap(count, cap)
     if kind == "insertion":
         ball_size, unrank = _insertion_unranker(x, q, t, b)
     else:

@@ -11,8 +11,9 @@ Exit codes, for every command:
 * 4 enumeration cap exceeded, ``error[cap-exceeded]``.
 
 ``main`` holds the only mapping from refusal to exit code.  The enumeration
-cap is ``--cap`` on ``verify`` and ``simulate`` (default ``DEFAULT_CAP``);
-``reconstruct --del`` refuses above the fixed ``DEFAULT_CAP``.
+cap is ``--cap`` on ``verify`` and ``simulate`` (default ``DEFAULT_CAP``; below
+1 it exits 2); ``reconstruct --del`` refuses above the fixed ``DEFAULT_CAP``.
+A ``verify`` row whose oracle would exceed the cap reads ``skip`` instead.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class SweepConfig:
                 raise ValueError(f"empty range for {name}")
             for v in values:
                 comb._check_params(**{name: v})
+        comb._check_params(cap=self.cap)
         for kind in self.kinds:
             if kind not in CHECKS:
                 raise ValueError(f"unknown verify kind {kind!r}")
@@ -183,8 +185,6 @@ def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng):
     need = comb.ins_intersection_max(q, b, n, t) + 1
     if comb.ins_ball_size(q, b, n, t) < need:
         raise _Skip("no center admits threshold+1 distinct outputs")
-    if need > cap:
-        raise _Skip("threshold exceeds cap")
     successes = 0
     for _ in range(trials):
         center = bytes(rng.randrange(q) for _ in range(n))
@@ -377,6 +377,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def cmd_count(args) -> int:
     q, b, t, n = args.q, args.b, args.t, args.n
+    comb._check_params(q=q, b=b, t=t, n=n)
     value = CHECKS[args.kind].formula(q, b, t, n)
     if args.as_json:
         payload = {"params": {"q": q, "b": b, "t": t, "n": n}, "kind": args.kind}

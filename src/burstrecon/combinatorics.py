@@ -11,9 +11,9 @@ Conventions used throughout (they make every formula total):
   shorter than ``b*t``, and 1 when the word length is exactly ``b*t``.
 
 ``_check_params`` is the package's only range rule for the alphabet size q,
-the burst length b, the radius t and the word length n, and
-``_check_deletable`` its only rule for a word too short to lose t bursts of
-b symbols.  Every module refuses out-of-range values through them, so each
+the burst length b, the radius t, the word length n, the enumeration cap and
+the sampler seed, and ``_check_deletable`` its only rule for a word too short
+to lose t bursts of b symbols.  Every module refuses out-of-range values through them, so each
 value has one message; narrower domains (the proven range of an overlap
 formula, for instance) are checked where they apply, after these.
 """
@@ -40,10 +40,11 @@ def binom(n: int, k: int) -> int:
 
 
 def _check_params(
-    *, q: int | None = None, b: int | None = None, t: int | None = None, n: int | None = None
+    *, q: int | None = None, b: int | None = None, t: int | None = None, n: int | None = None,
+    cap: int | None = None, seed: int | None = None,
 ) -> None:
-    """Refuse an alphabet size outside [2, MAX_ALPHABET], a burst length below 1,
-    or a negative radius or word length; a parameter left as None is not checked.
+    """Refuse q outside [2, MAX_ALPHABET], a burst length or cap below 1, or a
+    negative radius, word length or seed; a parameter left as None is not checked.
     """
     if q is not None and not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
@@ -53,6 +54,10 @@ def _check_params(
         raise ValueError(f"radius must be nonnegative, got {t}")
     if n is not None and n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 def _check_deletable(n: int, t: int, b: int) -> None:
@@ -154,14 +159,20 @@ def del_ball_size(x: bytes, t: int, b: int) -> int:
     return _deletion_ways(x, t, b)[0][t]
 
 
+@lru_cache(maxsize=None)
+def _flip_overlap(q: int, b: int, n: int, t: int) -> int:
+    """``D(n,t) - D(n-b,t) + D(n-(q+1)*b, t-q)``, D the q-ary ``del_ball_max``."""
+    D = del_ball_max
+    return D(q, b, n, t) - D(q, b, n - b, t) + D(q, b, n - (q + 1) * b, t - q)
+
+
 def del_intersection_max_binary(b: int, n: int, t: int) -> int:
     """Largest burst-deletion ball overlap between two distinct binary words.
 
     Proven exactly on ``b >= 2``, ``t >= 1``, ``n >= b*(t+1) - 1``; calling it
     outside that range is a usage error.  The value is
-    ``del_intersection_lower_bound(2, b, n, t)``, which equals both
-    ``D(n,t) - D(n-b,t) + D(n-3b,t-2)`` and ``D(n,t) - binom(n-(t+1)*b+1, t)``
-    where ``D`` is the binary ``del_ball_max``.
+    ``del_intersection_lower_bound(2, b, n, t)``, that is
+    ``D(n,t) - D(n-b,t) + D(n-3b,t-2)`` where ``D`` is the binary ``del_ball_max``.
     """
     return del_intersection_lower_bound(2, b, n, t)
 
@@ -169,9 +180,9 @@ def del_intersection_max_binary(b: int, n: int, t: int) -> int:
 def del_intersection_threshold(b: int, n: int, t: int) -> int:
     """Domain-extended binary overlap bound used for reconstruction bookkeeping.
 
-    Total in (n, t): 0 for ``t <= 0`` or ``n < b*t``, otherwise
-    ``del_ball_max(2,b,n,t) - binom(n-(t+1)*b+1, t)``.  On
-    ``n >= max(b*t + 1, 2*b)`` it satisfies
+    Total in (n, t): 0 for ``t <= 0`` or ``n < b*t``, otherwise the same
+    ``D(n,t) - D(n-b,t) + D(n-3b,t-2)`` as ``del_intersection_max_binary``.
+    On ``n >= max(b*t + 1, 2*b)`` it satisfies
     ``f(n,t) == f(n-1,t) + f(n-b-1,t-1)``, which is what the deletion
     decoder's per-step accounting relies on; decoder runs with valid inputs
     never leave that range.
@@ -180,7 +191,7 @@ def del_intersection_threshold(b: int, n: int, t: int) -> int:
         raise ValueError(f"burst length must be at least 2, got {b}")
     if t <= 0 or n < b * t:
         return 0
-    return del_ball_max(2, b, n, t) - binom(n - (t + 1) * b + 1, t)
+    return _flip_overlap(2, b, n, t)
 
 
 def del_intersection_lower_bound(q: int, b: int, n: int, t: int) -> int:
@@ -195,11 +206,7 @@ def del_intersection_lower_bound(q: int, b: int, n: int, t: int) -> int:
         raise ValueError(
             f"deletion overlap needs b >= 2, t >= 1 and n >= b*(t+1)-1, got b={b}, t={t}, n={n}"
         )
-    return (
-        del_ball_max(q, b, n, t)
-        - del_ball_max(q, b, n - b, t)
-        + del_ball_max(q, b, n - (q + 1) * b, t - q)
-    )
+    return _flip_overlap(q, b, n, t)
 
 
 def sphere_packing_bound(q: int, b: int, n: int, t: int) -> tuple[Fraction, int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .balls import DEFAULT_CAP, is_deletion_descendant
+from .balls import DEFAULT_CAP, _check_cap, is_deletion_descendant
 from .combinatorics import (
     _check_params,
     del_intersection_max_binary,
@@ -37,7 +37,6 @@ from .errors import (
     AmbiguousSymbol,
     BelowThreshold,
     CandidateFilterError,
-    EnumerationCapExceeded,
     InconsistentOutputs,
     ThresholdNotMet,
 )
@@ -278,9 +277,7 @@ def reconstruct_from_deletions(
     """
     started = time.perf_counter()
     threshold = del_intersection_max_binary(b, n, t)  # refuses outside the proven domain
-    candidates = 2 ** (t * (b - 1))
-    if candidates > DEFAULT_CAP:
-        raise EnumerationCapExceeded(candidates, DEFAULT_CAP)
+    _check_cap(2 ** (t * (b - 1)), DEFAULT_CAP)
     words = _read_outputs(outputs, 2, n - t * b, "n - t*b", threshold)
 
     cells: list[int | None] = [None] * n

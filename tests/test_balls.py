@@ -21,7 +21,10 @@ from burstrecon import (
     is_insertion_descendant,
     max_intersection_exhaustive,
     parse_word,
+    sample_distinct_outputs,
+    y_sequence,
 )
+from burstrecon.balls import _check_cap
 
 
 def words_of(*texts):
@@ -164,6 +167,87 @@ class TestEnumerateDeletionBall:
                         top = max(top, size)
                         assert size <= bound
                     assert top == bound
+
+
+def reference_deletion_ball(x, t, b, cap):
+    """The enumeration that builds each round, then compares its size with the cap."""
+    words = {x}
+    for _ in range(t):
+        words = {w[:i] + w[i + b :] for w in words for i in range(len(w) - b + 1)}
+        if len(words) > cap:
+            raise EnumerationCapExceeded(len(words), cap)
+    return frozenset(words)
+
+
+class TestDeletionBallCap:
+    def test_over_cap_round_refused_before_it_is_built(self):
+        # rounds 1-3 of this center hold 120, 7,022 and 267,034 words; the
+        # third is the first over the cap, and it is counted, never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded) as info:
+                enumerate_deletion_ball(y_sequence(120, 2, 1), 4, 1, cap=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (info.value.required, info.value.cap) == (267_034, 10**5)
+        assert peak < 10 * 2**20, peak
+
+    @pytest.mark.parametrize("b, t", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2)])
+    def test_same_refusals_as_building_each_round(self, b, t):
+        # every cap from 1 to just past the largest ball, on every center:
+        # the same result or the same refusal (same required words) as the
+        # enumeration that checks a round only once it is built
+        for n in range(b * t, b * t + 5):
+            for x in all_words(2, n):
+                top = len(reference_deletion_ball(x, t, b, 10**9))
+                for cap in range(1, top + 2):
+                    try:
+                        expected = reference_deletion_ball(x, t, b, cap)
+                    except EnumerationCapExceeded as exc:
+                        with pytest.raises(EnumerationCapExceeded) as info:
+                            enumerate_deletion_ball(x, t, b, cap)
+                        assert info.value.required == exc.required
+                    else:
+                        assert enumerate_deletion_ball(x, t, b, cap) == expected
+
+
+# each capped entry point, called with cap as its last argument
+CAPPED = {
+    "enumerate_insertion_ball": lambda cap: enumerate_insertion_ball(bytes(2), 2, 1, 1, cap),
+    "enumerate_deletion_ball": lambda cap: enumerate_deletion_ball(bytes(4), 1, 2, cap),
+    "enumerate_deletion_ball/t=0": lambda cap: enumerate_deletion_ball(bytes(4), 0, 2, cap),
+    "max_intersection_exhaustive": lambda cap: max_intersection_exhaustive(
+        3, 2, 1, 1, "insertion", cap
+    ),
+    "sample_distinct_outputs": lambda cap: sample_distinct_outputs(
+        bytes(4), 2, 1, 2, "insertion", 1, 0, cap
+    ),
+    "_check_cap": lambda cap: _check_cap(0, cap),
+}
+
+
+class TestOneCapRule:
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_cap_below_one_has_the_shared_message(self, name, cap):
+        with pytest.raises(ValueError) as excinfo:
+            CAPPED[name](cap)
+        assert str(excinfo.value) == f"cap must be at least 1, got {cap}"
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_cap_of_one_is_accepted(self, name):
+        # 1 passes the range rule; a call that needs more words refuses by the cap
+        try:
+            CAPPED[name](1)
+        except EnumerationCapExceeded as exc:
+            assert exc.cap == 1
+
+    def test_requirement_at_the_cap_passes(self):
+        _check_cap(5, 5)
+        with pytest.raises(EnumerationCapExceeded) as info:
+            _check_cap(6, 5)
+        assert (info.value.required, info.value.cap) == (6, 5)
 
 
 class TestIntersection:

@@ -110,6 +110,12 @@ class TestSampling:
             sample_distinct_outputs(bytes([0, 1, 0, 1]), 2, 1, 1, "insertion", 6, 0, cap=5)
         assert (info.value.required, info.value.cap) == (6, 5)
 
+    def test_negative_seed_refused(self):
+        # random.Random(seed) uses abs(seed), so seed -7 would replay the stream of 7
+        with pytest.raises(ValueError) as excinfo:
+            sample_distinct_outputs(parse_word("0110", 2), 2, 1, 2, "insertion", 3, -7)
+        assert str(excinfo.value) == "seed must be nonnegative, got -7"
+
     def test_deletion_feasibility_counted_not_enumerated(self, monkeypatch):
         # one output from a 78,607-word ball, and whole small balls: nothing enumerates
         def enumerated(*args):

@@ -519,10 +519,36 @@ class TestReconstructCommand:
             "verify --q 2 --b 2 --t 1 --n 4 --trials 0",
             None, EXIT_PRECONDITION, "error[precondition]: trials must be at least 1, got 0",
         ),
+        (
+            "verify --q 2 --b 2 --t 1 --n 2:3 --kinds ins-ball,ins-int,del-ball --cap -1",
+            None, EXIT_PRECONDITION, "error[precondition]: cap must be at least 1, got -1",
+        ),
+        (
+            "verify --q 2 --b 2 --t 1 --n 4 --cap 0",
+            None, EXIT_PRECONDITION, "error[precondition]: cap must be at least 1, got 0",
+        ),
+        (
+            "simulate -x 0110 --ins -b 2 -t 1 -N 3 --cap 0",
+            None, EXIT_PRECONDITION, "error[precondition]: cap must be at least 1, got 0",
+        ),
+        (
+            "simulate -x 0110 --ins -b 2 -t 1 -N 3 --seed -7",
+            None, EXIT_PRECONDITION, "error[precondition]: seed must be nonnegative, got -7",
+        ),
+        (
+            "count del-ball -q 2 -b 2 -t -1 -n 5",
+            None, EXIT_PRECONDITION, "error[precondition]: radius must be nonnegative, got -1",
+        ),
+        (
+            "count del-ball -q 2 -b 2 -t 1 -n -3",
+            None, EXIT_PRECONDITION, "error[precondition]: word length must be nonnegative, got -3",
+        ),
     ],
     ids=[
         "ball-too-small", "simulate-cap", "phase2-cap", "below-threshold", "missing-file",
         "del-int-q3", "reconstruct-del-q3", "non-digit-word", "trials-zero",
+        "verify-cap-negative", "verify-cap-zero", "simulate-cap-zero", "simulate-seed-negative",
+        "count-del-ball-t-negative", "count-del-ball-n-negative",
     ],
 )
 def test_refusal_table(capsys, tmp_path, argv, file_text, code, err):

@@ -323,6 +323,19 @@ class TestDelIntersectionThreshold:
     def test_short_word(self):
         assert del_intersection_threshold(2, 1, 1) == 0
 
+    def test_binomial_form_on_the_decoder_range(self):
+        # D(n,t) - binom(n-(t+1)*b+1, t), D the binary del_ball_max, on every
+        # (n, t) the deletion decoder asks about: t >= 1 and n >= b*t
+        cells = 0
+        for b in range(2, 9):
+            for t in range(1, 6):
+                for n in range(b * t, 120):
+                    assert del_intersection_threshold(b, n, t) == (
+                        del_ball_max(2, b, n, t) - binom(n - (t + 1) * b + 1, t)
+                    ), (b, n, t)
+                    cells += 1
+        assert cells == 3675
+
 
 class TestDelIntersectionLowerBound:
     def test_matches_binary_maximum(self):

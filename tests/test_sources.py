@@ -86,6 +86,8 @@ RANGE_RULE_PHRASES = (
     "radius must be nonnegative",
     "word length must be nonnegative",
     "too short for",
+    "cap must be at least 1",
+    "seed must be nonnegative",
 )
 RANGE_RULE_HOMES = {"_check_params", "_check_deletable"}
 
@@ -114,3 +116,29 @@ def range_rule_copies(package_dir):
 def test_range_rule_is_worded_in_one_place():
     # a second copy of a range check drifts from the first; call the helpers instead
     assert range_rule_copies(PACKAGE_DIR) == []
+
+
+def cap_refusals_outside_the_rule(package_dir):
+    """Calls that build EnumerationCapExceeded anywhere but inside balls._check_cap."""
+    found = []
+
+    def visit(node, inside_rule):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_rule = inside_rule or node.name == "_check_cap"
+        if isinstance(node, ast.Call) and not inside_rule:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "EnumerationCapExceeded":
+                found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_rule)
+
+    for path in sorted(package_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), False)
+    return found
+
+
+def test_cap_is_compared_in_one_place():
+    # a requirement meets the cap only in balls._check_cap, which checks the cap's range first
+    assert cap_refusals_outside_the_rule(PACKAGE_DIR) == []
+
