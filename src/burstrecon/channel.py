@@ -4,6 +4,9 @@ Sampling is exact and uniform over the ball.  Every member has one leftmost
 (canonical) burst placement, so the members can be counted and numbered: the
 sampler draws distinct ranks from a named, seedable generator, so runs
 reproduce bit for bit, and turns each rank back into its canonical bursts.
+Each burst is applied (`apply_burst_insertion`, `apply_burst_deletion`) to
+the piece of the input it ends, and the member is one join of the pieces, so
+no burst copies the whole word.
 A sample is one `ChannelSample` record: the input, the channel, the outputs
 and, per output, the burst events that produce it from the input.
 """
@@ -14,6 +17,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .balls import DEFAULT_CAP, BallKind, _check_cap, _check_kind
@@ -112,6 +116,8 @@ def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, Callable[
     a symbol other than x[j] ((q-1)*q**(b-1) payloads), and the other bursts
     after x[-1] (q**b payloads).  Ranks are ordered by k, the bursts before
     x[-1], then by the k-multiset of slots (combinadic), then by payload.
+    Payloads and events are built when first drawn and shared after that,
+    so a sample holds no more of them than it draws, at any q**b.
     """
     n = len(x)
     rest_choices = q ** (b - 1)
@@ -121,30 +127,42 @@ def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, Callable[
     sizes = [(comb(n + k - 1, k) if n else k == 0) * p for k, p in enumerate(payloads)]
     columns = [[comb(c, i) for c in range(n + t)] for i in range(t + 1)]
 
+    starts = list(accumulate(sizes[:-1], initial=0))  # first rank of each k
+    digit_weights = [q**e for e in range(b - 1, -1, -1)]
+    skips = [symbol * rest_choices for symbol in x]  # head digits from skips[j] on lead past x[j]
+    built: dict[int, Word] = {}  # payload of each digit value drawn so far
+    made: dict[tuple[int, int], BurstEvent] = {}  # event of each position and digits so far
+
     def unrank(rank: int) -> _Member:
-        for k, size in enumerate(sizes):
-            if rank < size:
-                break
-            rank -= size
-        combination, rank = divmod(rank, payloads[k])
+        k = bisect_right(starts, rank) - 1
+        combination, rank = divmod(rank - starts[k], payloads[k])
         slots = [n] * t
         top = n + k - 1
         for i in range(k, 0, -1):  # the i-th smallest of k elements of range(top)
             top = bisect_right(columns[i], combination, 0, top) - 1
             combination -= columns[i][top]
             slots[i - 1] = top - i + 1
-        w, events = x, []
-        for done, j in enumerate(slots):
+        pieces, events, kept, position = [], [], 0, 1
+        for j in slots:
             if j < n:  # the leading base-q digit skips x[j]
                 rank, digits = divmod(rank, head)
-                digits += (digits // rest_choices >= x[j]) * rest_choices
+                if digits >= skips[j]:
+                    digits += rest_choices
             else:
                 rank, digits = divmod(rank, tail)
-            payload = bytes(digits // q**e % q for e in range(b - 1, -1, -1))
-            position = j + done * b + 1
-            w = apply_burst_insertion(w, position, payload)
-            events.append(BurstEvent(position, payload))
-        return w, tuple(events)
+            position += j - kept  # the burst starts right before x[j]
+            event = made.get((position, digits))
+            if event is None:
+                payload = built.get(digits)
+                if payload is None:
+                    payload = built[digits] = bytes(digits // d % q for d in digit_weights)
+                event = made[position, digits] = BurstEvent(position, payload)
+            pieces.append(apply_burst_insertion(x[kept:j], j - kept + 1, event.payload))
+            events.append(event)
+            kept = j
+            position += b
+        pieces.append(x[kept:])
+        return b"".join(pieces), tuple(events)
 
     return sum(sizes), unrank
 
@@ -161,8 +179,10 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], _M
     ways = _deletion_ways(x, t, b)
     rising = [[-row[u] for row in ways] for u in range(t + 1)]
 
+    made: dict[int, BurstEvent] = {}  # event of each position drawn so far
+
     def unrank(rank: int) -> _Member:
-        w, events, i, u = x, [], 0, t
+        pieces, events, i, u, kept = [], [], 0, t, 0
         while u:
             # keep x[i] while rank < ways[i + 1][u]; rising[u] is that column negated
             i = bisect_left(rising[u], -rank, i + 1) - 1
@@ -176,11 +196,17 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], _M
                         break
                     rank -= ways[end + 1][u - f]
             position = i - (t - u) * b + 1
+            event = made.get(position)
+            if event is None:
+                event = made[position] = BurstEvent(position)
+            events += [event] * f
+            piece = x[kept:end]
             for _ in range(f):
-                w = apply_burst_deletion(w, position, b)
-                events.append(BurstEvent(position))
-            i, u = end + 1, u - f
-        return w, tuple(events)
+                piece = apply_burst_deletion(piece, i - kept + 1, b)
+            pieces.append(piece)
+            i, u, kept = end + 1, u - f, end
+        pieces.append(x[kept:])
+        return b"".join(pieces), tuple(events)
 
     return ways[0][t], unrank
 

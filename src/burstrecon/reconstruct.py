@@ -5,7 +5,10 @@ using exact class-size thresholds:
 
 * the insertion decoder compares, for each pair of symbols, how many outputs
   show one before the other on the burst grid (positions 1, b+1, ..., t*b+1),
-  then descends into the largest same-prefix class;
+  then descends into the largest same-prefix class.  It peels by offset: the
+  original outputs are never stripped, each step reads the grid at the current
+  offset and counts the distinct grid patterns (at most q**(t+1)), and the
+  class sizes and precedence counts come from those pattern counts;
 * the deletion decoder (binary only) takes the first-symbol majority; a
   suspiciously small majority class proves a burst ate the word's front, in
   which case b-1 positions are deferred as open cells, each with a vote
@@ -22,9 +25,11 @@ survivor is the only one; with fewer outputs the decoders refuse.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, compress, permutations, product
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .balls import DEFAULT_CAP, _check_cap, is_deletion_descendant
 from .combinatorics import (
@@ -58,6 +63,41 @@ class FirstSymbolClasses:
     precedence: dict[tuple[int, int], int]
 
 
+def _tally_grid(
+    counts: Mapping[bytes, int], q: int, t: int
+) -> tuple[dict[bytes, dict[int, int]], dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """First appearances, class sizes and precedence counts of counted grid patterns.
+
+    A pattern is the t+1 grid symbols of an output.  Returns, per pattern,
+    the 1-based slot of each symbol's first appearance; ``sizes[(symbol,
+    slot)]``, the outputs whose first ``symbol`` is at ``slot``; and
+    ``precedence[(alpha, beta)]``, the outputs that show alpha strictly
+    before beta.
+    """
+    firsts: dict[bytes, dict[int, int]] = {}
+    sizes = dict.fromkeys(product(range(q), range(1, t + 2)), 0)
+    precedence = dict.fromkeys(permutations(range(q), 2), 0)
+    never = t + 2  # sentinel slot for symbols absent from the grid
+    for pattern, count in counts.items():
+        first = firsts[pattern] = {}
+        for slot, symbol in enumerate(pattern, 1):
+            if symbol not in first:
+                if symbol >= q:
+                    raise _out_of_range(symbol, q)
+                first[symbol] = slot
+        for alpha, slot in first.items():
+            sizes[(alpha, slot)] += count
+            for beta in range(q):
+                if beta != alpha and slot < first.get(beta, never):
+                    precedence[(alpha, beta)] += count
+    return firsts, sizes, precedence
+
+
+def _grid(off: int, b: int, t: int) -> Callable[[Word], bytes]:
+    """The map from a word to its grid pattern w[off], w[off+b], ..., w[off+t*b]."""
+    return itemgetter(slice(off, off + t * b + 1, b))
+
+
 def classify_first_symbol(outputs: Iterable[Word], q: int, b: int, t: int) -> FirstSymbolClasses:
     """Scan each output at positions 1, b+1, ..., t*b+1 and bucket it."""
     _check_params(q=q, b=b, t=t)
@@ -67,40 +107,28 @@ def classify_first_symbol(outputs: Iterable[Word], q: int, b: int, t: int) -> Fi
             raise ValueError(
                 f"output of length {len(w)} does not reach the grid (needs >= {t * b + 1})"
             )
-    classes: dict[tuple[int, int], set[Word]] = {
-        (symbol, slot): set() for symbol in range(q) for slot in range(1, t + 2)
-    }
-    precedence = {
-        (alpha, beta): 0 for alpha in range(q) for beta in range(q) if alpha != beta
-    }
-    never = t + 2  # sentinel slot for symbols absent from the grid
-    for w in words:
-        first: dict[int, int] = {}
-        for slot in range(t + 1):
-            symbol = w[slot * b]
-            if symbol not in first:
-                first[symbol] = slot + 1
-        for symbol, slot in first.items():
-            try:
-                classes[(symbol, slot)].add(w)
-            except KeyError:
-                raise _out_of_range(symbol, q) from None
-        for alpha, slot in first.items():
-            for beta in range(q):
-                if beta != alpha and slot < first.get(beta, never):
-                    precedence[(alpha, beta)] += 1
+    groups: dict[bytes, list[Word]] = {}
+    for w, pattern in zip(words, map(_grid(0, b, t), words)):
+        groups.setdefault(pattern, []).append(w)
+    firsts, sizes, precedence = _tally_grid(
+        {pattern: len(members) for pattern, members in groups.items()}, q, t
+    )
+    classes: dict[tuple[int, int], set[Word]] = {key: set() for key in sizes}
+    for pattern, members in groups.items():
+        for key in firsts[pattern].items():
+            classes[key].update(members)
     return FirstSymbolClasses(
         {key: frozenset(value) for key, value in classes.items()}, precedence
     )
 
 
-def _largest_stripped_class(class_words: Iterable[Word], prefix_len: int) -> frozenset[Word]:
-    """Largest same-prefix subclass (ties: smallest prefix), prefix removed."""
+def _largest_prefix_group(words: Iterable[Word], start: int, stop: int) -> list[Word]:
+    """Largest group of words sharing w[start:stop] (ties: smallest such block)."""
     groups: dict[Word, list[Word]] = {}
-    for w in class_words:
-        groups.setdefault(w[:prefix_len], []).append(w)
+    for w in words:
+        groups.setdefault(w[start:stop], []).append(w)
     _, members = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return frozenset(w[prefix_len:] for w in members)
+    return members
 
 
 @dataclass(frozen=True)
@@ -184,28 +212,35 @@ def reconstruct_from_insertions(
     distinct insertion balls; with fewer it raises BelowThreshold.  Each step
     decides one symbol by strict pairwise precedence, locates the deepest
     burst count whose first-symbol class clears its pigeonhole bound, and
-    restarts on the stripped largest same-prefix subclass.
+    restarts on the largest same-prefix subclass with the offset moved past
+    that prefix.  The survivors all share the outputs' first ``off`` symbols,
+    so they stay distinct without being stripped.  A step is one pass over
+    the survivors to count their grid patterns at the offset (and one more to
+    keep the chosen class), plus work per distinct pattern, not per output.
     """
     started = time.perf_counter()
     threshold = ins_intersection_max(q, b, n, t)  # checks q, b, t and n
     if n < 1 or t < 1:
         raise ValueError(f"the insertion decoder needs n >= 1 and t >= 1, got n={n}, t={t}")
-    current = _read_outputs(outputs, q, n + t * b, "n + t*b", threshold)
+    # the surviving outputs all share words[i][:off], so they stay distinct unstripped
+    words: Collection[Word] = _read_outputs(outputs, q, n + t * b, "n + t*b", threshold)
+    off = 0
     n_rem = n
     t_rem = t
     recovered: list[int] = []
     steps: list[StepInfo] = []
     while len(recovered) < n:
-        if len(current) < ins_intersection_max(q, b, n_rem, t_rem) + 1:
+        if len(words) < ins_intersection_max(q, b, n_rem, t_rem) + 1:
             raise InconsistentOutputs(
                 "class sizes fell below the running threshold; the outputs do "
                 "not all come from one insertion ball"
             )
-        grid = classify_first_symbol(current, q, b, t_rem)
+        grid = _grid(off, b, t_rem)
+        firsts, sizes, precedence = _tally_grid(Counter(map(grid, words)), q, t_rem)
         winner = None
         for beta in range(q):
             if all(
-                grid.precedence[(alpha, beta)] < grid.precedence[(beta, alpha)]
+                precedence[(alpha, beta)] < precedence[(beta, alpha)]
                 for alpha in range(q)
                 if alpha != beta
             ):
@@ -221,7 +256,7 @@ def reconstruct_from_insertions(
             need = (q - 1) ** j * q ** (j * (b - 1)) * ins_intersection_max(
                 q, b, n_rem - 1, t_rem - j
             ) + 1
-            if len(grid.classes[(winner, j + 1)]) >= need:
+            if sizes[(winner, j + 1)] >= need:
                 chosen_j = j
                 break
         if chosen_j is None:
@@ -233,22 +268,31 @@ def reconstruct_from_insertions(
                 len(recovered),
                 winner,
                 chosen_j,
-                tuple(len(grid.classes[(winner, s)]) for s in range(1, t_rem + 2)),
+                tuple(sizes[(winner, s)] for s in range(1, t_rem + 2)),
             )
         )
-        stripped = _largest_stripped_class(
-            grid.classes[(winner, chosen_j + 1)], chosen_j * b + 1
+        if chosen_j == 0:
+            # the class is the outputs with the winner at off, all one prefix
+            words = list(compress(words, map(winner.__eq__, map(itemgetter(off), words))))
+            off += 1
+            n_rem -= 1
+            continue
+        # the winner first appears after chosen_j bursts: keep the largest
+        # class member group that agrees on those bursts and the symbol
+        chosen = {p for p, first in firsts.items() if first.get(winner) == chosen_j + 1}
+        start, off = off, off + chosen_j * b + 1
+        words = _largest_prefix_group(
+            compress(words, map(chosen.__contains__, map(grid, words))), start, off
         )
         if chosen_j == t_rem:
             # burst budget exhausted before this symbol: the survivors carry
             # the untouched tail verbatim
-            if len(stripped) != 1:
+            if len(words) != 1:
                 raise InconsistentOutputs(
                     "several distinct tails remain after the last burst"
                 )
-            recovered.extend(next(iter(stripped)))
+            recovered.extend(words[0][off:])
             break
-        current = stripped
         t_rem -= chosen_j
         n_rem -= 1
     return ReconstructionResult(

@@ -1,7 +1,11 @@
 """Channel operations: burst application, traces, seeded distinct sampling."""
 
+import random
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import fields
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,73 @@ from burstrecon import (
     y_sequence,
 )
 from burstrecon.channel import _deletion_unranker, _insertion_unranker
+from burstrecon.combinatorics import _deletion_ways
+
+
+def reference_insertion_unranker(x, q, t, b):
+    """The insertion unranker built one burst at a time with apply_burst_insertion."""
+    n = len(x)
+    rest_choices = q ** (b - 1)
+    head, tail = (q - 1) * rest_choices, q**b
+    payloads = [head**k * tail ** (t - k) for k in range(t + 1)]
+    sizes = [(comb(n + k - 1, k) if n else k == 0) * p for k, p in enumerate(payloads)]
+    columns = [[comb(c, i) for c in range(n + t)] for i in range(t + 1)]
+
+    def unrank(rank):
+        for k, size in enumerate(sizes):
+            if rank < size:
+                break
+            rank -= size
+        combination, rank = divmod(rank, payloads[k])
+        slots = [n] * t
+        top = n + k - 1
+        for i in range(k, 0, -1):
+            top = bisect_right(columns[i], combination, 0, top) - 1
+            combination -= columns[i][top]
+            slots[i - 1] = top - i + 1
+        w, events = x, []
+        for done, j in enumerate(slots):
+            if j < n:
+                rank, digits = divmod(rank, head)
+                digits += (digits // rest_choices >= x[j]) * rest_choices
+            else:
+                rank, digits = divmod(rank, tail)
+            payload = bytes(digits // q**e % q for e in range(b - 1, -1, -1))
+            position = j + done * b + 1
+            w = apply_burst_insertion(w, position, payload)
+            events.append(BurstEvent(position, payload))
+        return w, tuple(events)
+
+    return sum(sizes), unrank
+
+
+def reference_deletion_unranker(x, t, b):
+    """The deletion unranker built one burst at a time with apply_burst_deletion."""
+    n = len(x)
+    ways = _deletion_ways(x, t, b)
+    rising = [[-row[u] for row in ways] for u in range(t + 1)]
+
+    def unrank(rank):
+        w, events, i, u = x, [], 0, t
+        while u:
+            i = bisect_left(rising[u], -rank, i + 1) - 1
+            rank -= ways[i + 1][u]
+            for f in range(1, u + 1):
+                end = i + f * b
+                if end == n:
+                    break
+                if x[end] not in x[i:end:b]:
+                    if rank < ways[end + 1][u - f]:
+                        break
+                    rank -= ways[end + 1][u - f]
+            position = i - (t - u) * b + 1
+            for _ in range(f):
+                w = apply_burst_deletion(w, position, b)
+                events.append(BurstEvent(position))
+            i, u = end + 1, u - f
+        return w, tuple(events)
+
+    return ways[0][t], unrank
 
 
 class TestApplyBursts:
@@ -245,6 +316,69 @@ class TestSampling:
         for i, w in enumerate(sample.outputs):
             assert sample.replay(i) == w
             assert is_insertion_descendant(x, w, t, 1)
+
+
+class TestUnrankerMatchesReference:
+    """The one-join unrankers give the per-burst reference's member and trace for every rank."""
+
+    @staticmethod
+    def check(unranker, reference, ranks):
+        size, unrank = unranker()
+        ref_size, ref_unrank = reference()
+        assert size == ref_size
+        for rank in ranks(size):
+            assert unrank(rank) == ref_unrank(rank), rank
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_every_small_ball(self, q):
+        # every center up to 16 of them (else three), every rank of balls up to
+        # 500 words, and of larger ones 500 seeded ranks plus the first and
+        # last rank of every group of equal k
+        rng = random.Random(q)
+        checked = 0
+        for b, t, n in product(range(1, 4), range(4), range(6)):
+            centers = list(all_words(q, n))
+            if len(centers) > 16:
+                centers = [bytes(n), bytes([q - 1] * n), bytes(rng.randrange(q) for _ in range(n))]
+            for x in centers:
+                sizes = [
+                    (comb(n + k - 1, k) if n else k == 0)
+                    * ((q - 1) * q ** (b - 1)) ** k
+                    * q ** (b * (t - k))
+                    for k in range(t + 1)
+                ]
+                edges = [sum(sizes[:k]) for k in range(t + 2)]
+
+                def ranks(size):
+                    if size <= 500:
+                        return range(size)
+                    picked = {r for e in edges for r in (e - 1, e) if 0 <= r < size}
+                    return sorted(picked | {rng.randrange(size) for _ in range(500)})
+
+                self.check(
+                    lambda: _insertion_unranker(x, q, t, b),
+                    lambda: reference_insertion_unranker(x, q, t, b),
+                    ranks,
+                )
+                if n >= t * b:
+                    self.check(
+                        lambda: _deletion_unranker(x, t, b),
+                        lambda: reference_deletion_unranker(x, t, b),
+                        range,
+                    )
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("q, n", [(2, 800), (4, 200)])
+    def test_random_ranks_of_large_balls(self, q, n):
+        rng = random.Random(n)
+        x = bytes(rng.randrange(q) for _ in range(n))
+        b = t = 2
+        for unranker, reference in (
+            (lambda: _insertion_unranker(x, q, t, b), lambda: reference_insertion_unranker(x, q, t, b)),
+            (lambda: _deletion_unranker(x, t, b), lambda: reference_deletion_unranker(x, t, b)),
+        ):
+            self.check(unranker, reference, lambda size: [rng.randrange(size) for _ in range(2000)])
 
 
 class TestTrialSeed:

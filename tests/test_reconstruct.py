@@ -13,7 +13,10 @@ from burstrecon import (
     BelowThreshold,
     CandidateFilterError,
     EnumerationCapExceeded,
+    InconsistentOutputs,
     ReconstructionError,
+    StepInfo,
+    ThresholdNotMet,
     all_words,
     b_cyclic,
     candidate_expansion,
@@ -30,11 +33,115 @@ from burstrecon import (
     sample_distinct_outputs,
     trial_seed,
 )
-from burstrecon.reconstruct import _largest_stripped_class
+from burstrecon.reconstruct import _largest_prefix_group, _read_outputs
+from burstrecon.sequences import _out_of_range
 
 
 def words_of(*texts):
     return frozenset(parse_word(t, 10) for t in texts)
+
+
+def reference_classes(words, q, b, t):
+    """Per-word bucketing of the burst grid: the classes and precedence of each output."""
+    classes = {(symbol, slot): set() for symbol in range(q) for slot in range(1, t + 2)}
+    precedence = {(alpha, beta): 0 for alpha in range(q) for beta in range(q) if alpha != beta}
+    never = t + 2
+    for w in words:
+        first = {}
+        for slot in range(t + 1):
+            first.setdefault(w[slot * b], slot + 1)
+        for symbol, slot in first.items():
+            try:
+                classes[(symbol, slot)].add(w)
+            except KeyError:
+                raise _out_of_range(symbol, q) from None
+        for alpha, slot in first.items():
+            for beta in range(q):
+                if beta != alpha and slot < first.get(beta, never):
+                    precedence[(alpha, beta)] += 1
+    return classes, precedence
+
+
+def reference_insertion_decoder(outputs, n, q, b, t):
+    """The insertion decoder that strips every surviving output at every step."""
+    threshold = ins_intersection_max(q, b, n, t)
+    if n < 1 or t < 1:
+        raise ValueError(f"the insertion decoder needs n >= 1 and t >= 1, got n={n}, t={t}")
+    current = _read_outputs(outputs, q, n + t * b, "n + t*b", threshold)
+    n_rem, t_rem = n, t
+    recovered, steps = [], []
+    while len(recovered) < n:
+        if len(current) < ins_intersection_max(q, b, n_rem, t_rem) + 1:
+            raise InconsistentOutputs(
+                "class sizes fell below the running threshold; the outputs do "
+                "not all come from one insertion ball"
+            )
+        classes, precedence = reference_classes(current, q, b, t_rem)
+        winner = next(
+            (
+                beta
+                for beta in range(q)
+                if all(
+                    precedence[(alpha, beta)] < precedence[(beta, alpha)]
+                    for alpha in range(q)
+                    if alpha != beta
+                )
+            ),
+            None,
+        )
+        if winner is None:
+            raise AmbiguousSymbol("no symbol wins every pairwise precedence comparison")
+        recovered.append(winner)
+        chosen_j = next(
+            (
+                j
+                for j in range(t_rem, -1, -1)
+                if len(classes[(winner, j + 1)])
+                >= (q - 1) ** j * q ** (j * (b - 1)) * ins_intersection_max(q, b, n_rem - 1, t_rem - j)
+                + 1
+            ),
+            None,
+        )
+        if chosen_j is None:
+            raise ThresholdNotMet("no first-symbol class clears its pigeonhole bound")
+        steps.append(
+            StepInfo(
+                len(recovered),
+                winner,
+                chosen_j,
+                tuple(len(classes[(winner, s)]) for s in range(1, t_rem + 2)),
+            )
+        )
+        cut = chosen_j * b + 1
+        groups = {}
+        for w in classes[(winner, chosen_j + 1)]:
+            groups.setdefault(w[:cut], set()).add(w[cut:])
+        _, stripped = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        if chosen_j == t_rem:
+            if len(stripped) != 1:
+                raise InconsistentOutputs("several distinct tails remain after the last burst")
+            recovered.extend(next(iter(stripped)))
+            break
+        current = stripped
+        t_rem -= chosen_j
+        n_rem -= 1
+    return bytes(recovered), tuple(steps)
+
+
+def decode_both(outputs, n, q, b, t):
+    """Run both insertion decoders, require the same word and steps or the same refusal."""
+    outputs = list(outputs)
+    try:
+        expected = reference_insertion_decoder(outputs, n, q, b, t)
+    except (ReconstructionError, ValueError) as error:
+        expected = error
+    try:
+        result = reconstruct_from_insertions(outputs, n, q, b, t)
+    except (ReconstructionError, ValueError) as error:
+        assert (type(error), str(error)) == (type(expected), str(expected))
+        raise
+    assert (result.word, result.steps) == expected
+    return result
 
 
 class TestClassifier:
@@ -57,14 +164,20 @@ class TestClassifier:
 
     def test_stripped_classes(self):
         grid = classify_first_symbol(self.U, 2, 2, 2)
-        assert _largest_stripped_class(grid.classes[(0, 1)], 1) == words_of(
-            "10000", "10100", "10101"
-        )
-        assert _largest_stripped_class(grid.classes[(0, 2)], 3) == words_of("001")
-        assert _largest_stripped_class(grid.classes[(0, 3)], 5) == words_of("1")
-        assert _largest_stripped_class(grid.classes[(1, 1)], 1) == words_of(
-            "00001", "01001", "01011"
-        )
+
+        def stripped(words, prefix_len):
+            return frozenset(w[prefix_len:] for w in _largest_prefix_group(words, 0, prefix_len))
+
+        assert stripped(grid.classes[(0, 1)], 1) == words_of("10000", "10100", "10101")
+        assert stripped(grid.classes[(0, 2)], 3) == words_of("001")
+        assert stripped(grid.classes[(0, 3)], 5) == words_of("1")
+        assert stripped(grid.classes[(1, 1)], 1) == words_of("00001", "01001", "01011")
+
+    def test_prefix_group_at_an_offset(self):
+        # w[1:3] is 10, 10, 11, 00: the 10 group is the largest; a tie goes to the smaller block
+        words = words_of("0100", "1101", "0111", "1001")
+        assert sorted(_largest_prefix_group(words, 1, 3)) == sorted(words_of("0100", "1101"))
+        assert _largest_prefix_group(words_of("011", "100"), 1, 2) == [parse_word("100", 10)]
 
     def test_singleton(self):
         grid = classify_first_symbol(words_of("010101"), 2, 2, 2)
@@ -435,7 +548,8 @@ class TestExtremalPairs:
                 decodes += 1
         return decodes
 
-    def test_insertion_pairs_differ_in_the_first_symbol(self):
+    @classmethod
+    def insertion_pair_decodes(cls, decoder):
         # 0z against 1z, for z all zeros, all (q-1)s and one seeded random tail
         rng = random.Random(10)
         decodes = 0
@@ -445,16 +559,19 @@ class TestExtremalPairs:
             tails = {bytes(n - 1), bytes([q - 1] * (n - 1))}
             tails.add(bytes(rng.randrange(q) for _ in range(n - 1)))
             for z in sorted(tails):
-                decodes += self.check_pair(
+                decodes += cls.check_pair(
                     b"\x00" + z,
                     b"\x01" + z,
                     lambda x: enumerate_insertion_ball(x, q, t, b),
-                    lambda words: reconstruct_from_insertions(words, n, q, b, t),
+                    lambda words: decoder(words, n, q, b, t),
                     ins_intersection_max(q, b, n, t),
                     5,
                     rng,
                 )
-        assert decodes >= 1000
+        return decodes
+
+    def test_insertion_pairs_differ_in_the_first_symbol(self):
+        assert self.insertion_pair_decodes(reconstruct_from_insertions) >= 1000
 
     def test_deletion_pairs_differ_in_the_bth_symbol(self):
         # 0^b 1^b 0^b ... against 0^(b-1) 1 1^b 0^b ..., every word of each side
@@ -473,3 +590,47 @@ class TestExtremalPairs:
                     None,
                 )
         assert decodes >= 200
+
+
+class TestInsertionDecoderMatchesReference:
+    """The offset decoder against the stripping decoder it replaced, set by set."""
+
+    @staticmethod
+    def grid_sets():
+        # one threshold+1 sample per cell of the roundtrip-small insertion grid,
+        # with the same set less one output and with one output of another center
+        rng = random.Random(14)
+        for q, b, t, n in product((2, 3), (2, 3), (1, 2, 3), (1, 2, 3, 4, 6, 8, 10, 12)):
+            need = ins_intersection_max(q, b, n, t) + 1
+            if need > 3000:
+                continue
+            x = bytes(rng.randrange(q) for _ in range(n))
+            y = bytes([(x[0] + 1) % q]) + bytes(rng.randrange(q) for _ in range(n - 1))
+            outputs = sample_distinct_outputs(x, q, t, b, "insertion", need, rng.getrandbits(32)).outputs
+            # at most need-1 outputs of y's ball are x's, so one of these is not
+            count = min(need + 1, ins_ball_size(q, b, n, t))
+            others = sample_distinct_outputs(y, q, t, b, "insertion", count, rng.getrandbits(32))
+            stranger = next(w for w in others.outputs if w not in outputs)
+            yield (q, b, t, n), x, outputs
+            yield (q, b, t, n), None, outputs[1:]
+            yield (q, b, t, n), None, (stranger,) + outputs[1:]
+
+    def test_grid_sets(self):
+        outcomes = {"decoded": 0, "below": 0, "refused": 0}
+        for (q, b, t, n), x, outputs in self.grid_sets():
+            grid = classify_first_symbol(outputs, q, b, t)
+            classes, precedence = reference_classes(set(outputs), q, b, t)
+            assert grid.classes == classes and grid.precedence == precedence
+            try:
+                word = decode_both(outputs, n, q, b, t).word
+            except BelowThreshold:
+                outcomes["below"] += 1
+            except ReconstructionError:
+                outcomes["refused"] += 1
+            else:
+                assert x is None or word == x
+                outcomes["decoded"] += 1
+        assert outcomes["below"] == 75 and outcomes["decoded"] >= 75 and outcomes["refused"] >= 1
+
+    def test_extremal_pair_sets(self):
+        assert TestExtremalPairs.insertion_pair_decodes(decode_both) >= 1000
