@@ -8,15 +8,20 @@ except to refuse hopeless enumerations up front.
 ``_check_cap`` is the package's one cap rule, wherever a requirement (a ball,
 a sample count, the decoder's phase-2 candidates) meets the enumeration cap.
 
-The exhaustive overlap search enumerates one ball at a time and keeps it only
-as a bitmask over the words numbered so far, so an overlap is the popcount of
-an AND and no ball set outlives its own enumeration.
+The exhaustive overlap search reads one table per cell, ``_center_masks``:
+every center's ball, enumerated one at a time and kept only as a bitmask over
+the words numbered so far, so an overlap is the popcount of an AND, a ball's
+size is its mask's popcount, and no ball set outlives its own enumeration.
+The table is cached for the last cell asked for, so the size and overlap
+oracles of one ``verify`` cell enumerate each ball once; ``cli.run_sweep``
+clears the cache when a sweep ends.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Literal
+from functools import lru_cache
+from itertools import product, repeat
+from typing import Iterator, Literal
 
 from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
 from .errors import EnumerationCapExceeded
@@ -105,6 +110,32 @@ def _bitmask(words: frozenset[Word], index: dict[Word, int]) -> int:
     return int.from_bytes(bits, "little")
 
 
+def _center_balls(
+    n: int, q: int, b: int, t: int, kind: BallKind, cap: int
+) -> Iterator[frozenset[Word]]:
+    """Every length-n center's ball, enumerated one at a time in ``all_words`` order.
+
+    Callers check the parameters; the enumerators refuse a ball over the cap.
+    """
+    if kind == "insertion":
+        return (enumerate_insertion_ball(x, q, t, b, cap) for x in all_words(q, n))
+    return (enumerate_deletion_ball(x, t, b, cap) for x in all_words(q, n))
+
+
+@lru_cache(maxsize=1)
+def _center_masks(
+    n: int, q: int, b: int, t: int, kind: BallKind, cap: int
+) -> tuple[int, ...]:
+    """The ball table of one cell: every length-n center's ball as a bitmask.
+
+    Each ball of ``_center_balls`` is numbered with ``_bitmask`` over one
+    numbering of all words seen so far, then dropped.
+    """
+    # one index numbers every ball; map drops each ball before enumerating the
+    # next, where a loop variable would keep it alive one ball longer
+    return tuple(map(_bitmask, _center_balls(n, q, b, t, kind, cap), repeat({})))
+
+
 def max_intersection_exhaustive(
     n: int, q: int, b: int, t: int, kind: BallKind, cap: int = DEFAULT_CAP
 ) -> tuple[int, tuple[Word, Word]]:
@@ -113,12 +144,19 @@ def max_intersection_exhaustive(
     Returns the maximum and the lexicographically smallest maximizing pair.
     This is the oracle the closed-form overlap maxima are judged against.
 
-    Every center's ball is enumerated in full, then turned into a bitmask over
-    one numbering of all words seen so far and dropped; the overlap of two
-    balls is the popcount of their masks' AND.  Only the counting of the
-    enumerated sets is compressed, so the result still rests on enumeration
-    alone and not on any formula.  A mask takes about U/8 bytes for U distinct
-    words, where a held ball would take some 80 bytes per member.
+    Every center's ball is enumerated in full and kept as a bitmask (the
+    cell's table, ``_center_masks``, shared with the size oracles of the same
+    cell); the overlap of two balls is the popcount of their masks' AND.
+    Only the counting of the enumerated sets is compressed, so the result
+    still rests on enumeration alone and not on any formula.  A mask takes
+    about U/8 bytes for U distinct words, where a held ball would take some
+    80 bytes per member.
+
+    The pair search is exact but skips pairs that cannot reach the maximum:
+    since an overlap is at most the smaller ball, it visits centers by
+    decreasing ball size and stops once a size falls below the best overlap
+    found.  Pairs that tie the best replace the witness when they come first
+    in center order.
     """
     _check_kind(kind)
     _check_params(q=q, b=b, t=t, n=n)
@@ -127,22 +165,26 @@ def max_intersection_exhaustive(
     if kind == "deletion":
         _check_deletable(n, t, b)
     _check_cap(q**n, cap)
-    centers = list(all_words(q, n))
-    index: dict[Word, int] = {}
-    if kind == "insertion":
-        masks = [_bitmask(enumerate_insertion_ball(x, q, t, b, cap), index) for x in centers]
-    else:
-        masks = [_bitmask(enumerate_deletion_ball(x, t, b, cap), index) for x in centers]
+    masks = _center_masks(n, q, b, t, kind, cap)
+    sizes = [mask.bit_count() for mask in masks]
+    order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
     best = -1
-    witness = (centers[0], centers[1])
-    for i in range(len(centers)):
+    pair = (0, 1)
+    for p, i in enumerate(order):
+        if sizes[i] < best:
+            break
         mask_i = masks[i]
-        for j in range(i + 1, len(centers)):
+        for j in order[p + 1 :]:
+            if sizes[j] < best:
+                break
             m = (mask_i & masks[j]).bit_count()
-            if m > best:
-                best = m
-                witness = (centers[i], centers[j])
-    return best, witness
+            if m >= best:
+                candidate = (i, j) if i < j else (j, i)
+                if m > best or candidate < pair:
+                    best = m
+                    pair = candidate
+    centers = list(all_words(q, n))
+    return best, (centers[pair[0]], centers[pair[1]])
 
 
 def _common_prefix(a: Word, b: Word) -> int:

@@ -34,8 +34,9 @@ from fractions import Fraction
 from . import combinatorics as comb
 from .balls import (
     DEFAULT_CAP,
+    _center_balls,
+    _center_masks,
     enumerate_deletion_ball,
-    enumerate_insertion_ball,
     max_intersection_exhaustive,
 )
 from .channel import format_event, sample_distinct_outputs, trial_seed
@@ -114,6 +115,12 @@ class Check:
     row's seeded generator for round trips and None otherwise.  Every callable
     looks library functions up when it runs, so that wrappers installed on the
     modules see the calls.
+
+    The ``ins-ball``/``ins-int`` and ``del-ball``/``del-int`` oracles of one
+    cell share its ball table (``balls._center_masks``): the overlap row
+    searches it by decreasing ball size with an exact bound, and the size row
+    reads its popcounts wherever the overlap row runs.  ``run_sweep`` clears
+    the table when the sweep ends.
     """
 
     domain: tuple[tuple[Callable[..., bool], str], ...] = ()
@@ -151,8 +158,22 @@ def _del_threshold(q, b, t, n):
     return comb.del_intersection_threshold(b, n, t)
 
 
+def _ball_sizes(q, b, t, n, cap, kind):
+    """Every length-n center's ball size, in ``all_words`` order.
+
+    Where the cell's overlap row runs, the sizes are the popcounts of the ball
+    table that row searches, so the cell enumerates each ball once.  Elsewhere
+    the balls are enumerated one at a time, so a size row never holds the
+    masks of q**n balls that no overlap row reads.
+    """
+    overlap = "ins-int" if kind == "insertion" else "del-int"
+    if _skip_reason(CHECKS[overlap], q, b, t, n, cap) is None:
+        return [mask.bit_count() for mask in _center_masks(n, q, b, t, kind, cap)]
+    return list(map(len, _center_balls(n, q, b, t, kind, cap)))
+
+
 def _ins_ball_regularity(q, b, t, n, cap, *_):
-    observed = {len(enumerate_insertion_ball(x, q, t, b, cap)) for x in all_words(q, n)}
+    observed = set(_ball_sizes(q, b, t, n, cap, "insertion"))
     return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
 
 
@@ -240,9 +261,7 @@ CHECKS = {
         domain=((lambda q, b, t, n: n >= b * t, "needs n >= b*t"),),
         work=lambda q, b, t, n: q**n,
         formula=_del_ball,
-        oracle=lambda q, b, t, n, cap, *_: max(
-            len(enumerate_deletion_ball(x, t, b, cap)) for x in all_words(q, n)
-        ),
+        oracle=lambda q, b, t, n, cap, *_: max(_ball_sizes(q, b, t, n, cap, "deletion")),
     ),
     "del-ball-rec": Check(
         domain=(_N_ABOVE_BT,),
@@ -308,16 +327,24 @@ def _row_seed_index(kind, q, b, t, n) -> int:
     return (((q * 64 + b) * 64 + t) * 4096 + n) * 64 + VERIFY_KINDS.index(kind)
 
 
+def _skip_reason(check, q, b, t, n, cap) -> str | None:
+    """Why a check does not run at this grid point, or None when it runs."""
+    for holds, reason in check.domain:
+        if not holds(q, b, t, n):
+            return reason
+    if check.work is not None and check.work(q, b, t, n) > cap:
+        return "work exceeds cap"
+    return None
+
+
 def _compute_row(item) -> ResultRow:
     q, b, t, n, kind, cap, seed, trials, corrupt = item
     check = CHECKS[kind]
     started = time.perf_counter()
     try:
-        for holds, reason in check.domain:
-            if not holds(q, b, t, n):
-                raise _Skip(reason)
-        if check.work is not None and check.work(q, b, t, n) > cap:
-            raise _Skip("work exceeds cap")
+        reason = _skip_reason(check, q, b, t, n, cap)
+        if reason is not None:
+            raise _Skip(reason)
         if check.formula is None:
             formula = trials
             rng = random.Random(trial_seed(seed, _row_seed_index(kind, q, b, t, n)))
@@ -346,10 +373,13 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     ]
     specs.sort(key=lambda s: (s[0], s[1], s[2], s[3], VERIFY_KINDS.index(s[4])))
     jobs = min(config.jobs, len(specs))  # a pool forks all its workers up front
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_compute_row, specs))
-    return [_compute_row(item) for item in specs]
+    try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(_compute_row, specs))
+        return [_compute_row(item) for item in specs]
+    finally:
+        _center_masks.cache_clear()  # no ball table outlives the sweep
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:

@@ -45,7 +45,7 @@ from .errors import (
     InconsistentOutputs,
     ThresholdNotMet,
 )
-from .sequences import Word, _out_of_range, validate_word
+from .sequences import _ALPHABETS, Word, _out_of_range
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,18 @@ def candidate_expansion(cells: Sequence[int | None], votes: Sequence[int]) -> _C
 def _read_outputs(
     outputs: Iterable[Word], q: int, length: int, rule: str, threshold: int
 ) -> frozenset[Word]:
-    """The distinct outputs, each a valid length-``length`` word, at least threshold+1 of them."""
+    """The distinct outputs, each a valid length-``length`` word, at least threshold+1 of them.
+
+    q is checked once; each output is then one ``translate`` against the
+    alphabet, with no joined copy of the outputs.
+    """
     words = frozenset(outputs)
+    _check_params(q=q)
+    alphabet = _ALPHABETS[q]
     for w in words:
-        validate_word(w, q)
+        bad = w.translate(None, alphabet)
+        if bad:
+            raise _out_of_range(bad[0], q)
         if len(w) != length:
             raise ValueError(f"outputs must have length {rule} = {length}, got {len(w)}")
     if len(words) < threshold + 1:

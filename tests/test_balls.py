@@ -24,7 +24,8 @@ from burstrecon import (
     sample_distinct_outputs,
     y_sequence,
 )
-from burstrecon.balls import _check_cap
+from burstrecon import cli
+from burstrecon.balls import _center_masks, _check_cap
 
 
 def words_of(*texts):
@@ -309,6 +310,13 @@ class TestMaxIntersectionExhaustive:
                                 kind, q, b, t, n,
                             )
                             cells += 1
+        # binary deletion cells large enough for the size bound to prune,
+        # where many pairs tie the maximum
+        for b in (1, 2, 3):
+            for n in (9, 10):
+                got = max_intersection_exhaustive(n, 2, b, 2, "deletion")
+                assert got == reference_max_intersection(n, 2, b, 2, "deletion"), (b, n)
+                cells += 1
         assert cells > 150
 
     def test_holds_no_ball_sets(self):
@@ -317,6 +325,7 @@ class TestMaxIntersectionExhaustive:
         ball = enumerate_insertion_ball(bytes(4), 3, 2, 3)
         summed = 3**4 * (sys.getsizeof(ball) + sum(sys.getsizeof(w) for w in ball))
         del ball
+        _center_masks.cache_clear()  # a cached table would be built outside the trace
         tracemalloc.start()
         try:
             best, _ = max_intersection_exhaustive(4, 3, 3, 2, "insertion")
@@ -325,6 +334,21 @@ class TestMaxIntersectionExhaustive:
             tracemalloc.stop()
         assert best == ins_intersection_max(3, 3, 4, 2)
         assert peak * 3 < summed, (peak, summed)
+
+    def test_sweep_leaves_no_table(self):
+        # the sweep's size and overlap rows share one table per cell, and the
+        # table is dropped when the sweep returns
+        max_intersection_exhaustive(3, 2, 1, 1, "insertion")
+        assert _center_masks.cache_info().currsize == 1
+        rows = cli.run_sweep(
+            cli.SweepConfig(
+                q_values=(2,), b_values=(2,), t_values=(1,), n_values=(4,),
+                kinds=("ins-ball", "ins-int", "del-ball", "del-int"),
+                cap=10**7, seed=0, trials=1, jobs=1,
+            )
+        )
+        assert [r.match for r in rows] == ["true"] * 4
+        assert _center_masks.cache_info().currsize == 0
 
 
 class TestConstructedPairOverlap:

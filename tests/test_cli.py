@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism, round trips."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,12 @@ import sys
 import pytest
 
 import burstrecon.cli
-from burstrecon import AmbiguousSymbol
+from burstrecon import (
+    AmbiguousSymbol,
+    all_words,
+    enumerate_deletion_ball,
+    enumerate_insertion_ball,
+)
 from burstrecon.cli import (
     EXIT_CAP,
     EXIT_MISMATCH,
@@ -24,6 +30,7 @@ from burstrecon.cli import (
     rows_to_csv,
     run_sweep,
 )
+from test_balls import reference_max_intersection
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +228,50 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert started == workers
+
+    # the size and overlap rows of a cell share one ball table
+    TABLE_GRIDS = (
+        ((2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 4), ("ins-ball", "ins-int", "del-ball", "del-int")),
+        ((2,), (2, 3), (1, 2), (5, 6, 7, 8), ("del-ball", "del-int")),
+    )
+
+    @classmethod
+    def table_rows(cls, jobs):
+        rows = []
+        for q, b, t, n, kinds in cls.TABLE_GRIDS:
+            config = SweepConfig(
+                q_values=q, b_values=b, t_values=t, n_values=n, kinds=kinds,
+                cap=10**7, seed=0, trials=1, jobs=jobs,
+            )
+            rows += [dataclasses.replace(r, ms=0.0) for r in run_sweep(config)]
+        return rows
+
+    def test_table_oracles_match_per_center_references(self, monkeypatch):
+        shared = self.table_rows(jobs=1)
+        assert {r.kind for r in shared if r.match == "true"} == {
+            "ins-ball", "ins-int", "del-ball", "del-int"
+        }
+
+        def ins_ball(q, b, t, n, cap, *_):
+            observed = {len(enumerate_insertion_ball(x, q, t, b, cap)) for x in all_words(q, n)}
+            return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
+
+        references = {
+            "ins-ball": ins_ball,
+            "ins-int": lambda q, b, t, n, *_: reference_max_intersection(n, q, b, t, "insertion")[0],
+            "del-ball": lambda q, b, t, n, cap, *_: max(
+                len(enumerate_deletion_ball(x, t, b, cap)) for x in all_words(q, n)
+            ),
+            "del-int": lambda q, b, t, n, *_: reference_max_intersection(n, 2, b, t, "deletion")[0],
+        }
+        for kind, oracle in references.items():
+            check = dataclasses.replace(burstrecon.cli.CHECKS[kind], oracle=oracle)
+            monkeypatch.setitem(burstrecon.cli.CHECKS, kind, check)
+        assert shared == self.table_rows(jobs=1)
+
+    def test_table_oracles_parallel_match_sequential(self):
+        # each worker builds its own tables
+        assert self.table_rows(jobs=2) == self.table_rows(jobs=1)
 
     def test_parallel_jobs_match_sequential(self):
         # every kind crosses the process boundary as a plain tuple
