@@ -51,11 +51,9 @@ from .errors import (
     ThresholdNotMet,
 )
 from .reconstruct import (
-    FirstSymbolClasses,
     ReconstructionResult,
     StepInfo,
     candidate_expansion,
-    classify_first_symbol,
     reconstruct_from_deletions,
     reconstruct_from_insertions,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "ChannelSample",
     "DEFAULT_CAP",
     "EnumerationCapExceeded",
-    "FirstSymbolClasses",
     "InconsistentOutputs",
     "MAX_ALPHABET",
     "RNG_ALGORITHM",
@@ -94,7 +91,6 @@ __all__ = [
     "b_cyclic",
     "binom",
     "candidate_expansion",
-    "classify_first_symbol",
     "count_centers_by_radius1_ball_size",
     "del_ball_max",
     "del_ball_size",

@@ -12,14 +12,14 @@ The exhaustive overlap search reads one table per cell, ``_center_masks``:
 every center's ball, enumerated one at a time and kept only as a bitmask over
 the words numbered so far, so an overlap is the popcount of an AND, a ball's
 size is its mask's popcount, and no ball set outlives its own enumeration.
-The table is cached for the last cell asked for, so the size and overlap
-oracles of one ``verify`` cell enumerate each ball once; ``cli.run_sweep``
-clears the cache when a sweep ends.
+Nothing here keeps a table: it belongs to whoever built it and dies with that
+caller.  A cached table would escape the cap that bounds every enumeration,
+so this module holds no cache; ``cli``'s cell runner decides when one
+``verify`` cell builds a table and shares it between its rows.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product, repeat
 from typing import Iterator, Literal
 
@@ -122,50 +122,32 @@ def _center_balls(
     return (enumerate_deletion_ball(x, t, b, cap) for x in all_words(q, n))
 
 
-@lru_cache(maxsize=1)
 def _center_masks(
     n: int, q: int, b: int, t: int, kind: BallKind, cap: int
 ) -> tuple[int, ...]:
     """The ball table of one cell: every length-n center's ball as a bitmask.
 
-    Each ball of ``_center_balls`` is numbered with ``_bitmask`` over one
-    numbering of all words seen so far, then dropped.
+    Refuses (EnumerationCapExceeded) when the q**n centers exceed the cap,
+    before it builds anything.  Each ball of ``_center_balls`` is numbered
+    with ``_bitmask`` over one numbering of all words seen so far, then
+    dropped.
     """
+    _check_cap(q**n, cap)
     # one index numbers every ball; map drops each ball before enumerating the
     # next, where a loop variable would keep it alive one ball longer
     return tuple(map(_bitmask, _center_balls(n, q, b, t, kind, cap), repeat({})))
 
 
-def max_intersection_exhaustive(
-    n: int, q: int, b: int, t: int, kind: BallKind, cap: int = DEFAULT_CAP
-) -> tuple[int, tuple[Word, Word]]:
-    """Exhaustive maximum ball overlap over all pairs of distinct length-n centers.
+def _max_overlap(masks: tuple[int, ...]) -> tuple[int, tuple[int, int]]:
+    """Largest overlap of two distinct balls of a table, and the first pair reaching it.
 
-    Returns the maximum and the lexicographically smallest maximizing pair.
-    This is the oracle the closed-form overlap maxima are judged against.
-
-    Every center's ball is enumerated in full and kept as a bitmask (the
-    cell's table, ``_center_masks``, shared with the size oracles of the same
-    cell); the overlap of two balls is the popcount of their masks' AND.
-    Only the counting of the enumerated sets is compressed, so the result
-    still rests on enumeration alone and not on any formula.  A mask takes
-    about U/8 bytes for U distinct words, where a held ball would take some
-    80 bytes per member.
-
-    The pair search is exact but skips pairs that cannot reach the maximum:
-    since an overlap is at most the smaller ball, it visits centers by
-    decreasing ball size and stops once a size falls below the best overlap
-    found.  Pairs that tie the best replace the witness when they come first
-    in center order.
+    The pair is of table indices (i < j), the lexicographically smallest
+    among the maximizing pairs.  The search is exact but skips pairs that
+    cannot reach the maximum: since an overlap is at most the smaller ball,
+    it visits balls by decreasing size and stops once a size falls below the
+    best overlap found.  Pairs that tie the best replace the witness when
+    they come first in index order.
     """
-    _check_kind(kind)
-    _check_params(q=q, b=b, t=t, n=n)
-    if n < 1:
-        raise ValueError(f"need words of length at least 1, got {n}")
-    if kind == "deletion":
-        _check_deletable(n, t, b)
-    _check_cap(q**n, cap)
-    masks = _center_masks(n, q, b, t, kind, cap)
     sizes = [mask.bit_count() for mask in masks]
     order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
     best = -1
@@ -183,8 +165,34 @@ def max_intersection_exhaustive(
                 if m > best or candidate < pair:
                     best = m
                     pair = candidate
+    return best, pair
+
+
+def max_intersection_exhaustive(
+    n: int, q: int, b: int, t: int, kind: BallKind, cap: int = DEFAULT_CAP
+) -> tuple[int, tuple[Word, Word]]:
+    """Exhaustive maximum ball overlap over all pairs of distinct length-n centers.
+
+    Returns the maximum and the lexicographically smallest maximizing pair.
+    This is the oracle the closed-form overlap maxima are judged against.
+
+    Every center's ball is enumerated in full and kept as a bitmask in a
+    table of its own (``_center_masks``), searched by ``_max_overlap`` and
+    dropped when the call returns; the overlap of two balls is the popcount
+    of their masks' AND.  Only the counting of the enumerated sets is
+    compressed, so the result still rests on enumeration alone and not on
+    any formula.  A mask takes about U/8 bytes for U distinct words, where a
+    held ball would take some 80 bytes per member.
+    """
+    _check_kind(kind)
+    _check_params(q=q, b=b, t=t, n=n)
+    if n < 1:
+        raise ValueError(f"need words of length at least 1, got {n}")
+    if kind == "deletion":
+        _check_deletable(n, t, b)
+    best, (i, j) = _max_overlap(_center_masks(n, q, b, t, kind, cap))
     centers = list(all_words(q, n))
-    return best, (centers[pair[0]], centers[pair[1]])
+    return best, (centers[i], centers[j])
 
 
 def _common_prefix(a: Word, b: Word) -> int:

@@ -30,14 +30,15 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
+from itertools import groupby, product
 
 from . import combinatorics as comb
 from .balls import (
     DEFAULT_CAP,
     _center_balls,
     _center_masks,
+    _max_overlap,
     enumerate_deletion_ball,
-    max_intersection_exhaustive,
 )
 from .channel import format_event, sample_distinct_outputs, trial_seed
 from .errors import (
@@ -111,16 +112,18 @@ class Check:
     ``domain`` pairs each condition on (q, b, t, n) with the skip reason shown
     when it fails; ``work`` is the brute-force cost compared with the cap.
     ``formula`` is None for round trips, whose formula column is the number of
-    trials.  ``oracle`` takes (q, b, t, n, cap, trials, rng), where rng is the
-    row's seeded generator for round trips and None otherwise.  Every callable
-    looks library functions up when it runs, so that wrappers installed on the
-    modules see the calls.
+    trials.  ``oracle`` takes (q, b, t, n, cap, trials, rng, tables), where rng
+    is the row's seeded generator for round trips and None otherwise, and
+    tables is the cell's dict of ball tables.  Every callable looks library
+    functions up when it runs, so that wrappers installed on the modules see
+    the calls.
 
     The ``ins-ball``/``ins-int`` and ``del-ball``/``del-int`` oracles of one
     cell share its ball table (``balls._center_masks``): the overlap row
-    searches it by decreasing ball size with an exact bound, and the size row
-    reads its popcounts wherever the overlap row runs.  ``run_sweep`` clears
-    the table when the sweep ends.
+    builds it, stores it in tables under its ball kind and searches it by
+    decreasing ball size with an exact bound; the size row reads its
+    popcounts when the cell stored it, and otherwise enumerates one ball at
+    a time.  The table dies with the cell.
     """
 
     domain: tuple[tuple[Callable[..., bool], str], ...] = ()
@@ -158,22 +161,26 @@ def _del_threshold(q, b, t, n):
     return comb.del_intersection_threshold(b, n, t)
 
 
-def _ball_sizes(q, b, t, n, cap, kind):
+def _table_overlap(kind, q, b, t, n, cap, trials, rng, tables):
+    """The cell's largest ball overlap, from the table it builds and stores in tables."""
+    masks = tables[kind] = _center_masks(n, q, b, t, kind, cap)
+    return _max_overlap(masks)[0]
+
+
+def _ball_sizes(kind, q, b, t, n, cap, trials, rng, tables):
     """Every length-n center's ball size, in ``all_words`` order.
 
-    Where the cell's overlap row runs, the sizes are the popcounts of the ball
-    table that row searches, so the cell enumerates each ball once.  Elsewhere
-    the balls are enumerated one at a time, so a size row never holds the
-    masks of q**n balls that no overlap row reads.
+    Where the cell's overlap row stored a table, the sizes are its popcounts,
+    so the cell enumerates each ball once.  Elsewhere the balls are
+    enumerated one at a time, so a size row never builds a table.
     """
-    overlap = "ins-int" if kind == "insertion" else "del-int"
-    if _skip_reason(CHECKS[overlap], q, b, t, n, cap) is None:
-        return [mask.bit_count() for mask in _center_masks(n, q, b, t, kind, cap)]
+    if kind in tables:
+        return [mask.bit_count() for mask in tables[kind]]
     return list(map(len, _center_balls(n, q, b, t, kind, cap)))
 
 
-def _ins_ball_regularity(q, b, t, n, cap, *_):
-    observed = set(_ball_sizes(q, b, t, n, cap, "insertion"))
+def _ins_ball_regularity(*args):
+    observed = set(_ball_sizes("insertion", *args))
     return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
 
 
@@ -202,7 +209,7 @@ def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
         return False
 
 
-def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng):
+def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng, *_):
     need = comb.ins_intersection_max(q, b, n, t) + 1
     if comb.ins_ball_size(q, b, n, t) < need:
         raise _Skip("no center admits threshold+1 distinct outputs")
@@ -213,7 +220,7 @@ def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng):
     return successes
 
 
-def _roundtrip_del_trials(q, b, t, n, cap, trials, rng):
+def _roundtrip_del_trials(q, b, t, n, cap, trials, rng, *_):
     need = comb.del_intersection_max_binary(b, n, t) + 1
     eligible = [x for x in all_words(2, n) if comb.del_ball_size(x, t, b) >= need]
     if not eligible:
@@ -248,9 +255,7 @@ CHECKS = {
         domain=(_N_T_POSITIVE,),
         work=lambda q, b, t, n: max(q**n * (q**n - 1) // 2, q**n * _ins_ball(q, b, t, n)),
         formula=_ins_int,
-        oracle=lambda q, b, t, n, cap, *_: max_intersection_exhaustive(
-            n, q, b, t, "insertion", cap
-        )[0],
+        oracle=lambda *args: _table_overlap("insertion", *args),
     ),
     "ins-int-rec": Check(
         domain=(_N_T_POSITIVE,),
@@ -261,7 +266,7 @@ CHECKS = {
         domain=((lambda q, b, t, n: n >= b * t, "needs n >= b*t"),),
         work=lambda q, b, t, n: q**n,
         formula=_del_ball,
-        oracle=lambda q, b, t, n, cap, *_: max(_ball_sizes(q, b, t, n, cap, "deletion")),
+        oracle=lambda *args: max(_ball_sizes("deletion", *args)),
     ),
     "del-ball-rec": Check(
         domain=(_N_ABOVE_BT,),
@@ -284,9 +289,7 @@ CHECKS = {
         ),
         work=lambda q, b, t, n: 2**n * (2**n - 1) // 2,
         formula=_del_int,
-        oracle=lambda q, b, t, n, cap, *_: max_intersection_exhaustive(
-            n, 2, b, t, "deletion", cap
-        )[0],
+        oracle=lambda *args: _table_overlap("deletion", *args),
     ),
     "del-int-rec": Check(
         domain=(
@@ -337,8 +340,7 @@ def _skip_reason(check, q, b, t, n, cap) -> str | None:
     return None
 
 
-def _compute_row(item) -> ResultRow:
-    q, b, t, n, kind, cap, seed, trials, corrupt = item
+def _compute_row(kind, q, b, t, n, cap, seed, trials, corrupt, tables) -> ResultRow:
     check = CHECKS[kind]
     started = time.perf_counter()
     try:
@@ -350,7 +352,7 @@ def _compute_row(item) -> ResultRow:
             rng = random.Random(trial_seed(seed, _row_seed_index(kind, q, b, t, n)))
         else:
             formula, rng = check.formula(q, b, t, n), None
-        oracle = check.oracle(q, b, t, n, cap, trials, rng)
+        oracle = check.oracle(q, b, t, n, cap, trials, rng, tables)
     except (_Skip, EnumerationCapExceeded, ValueError) as exc:
         ms = round((time.perf_counter() - started) * 1000.0, 3)
         return ResultRow(q, b, t, n, kind, "", f"skipped: {exc}", "skip", ms)
@@ -361,25 +363,44 @@ def _compute_row(item) -> ResultRow:
     return ResultRow(q, b, t, n, kind, str(formula), str(oracle), match, ms)
 
 
-def run_sweep(config: SweepConfig) -> list[ResultRow]:
-    """Evaluate every grid point of the sweep, ordered by parameter tuple."""
-    specs = [
-        (q, b, t, n, kind, config.cap, config.seed, config.trials, config.corrupt)
-        for q in config.q_values
-        for b in config.b_values
-        for t in config.t_values
-        for n in config.n_values
-        for kind in config.kinds
+def _compute_cell(cell) -> list[ResultRow]:
+    """The rows of one grid point (q, b, t, n), in ``VERIFY_KINDS`` order.
+
+    The cell's ball tables live in a local dict keyed by ball kind and die
+    with the cell.  The overlap rows (``ins-int``, ``del-int``) are computed
+    first, so that the size rows can read the tables they build.
+    """
+    q, b, t, n, kinds, *settings = cell
+    tables: dict[str, tuple[int, ...]] = {}
+    rows = [
+        _compute_row(kind, q, b, t, n, *settings, tables)
+        for kind in sorted(kinds, key=lambda kind: kind not in ("ins-int", "del-int"))
     ]
-    specs.sort(key=lambda s: (s[0], s[1], s[2], s[3], VERIFY_KINDS.index(s[4])))
-    jobs = min(config.jobs, len(specs))  # a pool forks all its workers up front
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_compute_row, specs))
-        return [_compute_row(item) for item in specs]
-    finally:
-        _center_masks.cache_clear()  # no ball table outlives the sweep
+    rows.sort(key=lambda row: VERIFY_KINDS.index(row.kind))
+    return rows
+
+
+def run_sweep(config: SweepConfig) -> list[ResultRow]:
+    """Evaluate every grid point of the sweep, ordered by parameter tuple.
+
+    The unit of work is a cell, one grid point with all its kinds, so the
+    rows of a cell share its ball tables; ``--jobs`` maps the cells over at
+    most one worker process per cell.
+    """
+    grid = sorted(
+        product(config.q_values, config.b_values, config.t_values, config.n_values, config.kinds),
+        key=lambda s: (*s[:4], VERIFY_KINDS.index(s[4])),
+    )
+    settings = (config.cap, config.seed, config.trials, config.corrupt)
+    cells = [
+        (*point, tuple(kind for *_, kind in group), *settings)
+        for point, group in groupby(grid, key=lambda s: s[:4])
+    ]
+    jobs = min(config.jobs, len(cells))  # a pool forks all its workers up front
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return [row for rows in pool.map(_compute_cell, cells) for row in rows]
+    return [row for cell in cells for row in _compute_cell(cell)]
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:

@@ -48,21 +48,6 @@ from .errors import (
 from .sequences import _ALPHABETS, Word, _out_of_range
 
 
-@dataclass(frozen=True)
-class FirstSymbolClasses:
-    """Partition of an output set by first symbol appearances on the burst grid.
-
-    ``classes[(symbol, slot)]`` holds the outputs whose first occurrence of
-    ``symbol`` among grid positions 1, b+1, ..., t*b+1 is at slot ``slot``
-    (1-based); an output missing the symbol on the whole grid is in no class
-    for it.  ``precedence[(alpha, beta)]`` counts outputs whose grid shows
-    alpha strictly before beta.
-    """
-
-    classes: dict[tuple[int, int], frozenset[Word]]
-    precedence: dict[tuple[int, int], int]
-
-
 def _tally_grid(
     counts: Mapping[bytes, int], q: int, t: int
 ) -> tuple[dict[bytes, dict[int, int]], dict[tuple[int, int], int], dict[tuple[int, int], int]]:
@@ -96,30 +81,6 @@ def _tally_grid(
 def _grid(off: int, b: int, t: int) -> Callable[[Word], bytes]:
     """The map from a word to its grid pattern w[off], w[off+b], ..., w[off+t*b]."""
     return itemgetter(slice(off, off + t * b + 1, b))
-
-
-def classify_first_symbol(outputs: Iterable[Word], q: int, b: int, t: int) -> FirstSymbolClasses:
-    """Scan each output at positions 1, b+1, ..., t*b+1 and bucket it."""
-    _check_params(q=q, b=b, t=t)
-    words = set(outputs)
-    for w in words:
-        if len(w) < t * b + 1:
-            raise ValueError(
-                f"output of length {len(w)} does not reach the grid (needs >= {t * b + 1})"
-            )
-    groups: dict[bytes, list[Word]] = {}
-    for w, pattern in zip(words, map(_grid(0, b, t), words)):
-        groups.setdefault(pattern, []).append(w)
-    firsts, sizes, precedence = _tally_grid(
-        {pattern: len(members) for pattern, members in groups.items()}, q, t
-    )
-    classes: dict[tuple[int, int], set[Word]] = {key: set() for key in sizes}
-    for pattern, members in groups.items():
-        for key in firsts[pattern].items():
-            classes[key].update(members)
-    return FirstSymbolClasses(
-        {key: frozenset(value) for key, value in classes.items()}, precedence
-    )
 
 
 def _largest_prefix_group(words: Iterable[Word], start: int, stop: int) -> list[Word]:

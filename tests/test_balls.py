@@ -25,7 +25,8 @@ from burstrecon import (
     y_sequence,
 )
 from burstrecon import cli
-from burstrecon.balls import _center_masks, _check_cap
+import burstrecon.balls
+from burstrecon.balls import _center_masks, _check_cap, _max_overlap
 
 
 def words_of(*texts):
@@ -287,6 +288,25 @@ class TestMaxIntersectionExhaustive:
         with pytest.raises(EnumerationCapExceeded):
             max_intersection_exhaustive(8, 2, 2, 1, "deletion", cap=100)
 
+    def test_table_refuses_centers_over_the_cap_before_building(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("a ball was enumerated")
+
+        monkeypatch.setattr(burstrecon.balls, "_center_balls", no_enumeration)
+        with pytest.raises(EnumerationCapExceeded) as excinfo:
+            _center_masks(4, 3, 3, 2, "insertion", 80)
+        assert excinfo.value.required == 81
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**12 - 1), min_size=2, max_size=12))
+    def test_max_overlap_matches_pairwise_scan(self, masks):
+        # any table, not only ball tables: many ties and equal sizes
+        pairs = [(i, j) for i in range(len(masks)) for j in range(i + 1, len(masks))]
+        overlap = {(i, j): (masks[i] & masks[j]).bit_count() for i, j in pairs}
+        best = max(overlap.values())
+        first = min(pair for pair in pairs if overlap[pair] == best)
+        assert _max_overlap(tuple(masks)) == (best, first)
+
     def test_matches_pairwise_reference(self):
         # every cell of q 2,3 x b 1..3 x t 0..2, both kinds, from the shortest
         # legal n (and the one after it) until the centers' balls hold more
@@ -321,34 +341,42 @@ class TestMaxIntersectionExhaustive:
 
     def test_holds_no_ball_sets(self):
         # the 81 insertion balls of this cell hold 5,913 words each; keeping
-        # them all, as the pairwise loop did, peaks at their summed size
+        # them all, as the pairwise loop did, peaks at their summed size, and
+        # the call's own table of masks is dropped when it returns
         ball = enumerate_insertion_ball(bytes(4), 3, 2, 3)
         summed = 3**4 * (sys.getsizeof(ball) + sum(sys.getsizeof(w) for w in ball))
         del ball
-        _center_masks.cache_clear()  # a cached table would be built outside the trace
         tracemalloc.start()
         try:
+            before, _ = tracemalloc.get_traced_memory()
             best, _ = max_intersection_exhaustive(4, 3, 3, 2, "insertion")
-            _, peak = tracemalloc.get_traced_memory()
+            after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert best == ins_intersection_max(3, 3, 4, 2)
         assert peak * 3 < summed, (peak, summed)
+        assert after - before < 4096, (before, after)
 
     def test_sweep_leaves_no_table(self):
-        # the sweep's size and overlap rows share one table per cell, and the
-        # table is dropped when the sweep returns
-        max_intersection_exhaustive(3, 2, 1, 1, "insertion")
-        assert _center_masks.cache_info().currsize == 1
-        rows = cli.run_sweep(
-            cli.SweepConfig(
-                q_values=(2,), b_values=(2,), t_values=(1,), n_values=(4,),
-                kinds=("ins-ball", "ins-int", "del-ball", "del-int"),
-                cap=10**7, seed=0, trials=1, jobs=1,
+        # the size and overlap rows of a cell share its table, which dies with
+        # the cell; these tables peak at about 300 KB and 100 KB
+        for q, b, t, n, kinds in (
+            (2, 1, 3, 8, ("ins-ball", "ins-int")),
+            (2, 2, 2, 10, ("del-ball", "del-int")),
+        ):
+            config = cli.SweepConfig(
+                q_values=(q,), b_values=(b,), t_values=(t,), n_values=(n,),
+                kinds=kinds, cap=10**7, seed=0, trials=1, jobs=1,
             )
-        )
-        assert [r.match for r in rows] == ["true"] * 4
-        assert _center_masks.cache_info().currsize == 0
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                matches = [r.match for r in cli.run_sweep(config)]
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert matches == ["true", "true"]
+            assert after - before < 4096, (kinds, before, after)
 
 
 class TestConstructedPairOverlap:

@@ -202,13 +202,12 @@ class TestVerify:
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert err == f"error[precondition]: jobs must be at least 1, got {jobs}\n"
 
-    @pytest.mark.parametrize("n_values, workers", [("3", []), ("3:4", [2]), ("1:9", [6])])
-    def test_pool_no_larger_than_the_grid(self, capsys, monkeypatch, n_values, workers):
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Swap in a pool that records its size and maps in this process; forks nothing."""
         started = []
 
         class RecordingPool:
-            """Records the pool size and maps in this process; forks nothing."""
-
             def __init__(self, max_workers):
                 started.append(max_workers)
 
@@ -222,12 +221,28 @@ class TestVerify:
                 return map(func, items)
 
         monkeypatch.setattr(burstrecon.cli, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @pytest.mark.parametrize("n_values, workers", [("3", []), ("3:4", [2]), ("1:9", [6])])
+    def test_pool_no_larger_than_the_grid(self, capsys, monkeypatch, n_values, workers):
+        started = self.recording_pool(monkeypatch)
         code, _, _ = run_cli(
             capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", n_values,
             "--kinds", "ins-ball", "--jobs", "6",
         )
         assert code == EXIT_OK
         assert started == workers
+
+    def test_pool_no_larger_than_the_cells(self, capsys, monkeypatch):
+        # a cell, one grid point with all its kinds, is the unit of work
+        started = self.recording_pool(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "3:4",
+            "--kinds", "ins-ball,ins-int,del-ball", "--jobs", "6",
+        )
+        assert code == EXIT_OK
+        assert len(rows_of(out)) == 6
+        assert started == [2]
 
     # the size and overlap rows of a cell share one ball table
     TABLE_GRIDS = (
@@ -236,9 +251,12 @@ class TestVerify:
     )
 
     @classmethod
-    def table_rows(cls, jobs):
+    def table_rows(cls, jobs, only=None):
         rows = []
         for q, b, t, n, kinds in cls.TABLE_GRIDS:
+            kinds = tuple(k for k in kinds if only is None or k in only)
+            if not kinds:
+                continue
             config = SweepConfig(
                 q_values=q, b_values=b, t_values=t, n_values=n, kinds=kinds,
                 cap=10**7, seed=0, trials=1, jobs=jobs,
@@ -272,6 +290,53 @@ class TestVerify:
     def test_table_oracles_parallel_match_sequential(self):
         # each worker builds its own tables
         assert self.table_rows(jobs=2) == self.table_rows(jobs=1)
+
+    def test_cells_keep_the_row_order(self):
+        # repeated and unsorted values and kinds: rows come out ordered by
+        # (q, b, t, n, kind), repeats side by side, each as computed alone
+        config = SweepConfig(
+            q_values=(3, 2, 2), b_values=(2,), t_values=(1,), n_values=(4, 3, 4),
+            kinds=("del-int", "ins-ball", "ins-int", "ins-ball", "del-ball"),
+            cap=10**7, seed=0, trials=1, jobs=1,
+        )
+        order = sorted(
+            (q, n, VERIFY_KINDS.index(kind), kind)
+            for q in config.q_values for n in config.n_values for kind in config.kinds
+        )
+        alone = [
+            run_sweep(dataclasses.replace(config, q_values=(q,), n_values=(n,), kinds=(kind,)))[0]
+            for q, n, _, kind in order
+        ]
+        strip = lambda rows: [dataclasses.replace(r, ms=0.0) for r in rows]
+        assert strip(run_sweep(config)) == strip(alone)
+        assert {r.match for r in alone} == {"true", "skip"}
+
+    def test_tables_built_only_for_overlap_rows(self, monkeypatch):
+        # a size row reads its cell's table when the overlap row built one and
+        # otherwise enumerates ball by ball; the rows are the same either way
+        reference = self.table_rows(jobs=1)
+        built = []
+        real = burstrecon.balls._center_masks
+
+        def counting(n, q, b, t, kind, cap):
+            built.append((q, b, t, n, kind))
+            return real(n, q, b, t, kind, cap)
+
+        monkeypatch.setattr(burstrecon.balls, "_center_masks", counting)
+        monkeypatch.setattr(burstrecon.cli, "_center_masks", counting)
+        for kinds in (("ins-ball",), ("del-ball",), ("ins-ball", "ins-int"), ("del-ball", "del-int")):
+            expected = [r for r in reference if r.kind in kinds]
+            overlap_rows = [
+                (r.q, r.b, r.t, r.n, "insertion" if r.kind == "ins-int" else "deletion")
+                for r in expected
+                if r.kind in ("ins-int", "del-int") and r.match != "skip"
+            ]
+            for jobs in (1, 2):
+                built.clear()
+                assert self.table_rows(jobs, only=kinds) == expected, (kinds, jobs)
+                if jobs == 1:  # workers count in their own processes
+                    assert built == overlap_rows, kinds
+            assert overlap_rows or len(kinds) == 1
 
     def test_parallel_jobs_match_sequential(self):
         # every kind crosses the process boundary as a plain tuple

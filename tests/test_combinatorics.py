@@ -17,7 +17,6 @@ from burstrecon import (
     apply_burst_deletion,
     b_cyclic,
     binom,
-    classify_first_symbol,
     count_centers_by_radius1_ball_size,
     del_ball_max,
     del_ball_size,
@@ -484,7 +483,6 @@ REFUSERS = {
     "sample_distinct_outputs/deletion": (
         "qbt", lambda q, b, t, n: sample_distinct_outputs(bytes(n), q, t, b, "deletion", 1, 0)
     ),
-    "classify_first_symbol": ("qbt", lambda q, b, t, n: classify_first_symbol([], q, b, t)),
     "reconstruct_from_insertions": (
         "qbtn", lambda q, b, t, n: reconstruct_from_insertions([], n, q, b, t)
     ),

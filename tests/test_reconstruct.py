@@ -1,6 +1,7 @@
 """Both decoders: classifier machinery, round trips, refusal modes."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -20,7 +21,6 @@ from burstrecon import (
     all_words,
     b_cyclic,
     candidate_expansion,
-    classify_first_symbol,
     del_intersection_max_binary,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
@@ -33,7 +33,7 @@ from burstrecon import (
     sample_distinct_outputs,
     trial_seed,
 )
-from burstrecon.reconstruct import _largest_prefix_group, _read_outputs
+from burstrecon.reconstruct import _grid, _largest_prefix_group, _read_outputs, _tally_grid
 from burstrecon.sequences import _out_of_range
 
 
@@ -59,6 +59,23 @@ def reference_classes(words, q, b, t):
             for beta in range(q):
                 if beta != alpha and slot < first.get(beta, never):
                     precedence[(alpha, beta)] += 1
+    return classes, precedence
+
+
+def grid_classes(words, q, b, t):
+    """The classes and precedence counts of an output set, through the decoder's tally.
+
+    ``_tally_grid`` counts grid patterns; each word goes back into the class
+    (symbol, slot) of every symbol whose first grid appearance is at slot,
+    and the class sizes must be the tally's.
+    """
+    patterns = {w: _grid(0, b, t)(w) for w in set(words)}
+    firsts, sizes, precedence = _tally_grid(Counter(patterns.values()), q, t)
+    classes = {key: set() for key in sizes}
+    for w, pattern in patterns.items():
+        for key in firsts[pattern].items():
+            classes[key].add(w)
+    assert {key: len(members) for key, members in classes.items()} == sizes
     return classes, precedence
 
 
@@ -149,29 +166,29 @@ class TestClassifier:
     U = words_of("010000", "010100", "010101", "100001", "101001", "101011")
 
     def test_partition(self):
-        grid = classify_first_symbol(self.U, 2, 2, 2)
-        assert grid.classes[(0, 1)] == words_of("010000", "010100", "010101")
-        assert grid.classes[(0, 2)] == words_of("100001")
-        assert grid.classes[(0, 3)] == words_of("101001")
-        assert grid.classes[(1, 1)] == words_of("100001", "101001", "101011")
-        assert grid.classes[(1, 2)] == frozenset()
-        assert grid.classes[(1, 3)] == frozenset()
+        classes, _ = grid_classes(self.U, 2, 2, 2)
+        assert classes[(0, 1)] == words_of("010000", "010100", "010101")
+        assert classes[(0, 2)] == words_of("100001")
+        assert classes[(0, 3)] == words_of("101001")
+        assert classes[(1, 1)] == words_of("100001", "101001", "101011")
+        assert classes[(1, 2)] == frozenset()
+        assert classes[(1, 3)] == frozenset()
 
     def test_precedence_counts(self):
-        grid = classify_first_symbol(self.U, 2, 2, 2)
-        assert grid.precedence[(0, 1)] == 3
-        assert grid.precedence[(1, 0)] == 3
+        _, precedence = grid_classes(self.U, 2, 2, 2)
+        assert precedence[(0, 1)] == 3
+        assert precedence[(1, 0)] == 3
 
     def test_stripped_classes(self):
-        grid = classify_first_symbol(self.U, 2, 2, 2)
+        classes, _ = grid_classes(self.U, 2, 2, 2)
 
         def stripped(words, prefix_len):
             return frozenset(w[prefix_len:] for w in _largest_prefix_group(words, 0, prefix_len))
 
-        assert stripped(grid.classes[(0, 1)], 1) == words_of("10000", "10100", "10101")
-        assert stripped(grid.classes[(0, 2)], 3) == words_of("001")
-        assert stripped(grid.classes[(0, 3)], 5) == words_of("1")
-        assert stripped(grid.classes[(1, 1)], 1) == words_of("00001", "01001", "01011")
+        assert stripped(classes[(0, 1)], 1) == words_of("10000", "10100", "10101")
+        assert stripped(classes[(0, 2)], 3) == words_of("001")
+        assert stripped(classes[(0, 3)], 5) == words_of("1")
+        assert stripped(classes[(1, 1)], 1) == words_of("00001", "01001", "01011")
 
     def test_prefix_group_at_an_offset(self):
         # w[1:3] is 10, 10, 11, 00: the 10 group is the largest; a tie goes to the smaller block
@@ -180,36 +197,32 @@ class TestClassifier:
         assert _largest_prefix_group(words_of("011", "100"), 1, 2) == [parse_word("100", 10)]
 
     def test_singleton(self):
-        grid = classify_first_symbol(words_of("010101"), 2, 2, 2)
-        nonempty = {k for k, v in grid.classes.items() if v}
+        classes, precedence = grid_classes(words_of("010101"), 2, 2, 2)
+        nonempty = {k for k, v in classes.items() if v}
         assert nonempty == {(0, 1)}  # only symbol 0 shows up on the grid
-        assert grid.precedence[(0, 1)] == 1
-        assert grid.precedence[(1, 0)] == 0
+        assert precedence[(0, 1)] == 1
+        assert precedence[(1, 0)] == 0
 
     def test_empty(self):
-        grid = classify_first_symbol(frozenset(), 2, 2, 2)
-        assert all(not v for v in grid.classes.values())
-        assert all(c == 0 for c in grid.precedence.values())
+        classes, precedence = grid_classes(frozenset(), 2, 2, 2)
+        assert all(not v for v in classes.values())
+        assert all(c == 0 for c in precedence.values())
 
     def test_words_cover_true_first_symbol_slots(self):
         # every output of a known center lands in one class of the center's
         # first symbol
         x = parse_word("102", 3)
         ball = enumerate_insertion_ball(x, 3, 2, 2)
-        grid = classify_first_symbol(ball, 3, 2, 2)
+        classes, _ = grid_classes(ball, 3, 2, 2)
         covered = set()
         for slot in (1, 2, 3):
-            covered |= grid.classes[(x[0], slot)]
+            covered |= classes[(x[0], slot)]
         assert covered == set(ball)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            classify_first_symbol(words_of("01"), 2, 2, 2)
 
     def test_out_of_range_symbol_rejected(self):
         # the grid shows symbol 3, which has no class in a binary alphabet
         with pytest.raises(ValueError, match="symbol 3 out of range for alphabet of size 2"):
-            classify_first_symbol([bytes([0, 3, 1])], 2, 1, 2)
+            grid_classes([bytes([0, 3, 1])], 2, 1, 2)
 
 
 def completions(cells):
@@ -618,9 +631,7 @@ class TestInsertionDecoderMatchesReference:
     def test_grid_sets(self):
         outcomes = {"decoded": 0, "below": 0, "refused": 0}
         for (q, b, t, n), x, outputs in self.grid_sets():
-            grid = classify_first_symbol(outputs, q, b, t)
-            classes, precedence = reference_classes(set(outputs), q, b, t)
-            assert grid.classes == classes and grid.precedence == precedence
+            assert grid_classes(outputs, q, b, t) == reference_classes(set(outputs), q, b, t)
             try:
                 word = decode_both(outputs, n, q, b, t).word
             except BelowThreshold:

@@ -142,3 +142,59 @@ def test_cap_is_compared_in_one_place():
     # a requirement meets the cap only in balls._check_cap, which checks the cap's range first
     assert cap_refusals_outside_the_rule(PACKAGE_DIR) == []
 
+
+
+CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def module_caches(path):
+    """Imports of functools and cache decorators in one module.
+
+    ``balls`` must keep no cache: a cached ball table outlives the call that
+    built it, so it escapes the cap that bounds every enumeration.  A table
+    belongs to its builder, one ``max_intersection_exhaustive`` call or one
+    ``verify`` cell.  The ``lru_cache``s on the integer recurrences in
+    ``combinatorics`` hold numbers, not word sets, and are not checked.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "functools"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.append(f"{path.name}:{node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                func = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in CACHE_NAMES:
+                    found.append(f"{path.name}:{decorator.lineno}")
+    return found
+
+
+def test_balls_keeps_no_cache():
+    # the ball tables die with the cell or the call that built them
+    assert module_caches(PACKAGE_DIR / "balls.py") == []
+    assert module_caches(PACKAGE_DIR / "combinatorics.py") != []  # the guard sees a cache
+
+
+def table_builders(package_dir):
+    """Top-level functions, by file, that name ``balls._center_masks``."""
+    found = set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Name) and node.id == "_center_masks"
+                for node in ast.walk(stmt)
+            ):
+                found.add(f"{path.name}:{stmt.name}")
+    return found
+
+
+def test_ball_tables_have_one_owner_outside_balls():
+    # in a sweep only the overlap rows of a cell build a table; balls builds
+    # one for a direct max_intersection_exhaustive call
+    assert table_builders(PACKAGE_DIR) == {
+        "balls.py:max_intersection_exhaustive",
+        "cli.py:_table_overlap",
+    }
