@@ -6,7 +6,7 @@ position, round by round, and deduplicate.  Nothing here consults a formula
 except to refuse hopeless enumerations up front.
 
 ``_check_cap`` is the package's one cap rule, wherever a requirement (a ball,
-a sample count, the decoder's phase-2 candidates) meets the enumeration cap.
+a sample count, phase-2 candidates, a ``verify`` row's work) meets the cap.
 
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
 every center's ball, enumerated one at a time and kept only as a bitmask over

@@ -13,7 +13,8 @@ Exit codes, for every command:
 ``main`` holds the only mapping from refusal to exit code.  The enumeration
 cap is ``--cap`` on ``verify`` and ``simulate`` (default ``DEFAULT_CAP``; below
 1 it exits 2); ``reconstruct --del`` refuses above the fixed ``DEFAULT_CAP``.
-A ``verify`` row whose oracle would exceed the cap reads ``skip`` instead.
+A ``verify`` row's work bound is one more ``balls._check_cap`` requirement;
+a row over the cap reads ``skip`` with the refusal message.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from fractions import Fraction
 from itertools import groupby, product
 
@@ -37,6 +38,7 @@ from .balls import (
     DEFAULT_CAP,
     _center_balls,
     _center_masks,
+    _check_cap,
     _max_overlap,
     enumerate_deletion_ball,
 )
@@ -70,7 +72,6 @@ class SweepConfig:
     seed: int
     trials: int
     jobs: int
-    corrupt: str | None = None
 
     def __post_init__(self):
         for name, values in zip("qbtn", (self.q_values, self.b_values, self.t_values, self.n_values)):
@@ -110,13 +111,13 @@ class Check:
     """How ``verify`` checks one kind, and how ``count`` evaluates its closed form.
 
     ``domain`` pairs each condition on (q, b, t, n) with the skip reason shown
-    when it fails; ``work`` is the brute-force cost compared with the cap.
-    ``formula`` is None for round trips, whose formula column is the number of
-    trials.  ``oracle`` takes (q, b, t, n, cap, trials, rng, tables), where rng
-    is the row's seeded generator for round trips and None otherwise, and
-    tables is the cell's dict of ball tables.  Every callable looks library
-    functions up when it runs, so that wrappers installed on the modules see
-    the calls.
+    when it fails; ``work`` is the brute-force cost, a ``balls._check_cap``
+    requirement.  ``formula`` is None for round trips, whose formula column is
+    the number of trials.  ``oracle`` takes (q, b, t, n, cap, trials, rng,
+    tables), where rng is the row's seeded generator for round trips and None
+    otherwise, and tables is the cell's dict of ball tables.  Every callable
+    looks library functions up when it runs, so that wrappers installed on the
+    modules see the calls.
 
     The ``ins-ball``/``ins-int`` and ``del-ball``/``del-int`` oracles of one
     cell share its ball table (``balls._center_masks``): the overlap row
@@ -233,10 +234,10 @@ def _roundtrip_del_trials(q, b, t, n, cap, trials, rng, *_):
 
 _N_T_POSITIVE = (lambda q, b, t, n: n >= 1 and t >= 1, "needs n >= 1 and t >= 1")
 _N_ABOVE_BT = (lambda q, b, t, n: n >= b * t + 1, "needs n >= b*t + 1")
-
-
-def _overlap_range(q, b, t, n):
-    return b >= 2 and t >= 1 and n >= b * (t + 1) - 1
+_OVERLAP_RANGE = (
+    lambda q, b, t, n: b >= 2 and t >= 1 and n >= b * (t + 1) - 1,
+    "needs b >= 2, t >= 1, n >= b*(t+1)-1",
+)
 
 
 # Keys in verify's row order; _row_seed_index seeds round trips by position.
@@ -285,7 +286,7 @@ CHECKS = {
     "del-int": Check(
         domain=(
             (lambda q, b, t, n: q == 2, "exact value known only for q = 2"),
-            (_overlap_range, "needs b >= 2, t >= 1, n >= b*(t+1)-1"),
+            _OVERLAP_RANGE,
         ),
         work=lambda q, b, t, n: 2**n * (2**n - 1) // 2,
         formula=_del_int,
@@ -303,7 +304,7 @@ CHECKS = {
         + _del_threshold(q, b, t - 1, n - b - 1),
     ),
     "del-int-lb": Check(
-        domain=((_overlap_range, "needs b >= 2, t >= 1, n >= (t+1)*b-1"),),
+        domain=(_OVERLAP_RANGE,),
         formula=lambda q, b, t, n: comb.del_intersection_lower_bound(q, b, n, t),
         oracle=_flip_pair_overlap,
     ),
@@ -316,7 +317,7 @@ CHECKS = {
     "roundtrip-del": Check(
         domain=(
             (lambda q, b, t, n: q == 2, "decoder defined for q = 2 only"),
-            (_overlap_range, "needs b >= 2, t >= 1, n >= b*(t+1)-1"),
+            _OVERLAP_RANGE,
         ),
         work=lambda q, b, t, n: 2**n,
         oracle=_roundtrip_del_trials,
@@ -330,50 +331,42 @@ def _row_seed_index(kind, q, b, t, n) -> int:
     return (((q * 64 + b) * 64 + t) * 4096 + n) * 64 + VERIFY_KINDS.index(kind)
 
 
-def _skip_reason(check, q, b, t, n, cap) -> str | None:
-    """Why a check does not run at this grid point, or None when it runs."""
-    for holds, reason in check.domain:
-        if not holds(q, b, t, n):
-            return reason
-    if check.work is not None and check.work(q, b, t, n) > cap:
-        return "work exceeds cap"
-    return None
-
-
-def _compute_row(kind, q, b, t, n, cap, seed, trials, corrupt, tables) -> ResultRow:
+def _compute_row(config: SweepConfig, point, kind, tables) -> ResultRow:
+    """One row: the check of kind at point (q, b, t, n), or a ``skip`` with its reason."""
+    q, b, t, n = point
     check = CHECKS[kind]
     started = time.perf_counter()
     try:
-        reason = _skip_reason(check, q, b, t, n, cap)
-        if reason is not None:
-            raise _Skip(reason)
+        for holds, reason in check.domain:
+            if not holds(q, b, t, n):
+                raise _Skip(reason)
+        if check.work is not None:
+            _check_cap(check.work(q, b, t, n), config.cap)
         if check.formula is None:
-            formula = trials
-            rng = random.Random(trial_seed(seed, _row_seed_index(kind, q, b, t, n)))
+            formula = config.trials
+            rng = random.Random(trial_seed(config.seed, _row_seed_index(kind, q, b, t, n)))
         else:
             formula, rng = check.formula(q, b, t, n), None
-        oracle = check.oracle(q, b, t, n, cap, trials, rng, tables)
+        oracle = check.oracle(q, b, t, n, config.cap, config.trials, rng, tables)
     except (_Skip, EnumerationCapExceeded, ValueError) as exc:
         ms = round((time.perf_counter() - started) * 1000.0, 3)
         return ResultRow(q, b, t, n, kind, "", f"skipped: {exc}", "skip", ms)
-    if corrupt == kind and isinstance(formula, (int, Fraction)):
-        formula = formula + 1
     match = "true" if formula == oracle else "false"
     ms = round((time.perf_counter() - started) * 1000.0, 3)
     return ResultRow(q, b, t, n, kind, str(formula), str(oracle), match, ms)
 
 
 def _compute_cell(cell) -> list[ResultRow]:
-    """The rows of one grid point (q, b, t, n), in ``VERIFY_KINDS`` order.
+    """The rows of one cell (config, (q, b, t, n), kinds), in ``VERIFY_KINDS`` order.
 
     The cell's ball tables live in a local dict keyed by ball kind and die
     with the cell.  The overlap rows (``ins-int``, ``del-int``) are computed
     first, so that the size rows can read the tables they build.
     """
-    q, b, t, n, kinds, *settings = cell
+    config, point, kinds = cell
     tables: dict[str, tuple[int, ...]] = {}
     rows = [
-        _compute_row(kind, q, b, t, n, *settings, tables)
+        _compute_row(config, point, kind, tables)
         for kind in sorted(kinds, key=lambda kind: kind not in ("ins-int", "del-int"))
     ]
     rows.sort(key=lambda row: VERIFY_KINDS.index(row.kind))
@@ -383,17 +376,16 @@ def _compute_cell(cell) -> list[ResultRow]:
 def run_sweep(config: SweepConfig) -> list[ResultRow]:
     """Evaluate every grid point of the sweep, ordered by parameter tuple.
 
-    The unit of work is a cell, one grid point with all its kinds, so the
-    rows of a cell share its ball tables; ``--jobs`` maps the cells over at
-    most one worker process per cell.
+    The unit of work is a cell, one grid point with all its kinds and the
+    sweep's config, so the rows of a cell share its ball tables; ``--jobs``
+    maps the cells over at most one worker process per cell.
     """
     grid = sorted(
         product(config.q_values, config.b_values, config.t_values, config.n_values, config.kinds),
         key=lambda s: (*s[:4], VERIFY_KINDS.index(s[4])),
     )
-    settings = (config.cap, config.seed, config.trials, config.corrupt)
     cells = [
-        (*point, tuple(kind for *_, kind in group), *settings)
+        (config, point, tuple(kind for *_, kind in group))
         for point, group in groupby(grid, key=lambda s: s[:4])
     ]
     jobs = min(config.jobs, len(cells))  # a pool forks all its workers up front
@@ -455,9 +447,12 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         trials=args.trials,
         jobs=args.jobs,
-        corrupt=args.corrupt,
     )
     rows = run_sweep(config)
+    for i, r in enumerate(rows):  # hidden --corrupt KIND: a mismatch for row readers to catch
+        if r.kind == args.corrupt and r.match != "skip":
+            formula = str(Fraction(r.formula) + 1)
+            rows[i] = replace(r, formula=formula, match="true" if formula == r.oracle else "false")
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(rows))
     else:

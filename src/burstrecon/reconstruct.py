@@ -186,6 +186,12 @@ def reconstruct_from_insertions(
     so they stay distinct without being stripped.  A step is one pass over
     the survivors to count their grid patterns at the offset (and one more to
     keep the chosen class), plus work per distinct pattern, not per output.
+
+    No step rechecks the running threshold N(n_rem, t_rem)+1, N the worst-case
+    overlap: ``_read_outputs`` gives the first step N(n, t)+1 outputs, and a
+    step that chooses j bursts keeps a class of at least K*N(n_rem-1, t_rem-j)+1
+    with K = (q-1)**j * q**(j*(b-1)) possible prefixes (j non-winner grid
+    symbols, j*(b-1) free ones), so its largest prefix group clears the next.
     """
     started = time.perf_counter()
     threshold = ins_intersection_max(q, b, n, t)  # checks q, b, t and n
@@ -199,11 +205,6 @@ def reconstruct_from_insertions(
     recovered: list[int] = []
     steps: list[StepInfo] = []
     while len(recovered) < n:
-        if len(words) < ins_intersection_max(q, b, n_rem, t_rem) + 1:
-            raise InconsistentOutputs(
-                "class sizes fell below the running threshold; the outputs do "
-                "not all come from one insertion ball"
-            )
         grid = _grid(off, b, t_rem)
         firsts, sizes, precedence = _tally_grid(Counter(map(grid, words)), q, t_rem)
         winner = None

@@ -102,15 +102,41 @@ class TestVerify:
         spot = [r for r in rows if r.kind == "del-int" and r.n == 3]
         assert spot and spot[0].formula == "2"  # overlap max at n = 2b-1 is b
 
-    def test_corrupted_formula_detected(self, capsys):
+    def test_corrupted_formula_detected(self, capsys, monkeypatch):
+        # the checks look the closed form up when they run, so a wrong one shows
+        real = burstrecon.cli.comb.ins_ball_size
+        monkeypatch.setattr(burstrecon.cli.comb, "ins_ball_size", lambda *args: real(*args) + 1)
         code, out, _ = run_cli(
             capsys,
-            "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "2:3",
-            "--kinds", "ins-ball", "--corrupt", "ins-ball",
+            "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "2:3", "--kinds", "ins-ball",
         )
         assert code == EXIT_MISMATCH
         rows = rows_of(out)
-        assert all(r.match == "false" for r in rows)
+        assert rows and all(r.match == "false" for r in rows)
+
+    def test_work_over_the_cap_reads_the_cap_refusal(self, capsys):
+        # 1408 = 2**4 * I_{2,2}(4, 2), the closed-form work of both rows
+        code, out, _ = run_cli(
+            capsys, "verify", "--q", "2", "--b", "2", "--t", "2", "--n", "4",
+            "--kinds", "ins-ball,ins-int", "--cap", "1000",
+        )
+        assert code == EXIT_OK
+        assert [(r.kind, r.oracle, r.match) for r in rows_of(out)] == [
+            (kind, "skipped: enumeration needs 1408 words, cap is 1000", "skip")
+            for kind in ("ins-ball", "ins-int")
+        ]
+
+    def test_overlap_range_has_one_reason(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--q", "2", "--b", "3", "--t", "2", "--n", "4",
+            "--kinds", "del-int,del-int-lb,roundtrip-del",
+        )
+        assert code == EXIT_OK
+        rows = rows_of(out)
+        assert [r.kind for r in rows] == ["del-int", "del-int-lb", "roundtrip-del"]
+        assert {(r.oracle, r.match) for r in rows} == {
+            ("skipped: needs b >= 2, t >= 1, n >= b*(t+1)-1", "skip")
+        }
 
     def test_csv_round_trip(self):
         config = SweepConfig(

@@ -611,8 +611,10 @@ class TestInsertionDecoderMatchesReference:
     @staticmethod
     def grid_sets():
         # one threshold+1 sample per cell of the roundtrip-small insertion grid,
-        # with the same set less one output and with one output of another center
+        # with the same set less one output, with one output of another center,
+        # and as a random threshold+1 mixture of its outputs and another ball's
         rng = random.Random(14)
+        mix = random.Random(17)
         for q, b, t, n in product((2, 3), (2, 3), (1, 2, 3), (1, 2, 3, 4, 6, 8, 10, 12)):
             need = ins_intersection_max(q, b, n, t) + 1
             if need > 3000:
@@ -627,6 +629,13 @@ class TestInsertionDecoderMatchesReference:
             yield (q, b, t, n), x, outputs
             yield (q, b, t, n), None, outputs[1:]
             yield (q, b, t, n), None, (stranger,) + outputs[1:]
+            z = x
+            while z == x:
+                z = bytes(mix.randrange(q) for _ in range(n))
+            k = mix.randint(1, max(1, need - 1))
+            zs = sample_distinct_outputs(z, q, t, b, "insertion", need, mix.getrandbits(32)).outputs
+            # at most k of z's need outputs are among the k taken from x's ball
+            yield (q, b, t, n), None, outputs[:k] + tuple(w for w in zs if w not in outputs[:k])[: need - k]
 
     def test_grid_sets(self):
         outcomes = {"decoded": 0, "below": 0, "refused": 0}

@@ -143,6 +143,45 @@ def test_cap_is_compared_in_one_place():
     assert cap_refusals_outside_the_rule(PACKAGE_DIR) == []
 
 
+CAP_COMPARERS = {
+    ("balls.py", "_check_cap"),  # the cap rule
+    ("combinatorics.py", "_check_params"),  # the cap's range rule
+    # a gate, not a refusal: it decides only whether to count the rounds
+    # exactly, and each round then meets the cap in _check_cap
+    ("balls.py", "enumerate_deletion_ball"),
+}
+
+
+def cap_comparisons_outside_the_rule(package_dir):
+    """Comparisons with a name ``cap`` as an operand, outside ``CAP_COMPARERS``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Compare)
+            and (path.name, function) not in CAP_COMPARERS
+            and any(
+                isinstance(operand, ast.Name) and operand.id == "cap"
+                for operand in (node.left, *node.comparators)
+            )
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for path in sorted(package_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_cap_is_compared_only_by_its_rules():
+    # a second cap comparison words its refusal its own way; pass the
+    # requirement to balls._check_cap instead
+    assert cap_comparisons_outside_the_rule(PACKAGE_DIR) == []
+
+
 
 CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
 
