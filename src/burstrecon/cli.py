@@ -42,7 +42,7 @@ from .balls import (
     _max_overlap,
     enumerate_deletion_ball,
 )
-from .channel import format_event, sample_distinct_outputs, trial_seed
+from .channel import format_event, sample_distinct_outputs
 from .errors import (
     BallTooSmall,
     EnumerationCapExceeded,
@@ -240,7 +240,6 @@ _OVERLAP_RANGE = (
 )
 
 
-# Keys in verify's row order; _row_seed_index seeds round trips by position.
 CHECKS = {
     "ins-ball": Check(
         work=lambda q, b, t, n: q**n * max(_ins_ball(q, b, t, n), 1),
@@ -327,10 +326,6 @@ CHECKS = {
 VERIFY_KINDS = tuple(CHECKS)
 
 
-def _row_seed_index(kind, q, b, t, n) -> int:
-    return (((q * 64 + b) * 64 + t) * 4096 + n) * 64 + VERIFY_KINDS.index(kind)
-
-
 def _compute_row(config: SweepConfig, point, kind, tables) -> ResultRow:
     """One row: the check of kind at point (q, b, t, n), or a ``skip`` with its reason."""
     q, b, t, n = point
@@ -344,7 +339,9 @@ def _compute_row(config: SweepConfig, point, kind, tables) -> ResultRow:
             _check_cap(check.work(q, b, t, n), config.cap)
         if check.formula is None:
             formula = config.trials
-            rng = random.Random(trial_seed(config.seed, _row_seed_index(kind, q, b, t, n)))
+            # random.seed hashes a str with SHA-512, not hash(), so each row key has its
+            # own stream whatever PYTHONHASHSEED is
+            rng = random.Random(f"{config.seed} {kind} {q} {b} {t} {n}")
         else:
             formula, rng = check.formula(q, b, t, n), None
         oracle = check.oracle(q, b, t, n, config.cap, config.trials, rng, tables)

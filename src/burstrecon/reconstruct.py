@@ -1,14 +1,16 @@
 """Threshold reconstruction of a transmitted word from distinct channel outputs.
 
 Both decoders peel the transmitted word from the front, one symbol per step,
-using exact class-size thresholds:
+using exact class-size thresholds, and both peel by offset: the outputs are
+never stripped, the survivors share every symbol before the current offset
+(so they stay distinct), and a step reads them at that offset and filters
+them once with C-speed ``map``, ``compress`` and ``Counter`` passes.
 
 * the insertion decoder compares, for each pair of symbols, how many outputs
   show one before the other on the burst grid (positions 1, b+1, ..., t*b+1),
-  then descends into the largest same-prefix class.  It peels by offset: the
-  original outputs are never stripped, each step reads the grid at the current
-  offset and counts the distinct grid patterns (at most q**(t+1)), and the
-  class sizes and precedence counts come from those pattern counts;
+  then descends into the largest same-prefix class.  Each step counts the
+  distinct grid patterns at the offset (at most q**(t+1)), and the class
+  sizes and precedence counts come from those pattern counts;
 * the deletion decoder (binary only) takes the first-symbol majority; a
   suspiciously small majority class proves a burst ate the word's front, in
   which case b-1 positions are deferred as open cells, each with a vote
@@ -33,7 +35,6 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .balls import DEFAULT_CAP, _check_cap, is_deletion_descendant
 from .combinatorics import (
-    _check_params,
     del_intersection_max_binary,
     del_intersection_threshold,
     ins_intersection_max,
@@ -50,21 +51,19 @@ from .sequences import _ALPHABETS, Word, _out_of_range
 
 def _tally_grid(
     counts: Mapping[bytes, int], q: int, t: int
-) -> tuple[dict[bytes, dict[int, int]], dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """First appearances, class sizes and precedence counts of counted grid patterns.
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Class sizes and precedence counts of counted grid patterns.
 
-    A pattern is the t+1 grid symbols of an output.  Returns, per pattern,
-    the 1-based slot of each symbol's first appearance; ``sizes[(symbol,
-    slot)]``, the outputs whose first ``symbol`` is at ``slot``; and
-    ``precedence[(alpha, beta)]``, the outputs that show alpha strictly
-    before beta.
+    A pattern is the t+1 grid symbols of an output.  Returns
+    ``sizes[(symbol, slot)]``, the outputs whose first ``symbol`` is at the
+    1-based ``slot``, and ``precedence[(alpha, beta)]``, the outputs that show
+    alpha strictly before beta.
     """
-    firsts: dict[bytes, dict[int, int]] = {}
     sizes = dict.fromkeys(product(range(q), range(1, t + 2)), 0)
     precedence = dict.fromkeys(permutations(range(q), 2), 0)
     never = t + 2  # sentinel slot for symbols absent from the grid
     for pattern, count in counts.items():
-        first = firsts[pattern] = {}
+        first: dict[int, int] = {}
         for slot, symbol in enumerate(pattern, 1):
             if symbol not in first:
                 if symbol >= q:
@@ -75,21 +74,12 @@ def _tally_grid(
             for beta in range(q):
                 if beta != alpha and slot < first.get(beta, never):
                     precedence[(alpha, beta)] += count
-    return firsts, sizes, precedence
+    return sizes, precedence
 
 
 def _grid(off: int, b: int, t: int) -> Callable[[Word], bytes]:
     """The map from a word to its grid pattern w[off], w[off+b], ..., w[off+t*b]."""
     return itemgetter(slice(off, off + t * b + 1, b))
-
-
-def _largest_prefix_group(words: Iterable[Word], start: int, stop: int) -> list[Word]:
-    """Largest group of words sharing w[start:stop] (ties: smallest such block)."""
-    groups: dict[Word, list[Word]] = {}
-    for w in words:
-        groups.setdefault(w[start:stop], []).append(w)
-    _, members = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return members
 
 
 @dataclass(frozen=True)
@@ -155,11 +145,10 @@ def _read_outputs(
 ) -> frozenset[Word]:
     """The distinct outputs, each a valid length-``length`` word, at least threshold+1 of them.
 
-    q is checked once; each output is then one ``translate`` against the
+    The caller has checked q; each output is one ``translate`` against the
     alphabet, with no joined copy of the outputs.
     """
     words = frozenset(outputs)
-    _check_params(q=q)
     alphabet = _ALPHABETS[q]
     for w in words:
         bad = w.translate(None, alphabet)
@@ -184,14 +173,15 @@ def reconstruct_from_insertions(
     restarts on the largest same-prefix subclass with the offset moved past
     that prefix.  The survivors all share the outputs' first ``off`` symbols,
     so they stay distinct without being stripped.  A step is one pass over
-    the survivors to count their grid patterns at the offset (and one more to
-    keep the chosen class), plus work per distinct pattern, not per output.
+    the survivors to count their grid patterns at the offset (and a few more
+    to keep the chosen block), plus work per distinct pattern, not per output.
 
-    No step rechecks the running threshold N(n_rem, t_rem)+1, N the worst-case
-    overlap: ``_read_outputs`` gives the first step N(n, t)+1 outputs, and a
-    step that chooses j bursts keeps a class of at least K*N(n_rem-1, t_rem-j)+1
-    with K = (q-1)**j * q**(j*(b-1)) possible prefixes (j non-winner grid
-    symbols, j*(b-1) free ones), so its largest prefix group clears the next.
+    No step rechecks the running threshold N(m, t_rem)+1, N the worst-case
+    overlap and m the symbols left: ``_read_outputs`` gives the first step
+    N(n, t)+1 outputs, and a step that chooses j bursts keeps a class of at
+    least K*N(m-1, t_rem-j)+1 with K = (q-1)**j * q**(j*(b-1)) possible
+    prefixes (j non-winner grid symbols, j*(b-1) free ones), so its largest
+    prefix group clears the next.
     """
     started = time.perf_counter()
     threshold = ins_intersection_max(q, b, n, t)  # checks q, b, t and n
@@ -200,13 +190,13 @@ def reconstruct_from_insertions(
     # the surviving outputs all share words[i][:off], so they stay distinct unstripped
     words: Collection[Word] = _read_outputs(outputs, q, n + t * b, "n + t*b", threshold)
     off = 0
-    n_rem = n
     t_rem = t
     recovered: list[int] = []
     steps: list[StepInfo] = []
     while len(recovered) < n:
         grid = _grid(off, b, t_rem)
-        firsts, sizes, precedence = _tally_grid(Counter(map(grid, words)), q, t_rem)
+        counts = Counter(map(grid, words))
+        sizes, precedence = _tally_grid(counts, q, t_rem)
         winner = None
         for beta in range(q):
             if all(
@@ -224,7 +214,7 @@ def reconstruct_from_insertions(
         chosen_j = None
         for j in range(t_rem, -1, -1):
             need = (q - 1) ** j * q ** (j * (b - 1)) * ins_intersection_max(
-                q, b, n_rem - 1, t_rem - j
+                q, b, n - len(recovered), t_rem - j
             ) + 1
             if sizes[(winner, j + 1)] >= need:
                 chosen_j = j
@@ -245,15 +235,16 @@ def reconstruct_from_insertions(
             # the class is the outputs with the winner at off, all one prefix
             words = list(compress(words, map(winner.__eq__, map(itemgetter(off), words))))
             off += 1
-            n_rem -= 1
             continue
-        # the winner first appears after chosen_j bursts: keep the largest
-        # class member group that agrees on those bursts and the symbol
-        chosen = {p for p, first in firsts.items() if first.get(winner) == chosen_j + 1}
+        # the winner first appears after chosen_j bursts: keep the outputs of
+        # the class's largest block w[start:off] (the smallest block on a tie)
+        chosen = {p for p in counts if p.find(winner) == chosen_j}
+        members = list(compress(words, map(chosen.__contains__, map(grid, words))))
         start, off = off, off + chosen_j * b + 1
-        words = _largest_prefix_group(
-            compress(words, map(chosen.__contains__, map(grid, words))), start, off
-        )
+        prefix = itemgetter(slice(start, off))
+        blocks = Counter(map(prefix, members))
+        _, block = min((-count, block) for block, count in blocks.items())
+        words = list(compress(members, map(block.__eq__, map(prefix, members))))
         if chosen_j == t_rem:
             # burst budget exhausted before this symbol: the survivors carry
             # the untouched tail verbatim
@@ -264,7 +255,6 @@ def reconstruct_from_insertions(
             recovered.extend(words[0][off:])
             break
         t_rem -= chosen_j
-        n_rem -= 1
     return ReconstructionResult(
         bytes(recovered), tuple(steps), time.perf_counter() - started
     )
@@ -296,49 +286,43 @@ def reconstruct_from_deletions(
 
     cells: list[int | None] = [None] * n
     votes: list[int] = []  # ones minus zeros, per open cell left to right
-    current: set[Word] = set(words)
-    n_rem = n
+    current: Collection[Word] = words
+    off = 0  # the survivors share their first off symbols, so they stay distinct unstripped
     t_rem = t
     i = 0  # 0-based index of the next cell to decide
     steps: list[StepInfo] = []
     while t_rem > 0:
-        if n_rem <= t_rem * b:
+        if n - i <= t_rem * b:
             raise InconsistentOutputs(
                 "outputs exhausted before all bursts were accounted for"
             )
-        ones = sum(w[0] for w in current)
-        zeros = len(current) - ones
+        front = list(map(itemgetter(off), current))
+        ones = sum(front)
+        zeros = len(front) - ones
         if zeros == ones:
             raise AmbiguousSymbol("first-symbol counts tie")
         beta = 0 if zeros > ones else 1
-        majority_size = max(zeros, ones)
-        cells[i] = beta
-        if majority_size > del_intersection_threshold(b, n_rem - 1, t_rem):
+        cells[i] = keep = beta
+        if max(zeros, ones) > del_intersection_threshold(b, n - i - 1, t_rem):
             steps.append(StepInfo(i + 1, beta, 0, (zeros, ones)))
-            current = {w[1:] for w in current if w[0] == beta}
             i += 1
-            n_rem -= 1
         else:
             # a burst consumed the front: the complement sits one burst ahead
             # and the b-1 cells between stay open for phase 2, each with the
             # vote of the discarded majority class
             steps.append(StepInfo(i + 1, beta, 1, (zeros, ones)))
-            cells[i + b] = 1 - beta
-            gaps = [w[1:b] for w in current if w[0] == beta]
+            cells[i + b] = keep = 1 - beta
+            gaps = [w[off + 1 : off + b] for w in compress(current, map(beta.__eq__, front))]
             tallies = [2 * sum(column) - len(gaps) for column in zip(*gaps)]
             votes += tallies + [0] * (b - 1 - len(tallies))
-            current = {w[1:] for w in current if w[0] == 1 - beta}
             i += b + 1
-            n_rem -= b + 1
             t_rem -= 1
-            if t_rem == 0:
-                if len(current) != 1:
-                    raise InconsistentOutputs(
-                        "tail not unique once the burst budget ran out"
-                    )
-                tail = next(iter(current))
-                cells[i:] = list(tail)
-                break
+        current = list(compress(current, map(keep.__eq__, front)))
+        off += 1
+    # t >= 1, so the loop ended on its last burst: the survivors carry the tail
+    if len(current) != 1:
+        raise InconsistentOutputs("tail not unique once the burst budget ran out")
+    cells[i:] = current[0][off:]
     phase1_seconds = time.perf_counter() - started
 
     started2 = time.perf_counter()

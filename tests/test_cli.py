@@ -391,6 +391,25 @@ class TestVerify:
         done = [r for r in rows if r.match != "skip"]
         assert done and all(r.formula == r.oracle == "3" for r in done)
 
+    def test_roundtrip_rows_draw_one_stream_per_key(self, monkeypatch):
+        # (2, 1, 1, 4097) and (2, 1, 2, 1) once packed into the same seed index
+        first = {}
+
+        def oracle(q, b, t, n, cap, trials, rng, tables):
+            first[(q, b, t, n)] = rng.random()
+            return trials
+
+        monkeypatch.setitem(burstrecon.cli.CHECKS, "roundtrip-ins", burstrecon.cli.Check(oracle=oracle))
+        for q, b, t, n in ((2, 1, 1, 4097), (2, 1, 2, 1)):
+            (row,) = run_sweep(
+                SweepConfig(
+                    q_values=(q,), b_values=(b,), t_values=(t,), n_values=(n,),
+                    kinds=("roundtrip-ins",), cap=10**7, seed=0, trials=1, jobs=1,
+                )
+            )
+            assert row.match == "true"
+        assert first[(2, 1, 1, 4097)] != first[(2, 1, 2, 1)]
+
 
 class TestSimulate:
     def test_deterministic_bytes(self, capsys):

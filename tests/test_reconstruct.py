@@ -22,6 +22,7 @@ from burstrecon import (
     b_cyclic,
     candidate_expansion,
     del_intersection_max_binary,
+    del_intersection_threshold,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
     ins_ball_size,
@@ -33,7 +34,8 @@ from burstrecon import (
     sample_distinct_outputs,
     trial_seed,
 )
-from burstrecon.reconstruct import _grid, _largest_prefix_group, _read_outputs, _tally_grid
+from burstrecon.balls import _check_cap
+from burstrecon.reconstruct import _grid, _read_outputs, _tally_grid
 from burstrecon.sequences import _out_of_range
 
 
@@ -66,15 +68,15 @@ def grid_classes(words, q, b, t):
     """The classes and precedence counts of an output set, through the decoder's tally.
 
     ``_tally_grid`` counts grid patterns; each word goes back into the class
-    (symbol, slot) of every symbol whose first grid appearance is at slot,
-    and the class sizes must be the tally's.
+    (symbol, slot) of every symbol on its grid, slot being the symbol's first
+    grid appearance, and the class sizes must be the tally's.
     """
     patterns = {w: _grid(0, b, t)(w) for w in set(words)}
-    firsts, sizes, precedence = _tally_grid(Counter(patterns.values()), q, t)
+    sizes, precedence = _tally_grid(Counter(patterns.values()), q, t)
     classes = {key: set() for key in sizes}
     for w, pattern in patterns.items():
-        for key in firsts[pattern].items():
-            classes[key].add(w)
+        for symbol in set(pattern):
+            classes[(symbol, pattern.find(symbol) + 1)].add(w)
     assert {key: len(members) for key, members in classes.items()} == sizes
     return classes, precedence
 
@@ -161,6 +163,81 @@ def decode_both(outputs, n, q, b, t):
     return result
 
 
+def reference_deletion_decoder(outputs, n, b, t):
+    """The deletion decoder that strips every surviving output at every phase-1 step."""
+    threshold = del_intersection_max_binary(b, n, t)
+    _check_cap(2 ** (t * (b - 1)), DEFAULT_CAP)
+    words = _read_outputs(outputs, 2, n - t * b, "n - t*b", threshold)
+
+    cells = [None] * n
+    votes = []  # ones minus zeros, per open cell left to right
+    current = set(words)
+    n_rem = n
+    t_rem = t
+    i = 0  # 0-based index of the next cell to decide
+    steps = []
+    while t_rem > 0:
+        if n_rem <= t_rem * b:
+            raise InconsistentOutputs(
+                "outputs exhausted before all bursts were accounted for"
+            )
+        ones = sum(w[0] for w in current)
+        zeros = len(current) - ones
+        if zeros == ones:
+            raise AmbiguousSymbol("first-symbol counts tie")
+        beta = 0 if zeros > ones else 1
+        majority_size = max(zeros, ones)
+        cells[i] = beta
+        if majority_size > del_intersection_threshold(b, n_rem - 1, t_rem):
+            steps.append(StepInfo(i + 1, beta, 0, (zeros, ones)))
+            current = {w[1:] for w in current if w[0] == beta}
+            i += 1
+            n_rem -= 1
+        else:
+            # a burst consumed the front: the complement sits one burst ahead
+            # and the b-1 cells between stay open for phase 2, each with the
+            # vote of the discarded majority class
+            steps.append(StepInfo(i + 1, beta, 1, (zeros, ones)))
+            cells[i + b] = 1 - beta
+            gaps = [w[1:b] for w in current if w[0] == beta]
+            tallies = [2 * sum(column) - len(gaps) for column in zip(*gaps)]
+            votes += tallies + [0] * (b - 1 - len(tallies))
+            current = {w[1:] for w in current if w[0] == 1 - beta}
+            i += b + 1
+            n_rem -= b + 1
+            t_rem -= 1
+            if t_rem == 0:
+                if len(current) != 1:
+                    raise InconsistentOutputs(
+                        "tail not unique once the burst budget ran out"
+                    )
+                tail = next(iter(current))
+                cells[i:] = list(tail)
+                break
+
+    candidates = candidate_expansion(cells, votes)
+    for tried, v in enumerate(candidates, 1):
+        if all(is_deletion_descendant(v, u, t, b) for u in words):
+            return v, tuple(steps), tried
+    raise CandidateFilterError(len(candidates))
+
+
+def decode_both_deletion(outputs, n, b, t):
+    """Run both deletion decoders, require the same word, steps and phase-2 count or refusal."""
+    outputs = list(outputs)
+    try:
+        expected = reference_deletion_decoder(outputs, n, b, t)
+    except (ReconstructionError, ValueError) as error:
+        expected = error
+    try:
+        result = reconstruct_from_deletions(outputs, n, b, t)
+    except (ReconstructionError, ValueError) as error:
+        assert (type(error), str(error)) == (type(expected), str(expected))
+        raise
+    assert (result.word, result.steps, result.phase2_tried) == expected
+    return result
+
+
 class TestClassifier:
     # a six-word output set whose burst grid positions are 1, 3, 5
     U = words_of("010000", "010100", "010101", "100001", "101001", "101011")
@@ -178,23 +255,6 @@ class TestClassifier:
         _, precedence = grid_classes(self.U, 2, 2, 2)
         assert precedence[(0, 1)] == 3
         assert precedence[(1, 0)] == 3
-
-    def test_stripped_classes(self):
-        classes, _ = grid_classes(self.U, 2, 2, 2)
-
-        def stripped(words, prefix_len):
-            return frozenset(w[prefix_len:] for w in _largest_prefix_group(words, 0, prefix_len))
-
-        assert stripped(classes[(0, 1)], 1) == words_of("10000", "10100", "10101")
-        assert stripped(classes[(0, 2)], 3) == words_of("001")
-        assert stripped(classes[(0, 3)], 5) == words_of("1")
-        assert stripped(classes[(1, 1)], 1) == words_of("00001", "01001", "01011")
-
-    def test_prefix_group_at_an_offset(self):
-        # w[1:3] is 10, 10, 11, 00: the 10 group is the largest; a tie goes to the smaller block
-        words = words_of("0100", "1101", "0111", "1001")
-        assert sorted(_largest_prefix_group(words, 1, 3)) == sorted(words_of("0100", "1101"))
-        assert _largest_prefix_group(words_of("011", "100"), 1, 2) == [parse_word("100", 10)]
 
     def test_singleton(self):
         classes, precedence = grid_classes(words_of("010101"), 2, 2, 2)
@@ -586,23 +646,27 @@ class TestExtremalPairs:
     def test_insertion_pairs_differ_in_the_first_symbol(self):
         assert self.insertion_pair_decodes(reconstruct_from_insertions) >= 1000
 
-    def test_deletion_pairs_differ_in_the_bth_symbol(self):
+    @classmethod
+    def deletion_pair_decodes(cls, decoder):
         # 0^b 1^b 0^b ... against 0^(b-1) 1 1^b 0^b ..., every word of each side
         decodes = 0
         for b, t in product((2, 3), (1, 2)):
             for n in range(b * (t + 1) - 1, 13):
                 x = b_cyclic(n, 2, b, 0)
                 y = x[: b - 1] + b"\x01" + x[b:]
-                decodes += self.check_pair(
+                decodes += cls.check_pair(
                     x,
                     y,
                     lambda w: enumerate_deletion_ball(w, t, b),
-                    lambda words: reconstruct_from_deletions(words, n, b, t),
+                    lambda words: decoder(words, n, b, t),
                     del_intersection_max_binary(b, n, t),
                     None,
                     None,
                 )
-        assert decodes >= 200
+        return decodes
+
+    def test_deletion_pairs_differ_in_the_bth_symbol(self):
+        assert self.deletion_pair_decodes(reconstruct_from_deletions) >= 200
 
 
 class TestInsertionDecoderMatchesReference:
@@ -654,3 +718,55 @@ class TestInsertionDecoderMatchesReference:
 
     def test_extremal_pair_sets(self):
         assert TestExtremalPairs.insertion_pair_decodes(decode_both) >= 1000
+
+
+class TestDeletionDecoderMatchesReference:
+    """The offset deletion decoder against the stripping decoder it replaced, set by set."""
+
+    @staticmethod
+    def outcome(outputs, n, b, t, x, outcomes):
+        try:
+            word = decode_both_deletion(outputs, n, b, t).word
+        except ReconstructionError as error:
+            outcomes[type(error).__name__] += 1
+        else:
+            assert x is None or word == x
+            outcomes["decoded"] += 1
+
+    def test_three_subsets_of_small_balls(self):
+        # threshold+1 is 3 at b = 2, t = 1 and 4 at b = 3, t = 1
+        outcomes = Counter()
+        for b, n in ((2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (3, 7)):
+            for x in all_words(2, n):
+                for subset in combinations(sorted(enumerate_deletion_ball(x, 1, b)), 3):
+                    self.outcome(subset, n, b, 1, x if b == 2 else None, outcomes)
+        assert outcomes == {"decoded": 160, "BelowThreshold": 320}
+
+    def test_full_balls(self):
+        outcomes = Counter()
+        for b, t in product((2, 3, 4), (1, 2)):
+            for n in range(b * (t + 1) - 1, min(b * (t + 1) + 4, 11)):
+                for x in all_words(2, n):
+                    self.outcome(enumerate_deletion_ball(x, t, b), n, b, t, None, outcomes)
+        assert outcomes["decoded"] >= 1000 and outcomes["BelowThreshold"] >= 100
+
+    def test_mixed_two_center_sets(self):
+        # a threshold+1 set that takes k outputs of one ball and the rest of another's
+        rng = random.Random(18)
+        outcomes = Counter()
+        for b, t in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3)):
+            for n in range(b * (t + 1) - 1, b * (t + 1) + 4):
+                need = del_intersection_max_binary(b, n, t) + 1
+                balls = [enumerate_deletion_ball(x, t, b) for x in all_words(2, n)]
+                for _ in range(20):
+                    first, second = (sorted(ball) for ball in rng.sample(balls, 2))
+                    k = rng.randint(1, need)
+                    taken = rng.sample(first, min(k, len(first)))
+                    rest = [w for w in second if w not in taken]
+                    outputs = taken + rng.sample(rest, min(need - len(taken), len(rest)))
+                    self.outcome(outputs, n, b, t, None, outcomes)
+        assert outcomes["decoded"] >= 50
+        assert {"InconsistentOutputs", "AmbiguousSymbol", "CandidateFilterError"} <= set(outcomes)
+
+    def test_extremal_pair_sets(self):
+        assert TestExtremalPairs.deletion_pair_decodes(decode_both_deletion) >= 200
