@@ -25,7 +25,6 @@ from .channel import (
     apply_burst_insertion,
     format_event,
     sample_distinct_outputs,
-    trial_seed,
 )
 from .combinatorics import (
     MAX_ALPHABET,
@@ -111,7 +110,6 @@ __all__ = [
     "reconstruct_from_insertions",
     "sample_distinct_outputs",
     "sphere_packing_bound",
-    "trial_seed",
     "validate_word",
     "y_sequence",
 ]

@@ -28,15 +28,6 @@ from .sequences import Word, format_word, validate_word
 # random.Random, stable across platforms and versions, drawing ranks to unrank
 RNG_ALGORITHM = "mt19937/unrank-v1"
 
-_MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier
-
-
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Derive a per-trial seed from a master seed; stable across platforms."""
-    value = (master_seed * _MIX + trial_index * 0xBF58476D1CE4E5B9 + 1) % 2**64
-    value ^= value >> 31
-    return (value * _MIX) % 2**63
-
 
 @dataclass(frozen=True, slots=True)
 class BurstEvent:

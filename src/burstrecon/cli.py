@@ -242,7 +242,7 @@ _OVERLAP_RANGE = (
 
 CHECKS = {
     "ins-ball": Check(
-        work=lambda q, b, t, n: q**n * max(_ins_ball(q, b, t, n), 1),
+        work=lambda q, b, t, n: q**n * _ins_ball(q, b, t, n),
         formula=_ins_ball,
         oracle=_ins_ball_regularity,
     ),

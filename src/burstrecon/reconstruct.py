@@ -66,8 +66,6 @@ def _tally_grid(
         first: dict[int, int] = {}
         for slot, symbol in enumerate(pattern, 1):
             if symbol not in first:
-                if symbol >= q:
-                    raise _out_of_range(symbol, q)
                 first[symbol] = slot
         for alpha, slot in first.items():
             sizes[(alpha, slot)] += count

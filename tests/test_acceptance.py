@@ -28,9 +28,9 @@ from burstrecon import (
     reconstruct_from_insertions,
     sample_distinct_outputs,
     sphere_packing_bound,
-    trial_seed,
     y_sequence,
 )
+from seeding import trial_seed
 
 MASTER_SEED = 20260810
 TRIALS_PER_CELL = 100

@@ -26,7 +26,6 @@ from burstrecon import (
     is_insertion_descendant,
     parse_word,
     sample_distinct_outputs,
-    trial_seed,
     y_sequence,
 )
 from burstrecon.channel import _deletion_unranker, _insertion_unranker
@@ -379,15 +378,6 @@ class TestUnrankerMatchesReference:
             (lambda: _deletion_unranker(x, t, b), lambda: reference_deletion_unranker(x, t, b)),
         ):
             self.check(unranker, reference, lambda size: [rng.randrange(size) for _ in range(2000)])
-
-
-class TestTrialSeed:
-    def test_deterministic(self):
-        assert trial_seed(42, 7) == trial_seed(42, 7)
-
-    def test_spreads(self):
-        seeds = {trial_seed(42, i) for i in range(1000)}
-        assert len(seeds) == 1000
 
 
 class TestEventFormat:

@@ -32,11 +32,10 @@ from burstrecon import (
     reconstruct_from_deletions,
     reconstruct_from_insertions,
     sample_distinct_outputs,
-    trial_seed,
 )
 from burstrecon.balls import _check_cap
 from burstrecon.reconstruct import _grid, _read_outputs, _tally_grid
-from burstrecon.sequences import _out_of_range
+from seeding import trial_seed
 
 
 def words_of(*texts):
@@ -53,10 +52,7 @@ def reference_classes(words, q, b, t):
         for slot in range(t + 1):
             first.setdefault(w[slot * b], slot + 1)
         for symbol, slot in first.items():
-            try:
-                classes[(symbol, slot)].add(w)
-            except KeyError:
-                raise _out_of_range(symbol, q) from None
+            classes[(symbol, slot)].add(w)
         for alpha, slot in first.items():
             for beta in range(q):
                 if beta != alpha and slot < first.get(beta, never):
@@ -278,11 +274,6 @@ class TestClassifier:
         for slot in (1, 2, 3):
             covered |= classes[(x[0], slot)]
         assert covered == set(ball)
-
-    def test_out_of_range_symbol_rejected(self):
-        # the grid shows symbol 3, which has no class in a binary alphabet
-        with pytest.raises(ValueError, match="symbol 3 out of range for alphabet of size 2"):
-            grid_classes([bytes([0, 3, 1])], 2, 1, 2)
 
 
 def completions(cells):
@@ -597,6 +588,20 @@ class TestDeletionDecoder:
         with pytest.raises(CandidateFilterError) as info:
             reconstruct_from_deletions(words_of("000", "001", "101"), 5, 2, 1)
         assert info.value.candidates == 2
+
+
+def test_insertion_decoder_refuses_an_out_of_range_symbol_before_the_threshold():
+    # _read_outputs refuses the symbol first, though the set falls short
+    with pytest.raises(ValueError, match="symbol 3 out of range for alphabet of size 2"):
+        reconstruct_from_insertions([bytes([0, 3, 1, 0, 1]), bytes([0, 1, 1, 0, 1])], 3, 2, 2, 1)
+
+
+def test_deletion_decoder_refuses_an_out_of_range_symbol():
+    # the set clears the threshold; _read_outputs refuses the symbol first
+    with pytest.raises(ValueError, match="symbol 2 out of range for alphabet of size 2"):
+        reconstruct_from_deletions(
+            [bytes([0, 2, 1, 1]), bytes([0, 0, 1, 1]), bytes([1, 0, 1, 1])], 6, 2, 1
+        )
 
 
 class TestExtremalPairs:

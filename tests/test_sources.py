@@ -80,6 +80,24 @@ def test_every_definition_is_used_or_exported():
     assert {name: where for name, where in unused.items() if name not in burstrecon.__all__} == {}
 
 
+API_ENTRY_POINTS = {
+    # the overlap oracle, for direct calls; verify's cells share one table instead
+    "max_intersection_exhaustive",
+    # the radius-1 census, which has no verify kind
+    "count_centers_by_radius1_ball_size",
+    # insertion membership, the mirror of is_deletion_descendant
+    "is_insertion_descendant",
+}
+
+
+def test_every_export_is_run_or_declared():
+    # an export that nothing in the package runs is an entry point on
+    # purpose or an orphan; a stale entry fails as well as a new orphan
+    unused = unreferenced_definitions(PACKAGE_DIR)
+    exported = {name: where for name, where in unused.items() if name in burstrecon.__all__}
+    assert set(exported) == API_ENTRY_POINTS, exported
+
+
 RANGE_RULE_PHRASES = (
     "alphabet size must",
     "burst length must be at least 1",
