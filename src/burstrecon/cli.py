@@ -15,6 +15,11 @@ cap is ``--cap`` on ``verify`` and ``simulate`` (default ``DEFAULT_CAP``; below
 1 it exits 2); ``reconstruct --del`` refuses above the fixed ``DEFAULT_CAP``.
 A ``verify`` row's work bound is one more ``balls._check_cap`` requirement;
 a row over the cap reads ``skip`` with the refusal message.
+
+``verify`` runs one grid point's rows together as a cell, whose ``tables``
+dict holds what its rows share: the insertion or deletion ball table of
+every center, and the deletion ball of the b-cyclic word that
+``del-extremal`` and ``del-int-lb`` both start from.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .errors import (
     ReconstructionError,
 )
 from .reconstruct import reconstruct_from_deletions, reconstruct_from_insertions
-from .sequences import all_words, b_cyclic, format_word, parse_word, y_sequence
+from .sequences import all_words, format_word, parse_word, y_sequence
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -124,7 +129,11 @@ class Check:
     builds it, stores it in tables under its ball kind and searches it by
     decreasing ball size with an exact bound; the size row reads its
     popcounts when the cell stored it, and otherwise enumerates one ball at
-    a time.  The table dies with the cell.
+    a time.  ``tables`` also holds the deletion ball of the b-cyclic word
+    ``y_sequence(n, q, b, q - 1, 0)``, the center of both ``del-extremal``
+    and ``del-int-lb``; the first of them to run (``del-extremal``)
+    enumerates it, and its ``ms`` carries that cost.  The tables die with the
+    cell.
     """
 
     domain: tuple[tuple[Callable[..., bool], str], ...] = ()
@@ -185,11 +194,25 @@ def _ins_ball_regularity(*args):
     return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
 
 
-def _flip_pair_overlap(q, b, t, n, cap, *_):
-    x = b_cyclic(n, q, b)
-    y = bytearray(x)
+def _cyclic_deletion_ball(q, b, t, n, cap, trials, rng, tables):
+    """The deletion ball of the b-cyclic word, enumerated once per cell.
+
+    The center ``y_sequence(n, q, b, q - 1, 0)`` is the b-cyclic word that
+    opens at 0.  ``del-extremal`` and ``del-int-lb`` share its ball through
+    tables; an over-cap enumeration raises before anything is stored, so
+    each row refuses alike.
+    """
+    if "b-cyclic" not in tables:
+        center = y_sequence(n, q, b, q - 1, 0)
+        tables["b-cyclic"] = enumerate_deletion_ball(center, t, b, cap)
+    return tables["b-cyclic"]
+
+
+def _flip_pair_overlap(q, b, t, n, cap, *rest):
+    """The overlap of the b-cyclic word's ball with the ball of its copy whose b-th entry is 1."""
+    ball_x = _cyclic_deletion_ball(q, b, t, n, cap, *rest)
+    y = bytearray(y_sequence(n, q, b, q - 1, 0))
     y[b - 1] = 1
-    ball_x = enumerate_deletion_ball(x, t, b, cap)
     return len(ball_x & enumerate_deletion_ball(bytes(y), t, b, cap))
 
 
@@ -278,9 +301,7 @@ CHECKS = {
     "del-extremal": Check(
         domain=(_N_ABOVE_BT,),
         formula=_del_ball,
-        oracle=lambda q, b, t, n, cap, *_: len(
-            enumerate_deletion_ball(y_sequence(n, q, b, 0, 0), t, b, cap)
-        ),
+        oracle=lambda *args: len(_cyclic_deletion_ball(*args)),
     ),
     "del-int": Check(
         domain=(
@@ -356,12 +377,13 @@ def _compute_row(config: SweepConfig, point, kind, tables) -> ResultRow:
 def _compute_cell(cell) -> list[ResultRow]:
     """The rows of one cell (config, (q, b, t, n), kinds), in ``VERIFY_KINDS`` order.
 
-    The cell's ball tables live in a local dict keyed by ball kind and die
-    with the cell.  The overlap rows (``ins-int``, ``del-int``) are computed
-    first, so that the size rows can read the tables they build.
+    The cell's ball tables live in a local dict, keyed by ball kind or
+    ``"b-cyclic"``, and die with the cell.  The overlap rows (``ins-int``,
+    ``del-int``) are computed first, so that the size rows can read the
+    tables they build.
     """
     config, point, kinds = cell
-    tables: dict[str, tuple[int, ...]] = {}
+    tables: dict[str, tuple[int, ...] | frozenset[bytes]] = {}
     rows = [
         _compute_row(config, point, kind, tables)
         for kind in sorted(kinds, key=lambda kind: kind not in ("ins-int", "del-int"))

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import groupby
 
 import pytest
 
@@ -16,6 +17,7 @@ from burstrecon import (
     all_words,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
+    y_sequence,
 )
 from burstrecon.cli import (
     EXIT_CAP,
@@ -363,6 +365,70 @@ class TestVerify:
                 if jobs == 1:  # workers count in their own processes
                     assert built == overlap_rows, kinds
             assert overlap_rows or len(kinds) == 1
+
+    # del-extremal and del-int-lb start from the same b-cyclic center
+    CYCLIC_GRID = dict(q_values=(2, 3), b_values=(2, 3), t_values=(1, 2), n_values=tuple(range(3, 10)))
+    CYCLIC_KINDS = ("del-extremal", "del-int-lb")
+
+    @classmethod
+    def cyclic_rows(cls, kinds, jobs=1, cap=10**7):
+        config = SweepConfig(**cls.CYCLIC_GRID, kinds=kinds, cap=cap, seed=0, trials=1, jobs=jobs)
+        return [dataclasses.replace(r, ms=0.0) for r in run_sweep(config)]
+
+    def test_cyclic_ball_enumerated_once_per_cell(self, monkeypatch):
+        enumerated = []
+        real = burstrecon.cli.enumerate_deletion_ball
+
+        def counting(x, t, b, *args):
+            enumerated.append((x, t, b))
+            return real(x, t, b, *args)
+
+        monkeypatch.setattr(burstrecon.cli, "enumerate_deletion_ball", counting)
+        shared = 0
+        for kinds in (self.CYCLIC_KINDS, ("del-int-lb",)):
+            enumerated.clear()
+            rows = self.cyclic_rows(kinds)
+            expected = []
+            for (q, b, t, n), cell in groupby(rows, key=lambda r: (r.q, r.b, r.t, r.n)):
+                ran = {r.kind for r in cell if r.match != "skip"}
+                shared += len(ran) == 2
+                center = bytes(i // b % q for i in range(n))
+                flipped = center[: b - 1] + b"\x01" + center[b:]
+                expected += [(center, t, b)] * bool(ran) + [(flipped, t, b)] * ("del-int-lb" in ran)
+            assert enumerated == expected, kinds
+            assert {r.match for r in rows} == {"true", "skip"}, kinds
+        assert shared > 0
+
+    @pytest.mark.parametrize("cap", [10**7, 10])
+    def test_cyclic_rows_match_each_kind_alone(self, cap):
+        # the second row of a cell reads the shared ball, or refuses as the
+        # first did when the ball is over the cap
+        alone = sorted(
+            (row for kind in self.CYCLIC_KINDS for row in self.cyclic_rows((kind,), cap=cap)),
+            key=lambda r: (r.q, r.b, r.t, r.n, VERIFY_KINDS.index(r.kind)),
+        )
+        for jobs in (1, 2):
+            assert self.cyclic_rows(self.CYCLIC_KINDS, jobs, cap) == alone, jobs
+        assert {r.match for r in alone} == {"true", "skip"}
+        refusals = [
+            [r.oracle for r in cell]
+            for _, cell in groupby(alone, key=lambda r: (r.q, r.b, r.t, r.n))
+        ]
+        refused_twice = [
+            oracles for oracles in refusals
+            if len(oracles) == 2 and oracles[0] == oracles[1] and "enumeration needs" in oracles[0]
+        ]
+        assert len(refused_twice) == (4 if cap == 10 else 0)
+
+    def test_extremal_row_reads_the_old_center(self):
+        # the center moved from y_sequence(n, q, b, 0, 0) to its image under
+        # s -> s-1; a symbol permutation keeps the ball size
+        rows = self.cyclic_rows(("del-extremal",))
+        for r in rows:
+            if r.match != "skip":
+                old_center = y_sequence(r.n, r.q, r.b, 0, 0)
+                assert r.oracle == str(len(enumerate_deletion_ball(old_center, r.t, r.b))), r
+        assert any(r.match == "true" for r in rows)
 
     def test_parallel_jobs_match_sequential(self):
         # every kind crosses the process boundary as a plain tuple

@@ -170,6 +170,13 @@ class TestYSequence:
                                 ball = enumerate_deletion_ball(center, t, b)
                                 assert len(ball) == expected, (q, b, t, n, start, j)
 
+    def test_last_start_without_prefix_is_the_b_cyclic_word(self):
+        # verify's del-extremal and del-int-lb share the ball of this one word
+        for q in (2, 3, 4, 255):
+            for b in range(1, 5):
+                for n in range(3 * b + 2):
+                    assert y_sequence(n, q, b, q - 1, 0) == b_cyclic(n, q, b), (q, b, n)
+
     def test_start_symbol_irrelevant_for_cyclic(self):
         for q in (2, 3):
             for b in (1, 2):

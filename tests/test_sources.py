@@ -231,6 +231,7 @@ def module_caches(path):
 def test_balls_keeps_no_cache():
     # the ball tables die with the cell or the call that built them
     assert module_caches(PACKAGE_DIR / "balls.py") == []
+    assert module_caches(PACKAGE_DIR / "cli.py") == []
     assert module_caches(PACKAGE_DIR / "combinatorics.py") != []  # the guard sees a cache
 
 
@@ -254,4 +255,31 @@ def test_ball_tables_have_one_owner_outside_balls():
     assert table_builders(PACKAGE_DIR) == {
         "balls.py:max_intersection_exhaustive",
         "cli.py:_table_overlap",
+    }
+
+
+def deletion_ball_enumerators(path):
+    """Top-level statements of one module that name ``enumerate_deletion_ball``.
+
+    A function counts by its name; any other statement, such as a table of
+    lambdas, by its line.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in tree.body
+        if any(
+            isinstance(node, ast.Name) and node.id == "enumerate_deletion_ball"
+            for node in ast.walk(stmt)
+        )
+    }
+
+
+def test_cyclic_ball_has_one_enumerator_in_cli():
+    # del-extremal and del-int-lb read the b-cyclic word's deletion ball from
+    # the cell's tables; only the flipped word of del-int-lb is enumerated
+    # beside it, so no row can enumerate the shared ball a second time
+    assert deletion_ball_enumerators(PACKAGE_DIR / "cli.py") == {
+        "_cyclic_deletion_ball",
+        "_flip_pair_overlap",
     }
