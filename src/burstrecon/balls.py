@@ -9,9 +9,12 @@ except to refuse hopeless enumerations up front.
 a sample count, phase-2 candidates, a ``verify`` row's work) meets the cap.
 
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
-every center's ball, enumerated one at a time and kept only as a bitmask over
-the words numbered so far, so an overlap is the popcount of an AND, a ball's
-size is its mask's popcount, and no ball set outlives its own enumeration.
+every center's ball, enumerated one at a time and kept only as a bitmask, so
+an overlap is the popcount of an AND, a ball's size is its mask's popcount,
+and no ball set outlives its own enumeration.  Insertion tables with t >= 1
+number a word by its rank in ``all_words`` and apply each center's last burst
+to ranks, not to words (``_insertion_masks``); the other tables number words
+in the order the balls first produce them.
 Nothing here keeps a table: it belongs to whoever built it and dies with that
 caller.  A cached table would escape the cap that bounds every enumeration,
 so this module holds no cache; ``cli``'s cell runner decides when one
@@ -128,14 +131,50 @@ def _center_masks(
     """The ball table of one cell: every length-n center's ball as a bitmask.
 
     Refuses (EnumerationCapExceeded) when the q**n centers exceed the cap,
-    before it builds anything.  Each ball of ``_center_balls`` is numbered
-    with ``_bitmask`` over one numbering of all words seen so far, then
-    dropped.
+    before it builds anything.  Insertion tables with t >= 1 are numbered by
+    rank (``_insertion_masks``); otherwise each ball of ``_center_balls`` is
+    numbered with ``_bitmask`` over one numbering of all words seen so far,
+    then dropped.
     """
     _check_cap(q**n, cap)
+    if kind == "insertion" and t:
+        return _insertion_masks(n, q, b, t, cap)
     # one index numbers every ball; map drops each ball before enumerating the
     # next, where a loop variable would keep it alive one ball longer
     return tuple(map(_bitmask, _center_balls(n, q, b, t, kind, cap), repeat({})))
+
+
+def _insertion_masks(n: int, q: int, b: int, t: int, cap: int) -> tuple[int, ...]:
+    """The insertion ball table of a cell with t >= 1, numbered by word rank.
+
+    Bit k of a mask is the k-th word of ``all_words(q, n + t*b)``.  Each
+    center's ball is enumerated to radius t-1, and the last burst is applied
+    to ranks: cutting a word u of length m at i, with s = m - i symbols after
+    the cut, gives the words ``u[:i] + p + u[i:]`` the ranks
+    ``pre*q**(b+s) + rank(p)*q**s + suf``, where pre and suf are the ranks of
+    ``u[:i]`` and ``u[i:]``.  So every payload inserted at that cut sets one
+    comb of bits, ``p*q**s`` for every payload rank p, shifted by
+    ``rank(u) + pre*q**s*(q**b - 1)``; the OR of the combs merges the words
+    that several insertions produce.
+    """
+    _check_cap(ins_ball_size(q, b, n, t), cap)
+    m = n + (t - 1) * b
+    payloads = q**b
+    combs = [sum(1 << (p * q**s) for p in range(payloads)) for s in range(m, -1, -1)]
+    weights = [q**s * (payloads - 1) for s in range(m, -1, -1)]
+    masks = []
+    for x in all_words(q, n):
+        mask = 0
+        for u in enumerate_insertion_ball(x, q, t - 1, b, cap):
+            # prefix ranks by Horner: pres[i] is the rank of u[:i]
+            pres = [0]
+            for c in u:
+                pres.append(pres[-1] * q + c)
+            rank = pres[-1]
+            for comb, weight, pre in zip(combs, weights, pres):
+                mask |= comb << (rank + pre * weight)
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _max_overlap(masks: tuple[int, ...]) -> tuple[int, tuple[int, int]]:

@@ -125,11 +125,12 @@ class Check:
     modules see the calls.
 
     The ``ins-ball``/``ins-int`` and ``del-ball``/``del-int`` oracles of one
-    cell share its ball table (``balls._center_masks``): the overlap row
-    builds it, stores it in tables under its ball kind and searches it by
-    decreasing ball size with an exact bound; the size row reads its
-    popcounts when the cell stored it, and otherwise enumerates one ball at
-    a time.  ``tables`` also holds the deletion ball of the b-cyclic word
+    cell share its ball table (``balls._center_masks``; insertion tables
+    with t >= 1 are numbered by word rank): the overlap row builds it,
+    stores it in tables under its ball kind and searches it by decreasing
+    ball size with an exact bound; the size row reads its popcounts when the
+    cell stored it, and otherwise enumerates one ball at a time.  ``tables``
+    also holds the deletion ball of the b-cyclic word
     ``y_sequence(n, q, b, q - 1, 0)``, the center of both ``del-extremal``
     and ``del-int-lb``; the first of them to run (``del-extremal``)
     enumerates it, and its ``ms`` carries that cost.  The tables die with the

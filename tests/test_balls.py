@@ -292,10 +292,50 @@ class TestMaxIntersectionExhaustive:
         def no_enumeration(*args):
             raise AssertionError("a ball was enumerated")
 
+        # an insertion table with t >= 1 enumerates its balls directly
         monkeypatch.setattr(burstrecon.balls, "_center_balls", no_enumeration)
+        monkeypatch.setattr(burstrecon.balls, "enumerate_insertion_ball", no_enumeration)
         with pytest.raises(EnumerationCapExceeded) as excinfo:
             _center_masks(4, 3, 3, 2, "insertion", 80)
         assert excinfo.value.required == 81
+
+    def test_insertion_table_refuses_a_ball_over_the_cap_before_building(self, monkeypatch):
+        # 81 centers pass the cap; each ball holds 5,913 words
+        assert ins_ball_size(3, 3, 4, 2) == 5913
+        assert len(_center_masks(4, 3, 3, 2, "insertion", 5913)) == 81
+
+        def no_enumeration(*args):
+            raise AssertionError("a ball was enumerated")
+
+        monkeypatch.setattr(burstrecon.balls, "enumerate_insertion_ball", no_enumeration)
+        with pytest.raises(EnumerationCapExceeded) as excinfo:
+            _center_masks(4, 3, 3, 2, "insertion", 5912)
+        assert (excinfo.value.required, excinfo.value.cap) == (5913, 5912)
+
+    def test_insertion_masks_are_numbered_by_rank(self):
+        # bit k of a mask is the k-th word of all_words(q, n + t*b); decoding
+        # each set bit by base-q division must give back the enumerated ball,
+        # so a comb shifted by one cut shows even where the sizes agree
+        cells = 0
+        for q in (2, 3, 4, 5):
+            for b in (1, 2, 3):
+                for t in (1, 2, 3):
+                    for n in range(4):
+                        length = n + t * b
+                        if q**n * q**length > 200_000:
+                            break
+                        masks = _center_masks(n, q, b, t, "insertion", 10**7)
+                        for x, mask in zip(all_words(q, n), masks, strict=True):
+                            decoded = set()
+                            for k, bit in enumerate(reversed(bin(mask)[2:])):
+                                if bit == "1":
+                                    word = bytearray(length)
+                                    for i in reversed(range(length)):
+                                        k, word[i] = divmod(k, q)
+                                    decoded.add(bytes(word))
+                            assert decoded == enumerate_insertion_ball(x, q, t, b), (q, b, t, n, x)
+                        cells += 1
+        assert cells > 100
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**12 - 1), min_size=2, max_size=12))
@@ -337,6 +377,12 @@ class TestMaxIntersectionExhaustive:
                 got = max_intersection_exhaustive(n, 2, b, 2, "deletion")
                 assert got == reference_max_intersection(n, 2, b, 2, "deletion"), (b, n)
                 cells += 1
+        # alphabets past the digit text form, where a word's rank cannot be
+        # read from its text
+        for n, q, b, t in ((2, 12, 1, 1), (1, 11, 2, 2), (1, 255, 1, 1)):
+            got = max_intersection_exhaustive(n, q, b, t, "insertion")
+            assert got == reference_max_intersection(n, q, b, t, "insertion"), (q, b, t, n)
+            cells += 1
         assert cells > 150
 
     def test_holds_no_ball_sets(self):
