@@ -9,12 +9,12 @@ except to refuse hopeless enumerations up front.
 a sample count, phase-2 candidates, a ``verify`` row's work) meets the cap.
 
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
-every center's ball, enumerated one at a time and kept only as a bitmask, so
-an overlap is the popcount of an AND, a ball's size is its mask's popcount,
-and no ball set outlives its own enumeration.  Insertion tables with t >= 1
-number a word by its rank in ``all_words`` and apply each center's last burst
-to ranks, not to words (``_insertion_masks``); the other tables number words
-in the order the balls first produce them.
+every center's ball kept only as a bitmask over word ranks, so an overlap is
+the popcount of an AND, a ball's size is its mask's popcount, and no ball set
+outlives its own enumeration.  Bursts act on ranks, not on words:
+``_insertion_masks`` applies an insertion ball's last burst as combs of bits,
+``_deletion_masks`` builds a deletion table level by level, and
+``_deletion_rank_balls`` gives a deletion size row one set of ranks per center.
 Nothing here keeps a table: it belongs to whoever built it and dies with that
 caller.  A cached table would escape the cap that bounds every enumeration,
 so this module holds no cache; ``cli``'s cell runner decides when one
@@ -23,7 +23,7 @@ so this module holds no cache; ``cli``'s cell runner decides when one
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 from typing import Iterator, Literal
 
 from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
@@ -100,29 +100,39 @@ def enumerate_deletion_ball(
     return frozenset(words)
 
 
-def _bitmask(words: frozenset[Word], index: dict[Word, int]) -> int:
-    """Bitmask of words: bit k is set iff the word numbered k in index is one of them.
+def _cuts(q: int, b: int, length: int) -> list[tuple[int, int]]:
+    """One burst of b deletions from a word of the given length, as rank arithmetic.
 
-    Words seen for the first time get the next free numbers in index.
+    For every cut i, the pair (q**(length-i), q**(length-i-b)): deleting
+    symbols i..i+b-1 from the word of rank r leaves the word of rank
+    ``r // high * low + r % low``, the rank of the prefix shifted past the
+    suffix plus the rank of the suffix.
     """
-    number = index.setdefault
-    ks = [number(w, len(index)) for w in words]
-    bits = bytearray(len(index) // 8 + 1)
-    for k in ks:
-        bits[k >> 3] |= 1 << (k & 7)
-    return int.from_bytes(bits, "little")
+    return [(q ** (length - i), q ** (length - i - b)) for i in range(length - b + 1)]
 
 
-def _center_balls(
-    n: int, q: int, b: int, t: int, kind: BallKind, cap: int
-) -> Iterator[frozenset[Word]]:
-    """Every length-n center's ball, enumerated one at a time in ``all_words`` order.
+def _center_balls(n: int, q: int, b: int, t: int, cap: int) -> Iterator[frozenset[Word]]:
+    """Every length-n center's insertion ball, enumerated one at a time in ``all_words`` order.
 
-    Callers check the parameters; the enumerators refuse a ball over the cap.
+    Callers check the parameters; the enumerator refuses a ball over the cap.
     """
-    if kind == "insertion":
-        return (enumerate_insertion_ball(x, q, t, b, cap) for x in all_words(q, n))
-    return (enumerate_deletion_ball(x, t, b, cap) for x in all_words(q, n))
+    return (enumerate_insertion_ball(x, q, t, b, cap) for x in all_words(q, n))
+
+
+def _deletion_rank_balls(n: int, q: int, b: int, t: int) -> Iterator[set[int]]:
+    """Every length-n center's deletion ball as a set of word ranks, one at a time.
+
+    The rounds of ``enumerate_deletion_ball`` on ranks (``_cuts``): the k-th
+    set is the ball of the k-th word of ``all_words(q, n)``, and rank j in it
+    stands for the j-th word of ``all_words(q, n - t*b)``.  Only one ball is
+    held at a time.  Callers check the parameters, the cap and the length.
+    """
+    rounds = [_cuts(q, b, n - s * b) for s in range(t)]
+    for center in range(q**n):
+        ball = {center}
+        for cuts in rounds:
+            ball = {r // high * low + r % low for r in ball for high, low in cuts}
+        yield ball
 
 
 def _center_masks(
@@ -130,18 +140,49 @@ def _center_masks(
 ) -> tuple[int, ...]:
     """The ball table of one cell: every length-n center's ball as a bitmask.
 
-    Refuses (EnumerationCapExceeded) when the q**n centers exceed the cap,
-    before it builds anything.  Insertion tables with t >= 1 are numbered by
-    rank (``_insertion_masks``); otherwise each ball of ``_center_balls`` is
-    numbered with ``_bitmask`` over one numbering of all words seen so far,
-    then dropped.
+    Bit k of a mask is the k-th word of ``all_words(q, n + t*b)`` for
+    insertion and ``all_words(q, n - t*b)`` for deletion.  Refuses
+    (EnumerationCapExceeded) when the q**n centers exceed the cap, before it
+    builds anything, and then (``_check_deletable``) a deletion cell whose
+    words cannot lose t bursts.  Insertion tables with t >= 1 come from
+    ``_insertion_masks``, the others from ``_deletion_masks``: a radius-0
+    ball of either kind is its center alone.
     """
     _check_cap(q**n, cap)
     if kind == "insertion" and t:
         return _insertion_masks(n, q, b, t, cap)
-    # one index numbers every ball; map drops each ball before enumerating the
-    # next, where a loop variable would keep it alive one ball longer
-    return tuple(map(_bitmask, _center_balls(n, q, b, t, kind, cap), repeat({})))
+    _check_deletable(n, t, b)
+    return _deletion_masks(n, q, b, t)
+
+
+def _deletion_masks(n: int, q: int, b: int, t: int) -> tuple[int, ...]:
+    """The deletion ball table of a cell, built level by level on word ranks.
+
+    Level s holds the radius-s ball of every word of length n - (t-s)*b, as
+    a mask indexed by the word's rank; level t, the q**n centers, is the
+    table.  A word's level-s mask is the OR of the level-(s-1) masks at its
+    cut ranks (``_cuts``), and level 1 sets the bit of each cut rank.  Every
+    burst is still applied at every cut, round by round, and the OR merges
+    the words that several deletions produce.  Only the level below is held,
+    at most 1/q**b of the table's masks, so the table bounds what a build
+    holds.  A ball holds at most q**(n-t*b) words, so it needs no cap check
+    of its own.  With t = 0 the table is the singletons ``1 << rank``.
+    """
+    lower = None
+    for length in range(n - (t - 1) * b, n + 1, b):
+        cuts = _cuts(q, b, length)
+        level = []
+        for r in range(q**length):
+            mask = 0
+            if lower is None:
+                for high, low in cuts:
+                    mask |= 1 << (r // high * low + r % low)
+            else:
+                for high, low in cuts:
+                    mask |= lower[r // high * low + r % low]
+            level.append(mask)
+        lower = level
+    return tuple(lower) if t else tuple(1 << r for r in range(q**n))
 
 
 def _insertion_masks(n: int, q: int, b: int, t: int, cap: int) -> tuple[int, ...]:
@@ -215,13 +256,14 @@ def max_intersection_exhaustive(
     Returns the maximum and the lexicographically smallest maximizing pair.
     This is the oracle the closed-form overlap maxima are judged against.
 
-    Every center's ball is enumerated in full and kept as a bitmask in a
-    table of its own (``_center_masks``), searched by ``_max_overlap`` and
-    dropped when the call returns; the overlap of two balls is the popcount
-    of their masks' AND.  Only the counting of the enumerated sets is
-    compressed, so the result still rests on enumeration alone and not on
-    any formula.  A mask takes about U/8 bytes for U distinct words, where a
-    held ball would take some 80 bytes per member.
+    Every center's ball is kept as a bitmask over word ranks in a table of
+    its own (``_center_masks``), searched by ``_max_overlap`` and dropped
+    when the call returns; the overlap of two balls is the popcount of their
+    masks' AND.  The balls are built by applying every burst at every cut,
+    partly on ranks instead of words, so the result still rests on
+    enumeration alone and not on any formula.  A mask takes about U/8 bytes
+    over a range of U ranks, where a held ball would take some 80 bytes per
+    member.
     """
     _check_kind(kind)
     _check_params(q=q, b=b, t=t, n=n)

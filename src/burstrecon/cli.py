@@ -44,6 +44,7 @@ from .balls import (
     _center_balls,
     _center_masks,
     _check_cap,
+    _deletion_rank_balls,
     _max_overlap,
     enumerate_deletion_ball,
 )
@@ -125,12 +126,12 @@ class Check:
     modules see the calls.
 
     The ``ins-ball``/``ins-int`` and ``del-ball``/``del-int`` oracles of one
-    cell share its ball table (``balls._center_masks``; insertion tables
-    with t >= 1 are numbered by word rank): the overlap row builds it,
-    stores it in tables under its ball kind and searches it by decreasing
-    ball size with an exact bound; the size row reads its popcounts when the
-    cell stored it, and otherwise enumerates one ball at a time.  ``tables``
-    also holds the deletion ball of the b-cyclic word
+    cell share its ball table (``balls._center_masks``, numbered by word
+    rank): the overlap row builds it, stores it in tables under its ball
+    kind and searches it by decreasing ball size with an exact bound; the
+    size row reads its popcounts when the cell stored it, and otherwise
+    builds one ball at a time, a deletion ball as a set of word ranks.
+    ``tables`` also holds the deletion ball of the b-cyclic word
     ``y_sequence(n, q, b, q - 1, 0)``, the center of both ``del-extremal``
     and ``del-int-lb``; the first of them to run (``del-extremal``)
     enumerates it, and its ``ms`` carries that cost.  The tables die with the
@@ -182,12 +183,15 @@ def _ball_sizes(kind, q, b, t, n, cap, trials, rng, tables):
     """Every length-n center's ball size, in ``all_words`` order.
 
     Where the cell's overlap row stored a table, the sizes are its popcounts,
-    so the cell enumerates each ball once.  Elsewhere the balls are
-    enumerated one at a time, so a size row never builds a table.
+    so the cell builds each ball once.  Elsewhere the balls are built one at
+    a time, so a size row never builds a table: insertion balls as sets of
+    words, deletion balls as sets of word ranks.
     """
     if kind in tables:
         return [mask.bit_count() for mask in tables[kind]]
-    return list(map(len, _center_balls(n, q, b, t, kind, cap)))
+    if kind == "insertion":
+        return list(map(len, _center_balls(n, q, b, t, cap)))
+    return list(map(len, _deletion_rank_balls(n, q, b, t)))
 
 
 def _ins_ball_regularity(*args):

@@ -26,7 +26,7 @@ from burstrecon import (
 )
 from burstrecon import cli
 import burstrecon.balls
-from burstrecon.balls import _center_masks, _check_cap, _max_overlap
+from burstrecon.balls import _center_masks, _check_cap, _deletion_rank_balls, _max_overlap
 
 
 def words_of(*texts):
@@ -50,6 +50,23 @@ def reference_is_deletion_descendant(v, y, t, b):
             if f < t and i + b <= nv:
                 feasible[i + b].add(f + 1)
     return t in feasible[nv]
+
+
+def set_bits(mask):
+    """The indices of a mask's set bits, in increasing order."""
+    return [k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def words_of_ranks(ranks, q, length):
+    """The words of the given ranks in ``all_words(q, length)``, by base-q division."""
+    words = set()
+    for k in ranks:
+        word = bytearray(length)
+        for i in reversed(range(length)):
+            k, word[i] = divmod(k, q)
+        assert k == 0, "rank past the last word"
+        words.add(bytes(word))
+    return words
 
 
 def reference_max_intersection(n, q, b, t, kind):
@@ -292,12 +309,21 @@ class TestMaxIntersectionExhaustive:
         def no_enumeration(*args):
             raise AssertionError("a ball was enumerated")
 
-        # an insertion table with t >= 1 enumerates its balls directly
-        monkeypatch.setattr(burstrecon.balls, "_center_balls", no_enumeration)
-        monkeypatch.setattr(burstrecon.balls, "enumerate_insertion_ball", no_enumeration)
-        with pytest.raises(EnumerationCapExceeded) as excinfo:
-            _center_masks(4, 3, 3, 2, "insertion", 80)
-        assert excinfo.value.required == 81
+        # an insertion table with t >= 1 enumerates its balls directly; a
+        # deletion table and a t = 0 table work on ranks
+        for name in (
+            "_center_balls", "enumerate_insertion_ball", "enumerate_deletion_ball",
+            "_insertion_masks", "_deletion_masks", "_cuts",
+        ):
+            monkeypatch.setattr(burstrecon.balls, name, no_enumeration)
+        # the last deletion cell is too short for its bursts: the cap refuses first
+        for n, b, t, kind in (
+            (4, 3, 2, "insertion"), (4, 1, 0, "insertion"), (4, 1, 2, "deletion"),
+            (4, 2, 0, "deletion"), (4, 3, 2, "deletion"),
+        ):
+            with pytest.raises(EnumerationCapExceeded) as excinfo:
+                _center_masks(n, 3, b, t, kind, 80)
+            assert (excinfo.value.required, excinfo.value.cap) == (81, 80), (n, b, t, kind)
 
     def test_insertion_table_refuses_a_ball_over_the_cap_before_building(self, monkeypatch):
         # 81 centers pass the cap; each ball holds 5,913 words
@@ -326,16 +352,91 @@ class TestMaxIntersectionExhaustive:
                             break
                         masks = _center_masks(n, q, b, t, "insertion", 10**7)
                         for x, mask in zip(all_words(q, n), masks, strict=True):
-                            decoded = set()
-                            for k, bit in enumerate(reversed(bin(mask)[2:])):
-                                if bit == "1":
-                                    word = bytearray(length)
-                                    for i in reversed(range(length)):
-                                        k, word[i] = divmod(k, q)
-                                    decoded.add(bytes(word))
+                            decoded = words_of_ranks(set_bits(mask), q, length)
                             assert decoded == enumerate_insertion_ball(x, q, t, b), (q, b, t, n, x)
                         cells += 1
         assert cells > 100
+
+    def test_deletion_masks_and_rank_sets_are_numbered_by_rank(self):
+        # bit k of a deletion mask, and rank k of a size row's set, is the
+        # k-th word of all_words(q, n - t*b); decoding them by base-q division
+        # must give back the enumerated ball, so a cut rank off by one shows
+        # even where the sizes agree.  A t = 0 table of either kind is the
+        # singletons 1 << rank.
+        cells = 0
+        for q in (2, 3, 4, 5):
+            for b in (1, 2, 3):
+                for t in (0, 1, 2, 3):
+                    for n in range(t * b, t * b + 5):
+                        length = n - t * b
+                        if q**n * (length + 1) > 5_000:
+                            break
+                        balls = [enumerate_deletion_ball(x, t, b) for x in all_words(q, n)]
+                        masks = _center_masks(n, q, b, t, "deletion", 10**7)
+                        for ball, mask, ranks in zip(
+                            balls, masks, _deletion_rank_balls(n, q, b, t), strict=True
+                        ):
+                            assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
+                            assert words_of_ranks(ranks, q, length) == ball, (q, b, t, n)
+                        sizes = cli._ball_sizes("deletion", q, b, t, n, 10**7, 1, None, {})
+                        assert sizes == [len(ball) for ball in balls], (q, b, t, n)
+                        if t == 0:
+                            assert masks == tuple(1 << r for r in range(q**n))
+                            assert _center_masks(n, q, b, t, "insertion", 10**7) == masks
+                        cells += 1
+        assert cells > 150
+
+    def test_deletion_tables_and_size_rows_enumerate_no_ball(self, monkeypatch):
+        # both work on ranks alone; a size-only del-ball sweep builds no table
+        def no_enumeration(*args):
+            raise AssertionError("a ball was enumerated")
+
+        monkeypatch.setattr(burstrecon.balls, "enumerate_deletion_ball", no_enumeration)
+        monkeypatch.setattr(burstrecon.cli, "enumerate_deletion_ball", no_enumeration)
+        masks = _center_masks(9, 2, 2, 2, "deletion", 10**7)
+        assert max(mask.bit_count() for mask in masks) == del_ball_max(2, 2, 9, 2)
+        config = cli.SweepConfig(
+            q_values=(2, 3), b_values=(1, 2), t_values=(0, 1, 2), n_values=(4, 5, 6),
+            kinds=("del-ball",), cap=10**7, seed=0, trials=1, jobs=1,
+        )
+        assert {r.match for r in cli.run_sweep(config)} == {"true"}
+
+    def test_deletion_table_of_short_words_refuses_as_the_enumerator(self):
+        with pytest.raises(ValueError) as enumerated:
+            enumerate_deletion_ball(bytes(3), 2, 2)
+        with pytest.raises(ValueError) as tabled:
+            _center_masks(3, 2, 2, 2, "deletion", 10**7)
+        assert str(tabled.value) == str(enumerated.value)
+        assert str(tabled.value) == "word of length 3 too short for 2 bursts of 2 deletions"
+
+    def test_deletion_size_row_holds_no_level(self):
+        # a table build of q=2, b=1, t=2, n=13 holds level 1: the radius-1
+        # masks of all 4,096 words of length 12, which is the table of
+        # (n=12, t=1); a size row holds one center's set of ranks at a time,
+        # so a size path that kept a level or a table would fail here
+        level = _center_masks(12, 2, 1, 1, "deletion", 10**7)
+        held = sys.getsizeof(level) + sum(map(sys.getsizeof, level))
+        del level
+        tracemalloc.start()
+        try:
+            sizes = cli._ball_sizes("deletion", 2, 1, 2, 13, 10**7, 1, None, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) == del_ball_max(2, 1, 13, 2)
+        assert peak * 8 < held, (peak, held)
+
+    @pytest.mark.parametrize("q, b, t, n", [(2, 2, 2, 12), (2, 1, 1, 12), (3, 2, 1, 7)])
+    def test_deletion_table_peak_stays_near_its_masks(self, q, b, t, n):
+        # only the level below the top is held while the table is built
+        tracemalloc.start()
+        try:
+            masks = _center_masks(n, q, b, t, "deletion", 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
+        assert peak < 1.5 * table, (peak, table)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**12 - 1), min_size=2, max_size=12))
