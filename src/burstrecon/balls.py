@@ -11,14 +11,18 @@ a sample count, phase-2 candidates, a ``verify`` row's work) meets the cap.
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
 every center's ball kept only as a bitmask over word ranks, so an overlap is
 the popcount of an AND, a ball's size is its mask's popcount, and no ball set
-outlives its own enumeration.  Bursts act on ranks, not on words:
-``_insertion_masks`` applies an insertion ball's last burst as combs of bits,
-``_deletion_masks`` builds a deletion table level by level, and
-``_deletion_rank_balls`` gives a deletion size row one set of ranks per center.
-Nothing here keeps a table: it belongs to whoever built it and dies with that
-caller.  A cached table would escape the cap that bounds every enumeration,
-so this module holds no cache; ``cli``'s cell runner decides when one
-``verify`` cell builds a table and shares it between its rows.
+outlives its own enumeration.  The tables and size rows act on ranks, not on
+words, through one burst rule (``_cuts``): deleting a block maps a word's
+rank to a shorter word's, and inserting one is the inverse map.
+``_rank_balls`` gives a size row one set of ranks per center, of either
+kind; ``_insertion_masks`` takes those sets to radius t-1 and applies the
+last burst as combs of bits; ``_deletion_masks`` builds a deletion table
+level by level.  None of them calls the word enumerators, which stay the
+independent reference they are checked against.  Nothing here keeps a
+table: it belongs to whoever built it and dies with that caller.  A cached
+table would escape the cap that bounds every enumeration, so this module
+holds no cache; ``cli``'s cell runner decides when one ``verify`` cell
+builds a table and shares it between its rows.
 """
 
 from __future__ import annotations
@@ -101,37 +105,41 @@ def enumerate_deletion_ball(
 
 
 def _cuts(q: int, b: int, length: int) -> list[tuple[int, int]]:
-    """One burst of b deletions from a word of the given length, as rank arithmetic.
+    """The one burst rule on ranks: a block of b symbols at every cut of a word of this length.
 
-    For every cut i, the pair (q**(length-i), q**(length-i-b)): deleting
-    symbols i..i+b-1 from the word of rank r leaves the word of rank
+    For every cut i, the pair (high, low) = (q**(length-i), q**(length-i-b)):
+    deleting symbols i..i+b-1 from the word of rank r leaves the word of rank
     ``r // high * low + r % low``, the rank of the prefix shifted past the
-    suffix plus the rank of the suffix.
+    suffix plus the rank of the suffix.  Inserting a block at cut i of the
+    shorter word is the inverse: rank r gives ``r // low * high + r % low + p``,
+    where the payload adds p, one of ``range(0, high, low)``.
     """
     return [(q ** (length - i), q ** (length - i - b)) for i in range(length - b + 1)]
 
 
-def _center_balls(n: int, q: int, b: int, t: int, cap: int) -> Iterator[frozenset[Word]]:
-    """Every length-n center's insertion ball, enumerated one at a time in ``all_words`` order.
+def _rank_balls(n: int, q: int, b: int, t: int, kind: BallKind) -> Iterator[set[int]]:
+    """Every length-n center's ball as a set of word ranks, one center at a time.
 
-    Callers check the parameters; the enumerator refuses a ball over the cap.
+    The enumerators' rounds on ranks (``_cuts``): the k-th set is the ball of
+    the k-th word of ``all_words(q, n)``, and rank j in it stands for the
+    j-th word of ``all_words(q, n - t*b)`` (deletion) or ``all_words(q, n +
+    t*b)`` (insertion).  Only one ball is held at a time.  Callers check the
+    parameters, the cap and the length.
     """
-    return (enumerate_insertion_ball(x, q, t, b, cap) for x in all_words(q, n))
-
-
-def _deletion_rank_balls(n: int, q: int, b: int, t: int) -> Iterator[set[int]]:
-    """Every length-n center's deletion ball as a set of word ranks, one at a time.
-
-    The rounds of ``enumerate_deletion_ball`` on ranks (``_cuts``): the k-th
-    set is the ball of the k-th word of ``all_words(q, n)``, and rank j in it
-    stands for the j-th word of ``all_words(q, n - t*b)``.  Only one ball is
-    held at a time.  Callers check the parameters, the cap and the length.
-    """
-    rounds = [_cuts(q, b, n - s * b) for s in range(t)]
+    if kind == "deletion":
+        rounds = [_cuts(q, b, n - s * b) for s in range(t)]
+    else:
+        rounds = [_cuts(q, b, n + s * b) for s in range(1, t + 1)]
     for center in range(q**n):
         ball = {center}
         for cuts in rounds:
-            ball = {r // high * low + r % low for r in ball for high, low in cuts}
+            if kind == "deletion":
+                ball = {r // high * low + r % low for r in ball for high, low in cuts}
+            else:
+                ball = {
+                    r // low * high + r % low + p
+                    for r in ball for high, low in cuts for p in range(0, high, low)
+                }
         yield ball
 
 
@@ -145,8 +153,8 @@ def _center_masks(
     (EnumerationCapExceeded) when the q**n centers exceed the cap, before it
     builds anything, and then (``_check_deletable``) a deletion cell whose
     words cannot lose t bursts.  Insertion tables with t >= 1 come from
-    ``_insertion_masks``, the others from ``_deletion_masks``: a radius-0
-    ball of either kind is its center alone.
+    ``_insertion_masks``, the others from ``_deletion_masks``, both by the
+    rank rule of ``_cuts``: a radius-0 ball of either kind is its center alone.
     """
     _check_cap(q**n, cap)
     if kind == "insertion" and t:
@@ -159,61 +167,48 @@ def _deletion_masks(n: int, q: int, b: int, t: int) -> tuple[int, ...]:
     """The deletion ball table of a cell, built level by level on word ranks.
 
     Level s holds the radius-s ball of every word of length n - (t-s)*b, as
-    a mask indexed by the word's rank; level t, the q**n centers, is the
-    table.  A word's level-s mask is the OR of the level-(s-1) masks at its
-    cut ranks (``_cuts``), and level 1 sets the bit of each cut rank.  Every
-    burst is still applied at every cut, round by round, and the OR merges
-    the words that several deletions produce.  Only the level below is held,
-    at most 1/q**b of the table's masks, so the table bounds what a build
-    holds.  A ball holds at most q**(n-t*b) words, so it needs no cap check
-    of its own.  With t = 0 the table is the singletons ``1 << rank``.
+    a mask indexed by the word's rank; level 0 is the singletons
+    ``1 << rank``, and level t, the q**n centers, is the table.  A word's
+    level-s mask is the OR of the level-(s-1) masks at its cut ranks
+    (``_cuts``).  Every burst is still applied at every cut, round by round,
+    and the OR merges the words that several deletions produce.  Only the
+    level below is held, at most 1/q**b of the table's masks, so the table
+    bounds what a build holds.  A ball holds at most q**(n-t*b) words, so it
+    needs no cap check of its own.
     """
-    lower = None
+    level = [1 << r for r in range(q ** (n - t * b))]
     for length in range(n - (t - 1) * b, n + 1, b):
         cuts = _cuts(q, b, length)
-        level = []
+        lower, level = level, []
         for r in range(q**length):
             mask = 0
-            if lower is None:
-                for high, low in cuts:
-                    mask |= 1 << (r // high * low + r % low)
-            else:
-                for high, low in cuts:
-                    mask |= lower[r // high * low + r % low]
+            for high, low in cuts:
+                mask |= lower[r // high * low + r % low]
             level.append(mask)
-        lower = level
-    return tuple(lower) if t else tuple(1 << r for r in range(q**n))
+    return tuple(level)
 
 
 def _insertion_masks(n: int, q: int, b: int, t: int, cap: int) -> tuple[int, ...]:
     """The insertion ball table of a cell with t >= 1, numbered by word rank.
 
     Bit k of a mask is the k-th word of ``all_words(q, n + t*b)``.  Each
-    center's ball is enumerated to radius t-1, and the last burst is applied
-    to ranks: cutting a word u of length m at i, with s = m - i symbols after
-    the cut, gives the words ``u[:i] + p + u[i:]`` the ranks
-    ``pre*q**(b+s) + rank(p)*q**s + suf``, where pre and suf are the ranks of
-    ``u[:i]`` and ``u[i:]``.  So every payload inserted at that cut sets one
-    comb of bits, ``p*q**s`` for every payload rank p, shifted by
-    ``rank(u) + pre*q**s*(q**b - 1)``; the OR of the combs merges the words
-    that several insertions produce.
+    center's radius-(t-1) ball comes from ``_rank_balls``.  The last burst
+    inserts every payload at every cut (high, low) of ``_cuts``, which sets
+    one comb of q**b bits, ``1 << p`` for p in ``range(0, high, low)``,
+    shifted by ``r // low * high + r % low``; the OR of the combs merges the
+    words that several insertions produce.
     """
     _check_cap(ins_ball_size(q, b, n, t), cap)
-    m = n + (t - 1) * b
-    payloads = q**b
-    combs = [sum(1 << (p * q**s) for p in range(payloads)) for s in range(m, -1, -1)]
-    weights = [q**s * (payloads - 1) for s in range(m, -1, -1)]
+    cuts = [
+        (high, low, sum(1 << p for p in range(0, high, low)))
+        for high, low in _cuts(q, b, n + t * b)
+    ]
     masks = []
-    for x in all_words(q, n):
+    for ball in _rank_balls(n, q, b, t - 1, "insertion"):
         mask = 0
-        for u in enumerate_insertion_ball(x, q, t - 1, b, cap):
-            # prefix ranks by Horner: pres[i] is the rank of u[:i]
-            pres = [0]
-            for c in u:
-                pres.append(pres[-1] * q + c)
-            rank = pres[-1]
-            for comb, weight, pre in zip(combs, weights, pres):
-                mask |= comb << (rank + pre * weight)
+        for r in ball:
+            for high, low, comb in cuts:
+                mask |= comb << (r // low * high + r % low)
         masks.append(mask)
     return tuple(masks)
 

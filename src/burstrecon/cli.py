@@ -41,11 +41,10 @@ from itertools import groupby, product
 from . import combinatorics as comb
 from .balls import (
     DEFAULT_CAP,
-    _center_balls,
     _center_masks,
     _check_cap,
-    _deletion_rank_balls,
     _max_overlap,
+    _rank_balls,
     enumerate_deletion_ball,
 )
 from .channel import format_event, sample_distinct_outputs
@@ -130,7 +129,7 @@ class Check:
     rank): the overlap row builds it, stores it in tables under its ball
     kind and searches it by decreasing ball size with an exact bound; the
     size row reads its popcounts when the cell stored it, and otherwise
-    builds one ball at a time, a deletion ball as a set of word ranks.
+    builds one ball at a time as a set of word ranks, of either kind.
     ``tables`` also holds the deletion ball of the b-cyclic word
     ``y_sequence(n, q, b, q - 1, 0)``, the center of both ``del-extremal``
     and ``del-int-lb``; the first of them to run (``del-extremal``)
@@ -183,15 +182,13 @@ def _ball_sizes(kind, q, b, t, n, cap, trials, rng, tables):
     """Every length-n center's ball size, in ``all_words`` order.
 
     Where the cell's overlap row stored a table, the sizes are its popcounts,
-    so the cell builds each ball once.  Elsewhere the balls are built one at
-    a time, so a size row never builds a table: insertion balls as sets of
-    words, deletion balls as sets of word ranks.
+    so the cell builds each ball once.  Elsewhere each ball is built as a set
+    of word ranks, one at a time (``balls._rank_balls``), so a size row never
+    builds a table.
     """
     if kind in tables:
         return [mask.bit_count() for mask in tables[kind]]
-    if kind == "insertion":
-        return list(map(len, _center_balls(n, q, b, t, cap)))
-    return list(map(len, _deletion_rank_balls(n, q, b, t)))
+    return list(map(len, _rank_balls(n, q, b, t, kind)))
 
 
 def _ins_ball_regularity(*args):

@@ -26,7 +26,7 @@ from burstrecon import (
 )
 from burstrecon import cli
 import burstrecon.balls
-from burstrecon.balls import _center_masks, _check_cap, _deletion_rank_balls, _max_overlap
+from burstrecon.balls import _center_masks, _check_cap, _max_overlap, _rank_balls
 
 
 def words_of(*texts):
@@ -309,10 +309,10 @@ class TestMaxIntersectionExhaustive:
         def no_enumeration(*args):
             raise AssertionError("a ball was enumerated")
 
-        # an insertion table with t >= 1 enumerates its balls directly; a
-        # deletion table and a t = 0 table work on ranks
+        # every table works on ranks; the enumerators are patched as well,
+        # so that a table path that reached them again would fail here
         for name in (
-            "_center_balls", "enumerate_insertion_ball", "enumerate_deletion_ball",
+            "_rank_balls", "enumerate_insertion_ball", "enumerate_deletion_ball",
             "_insertion_masks", "_deletion_masks", "_cuts",
         ):
             monkeypatch.setattr(burstrecon.balls, name, no_enumeration)
@@ -333,29 +333,36 @@ class TestMaxIntersectionExhaustive:
         def no_enumeration(*args):
             raise AssertionError("a ball was enumerated")
 
-        monkeypatch.setattr(burstrecon.balls, "enumerate_insertion_ball", no_enumeration)
+        monkeypatch.setattr(burstrecon.balls, "_rank_balls", no_enumeration)
         with pytest.raises(EnumerationCapExceeded) as excinfo:
             _center_masks(4, 3, 3, 2, "insertion", 5912)
         assert (excinfo.value.required, excinfo.value.cap) == (5913, 5912)
 
-    def test_insertion_masks_are_numbered_by_rank(self):
-        # bit k of a mask is the k-th word of all_words(q, n + t*b); decoding
-        # each set bit by base-q division must give back the enumerated ball,
-        # so a comb shifted by one cut shows even where the sizes agree
+    def test_insertion_masks_and_rank_sets_are_numbered_by_rank(self):
+        # bit k of a mask, and rank k of a size row's set, is the k-th word of
+        # all_words(q, n + t*b); decoding them by base-q division must give
+        # back the enumerated ball, so a comb or a payload offset shifted by
+        # one cut shows even where the sizes agree.  t = 0 and n = 0 are in
+        # the grid, and a size row's sizes are the enumerated ones.
         cells = 0
         for q in (2, 3, 4, 5):
             for b in (1, 2, 3):
-                for t in (1, 2, 3):
+                for t in (0, 1, 2, 3):
                     for n in range(4):
                         length = n + t * b
                         if q**n * q**length > 200_000:
                             break
+                        balls = [enumerate_insertion_ball(x, q, t, b) for x in all_words(q, n)]
                         masks = _center_masks(n, q, b, t, "insertion", 10**7)
-                        for x, mask in zip(all_words(q, n), masks, strict=True):
-                            decoded = words_of_ranks(set_bits(mask), q, length)
-                            assert decoded == enumerate_insertion_ball(x, q, t, b), (q, b, t, n, x)
+                        for ball, mask, ranks in zip(
+                            balls, masks, _rank_balls(n, q, b, t, "insertion"), strict=True
+                        ):
+                            assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
+                            assert words_of_ranks(ranks, q, length) == ball, (q, b, t, n)
+                        sizes = cli._ball_sizes("insertion", q, b, t, n, 10**7, 1, None, {})
+                        assert sizes == [len(ball) for ball in balls], (q, b, t, n)
                         cells += 1
-        assert cells > 100
+        assert cells > 150
 
     def test_deletion_masks_and_rank_sets_are_numbered_by_rank(self):
         # bit k of a deletion mask, and rank k of a size row's set, is the
@@ -374,7 +381,7 @@ class TestMaxIntersectionExhaustive:
                         balls = [enumerate_deletion_ball(x, t, b) for x in all_words(q, n)]
                         masks = _center_masks(n, q, b, t, "deletion", 10**7)
                         for ball, mask, ranks in zip(
-                            balls, masks, _deletion_rank_balls(n, q, b, t), strict=True
+                            balls, masks, _rank_balls(n, q, b, t, "deletion"), strict=True
                         ):
                             assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
                             assert words_of_ranks(ranks, q, length) == ball, (q, b, t, n)
@@ -424,6 +431,23 @@ class TestMaxIntersectionExhaustive:
         finally:
             tracemalloc.stop()
         assert max(sizes) == del_ball_max(2, 1, 13, 2)
+        assert peak * 8 < held, (peak, held)
+
+    def test_insertion_size_row_holds_one_ball(self):
+        # an ins-int row of q=2, b=3, t=1, n=10 builds the table of 1,024
+        # masks over the 8,192 words of length 13; a size-only ins-ball row
+        # holds one center's set of ranks at a time, so a size path that
+        # built or kept a table, or kept every ball, would fail here
+        table = _center_masks(10, 2, 3, 1, "insertion", 10**7)
+        held = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        del table
+        tracemalloc.start()
+        try:
+            sizes = cli._ball_sizes("insertion", 2, 3, 1, 10, 10**7, 1, None, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(sizes) == {ins_ball_size(2, 3, 10, 1)}
         assert peak * 8 < held, (peak, held)
 
     @pytest.mark.parametrize("q, b, t, n", [(2, 2, 2, 12), (2, 1, 1, 12), (3, 2, 1, 7)])

@@ -87,6 +87,9 @@ API_ENTRY_POINTS = {
     "count_centers_by_radius1_ball_size",
     # insertion membership, the mirror of is_deletion_descendant
     "is_insertion_descendant",
+    # the word-level reference that the rank tables and criterion 1 of
+    # test_acceptance are checked against
+    "enumerate_insertion_ball",
 }
 
 
@@ -282,4 +285,31 @@ def test_cyclic_ball_has_one_enumerator_in_cli():
     assert deletion_ball_enumerators(PACKAGE_DIR / "cli.py") == {
         "_cyclic_deletion_ball",
         "_flip_pair_overlap",
+    }
+
+
+RANK_BUILDERS = ("_center_masks", "_insertion_masks", "_deletion_masks", "_rank_balls")
+ENUMERATORS = {"enumerate_insertion_ball", "enumerate_deletion_ball"}
+
+
+def enumerators_named_by_rank_builders(path):
+    """Map each rank-numbered ball builder of one module to the enumerators it names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {
+        stmt.name: {
+            node.id
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id in ENUMERATORS
+        }
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in RANK_BUILDERS
+    }
+
+
+def test_rank_builders_stay_independent_of_the_enumerators():
+    # the tables and size rows are checked against the word enumerators, so
+    # they build every ball on ranks alone; a builder that called an
+    # enumerator would be checked against itself
+    assert enumerators_named_by_rank_builders(PACKAGE_DIR / "balls.py") == {
+        name: set() for name in RANK_BUILDERS
     }

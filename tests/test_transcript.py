@@ -1,0 +1,228 @@
+"""A committed behaviour transcript: fixed commands and the digests of what they print.
+
+Every command runs through ``cli.main`` in-process.  A command of the form
+``A | B`` feeds A's stdout to B's stdin, and the digest is B's.  A digest is
+the sha256 of the exit code, the stdout and the stderr; in ``verify`` output
+the ``ms`` column, the one field that varies between runs, is stripped first.
+``transcript.txt`` beside this file holds one ``digest  command`` line per
+command, so a failure names each command whose behaviour changed.
+
+The commands cover ``simulate | reconstruct`` round trips of both channels,
+with and without ``--diagnostics`` and ``--as-json``; every ``verify`` kind,
+with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0;
+``count``; and each refusal and exit code: cap, ball too small, below the
+decoding threshold, out-of-range symbol, bad range and argparse errors.
+
+Changing ``transcript.txt`` is a behaviour change.  Regenerate it with
+``PYTHONPATH=src python tests/test_transcript.py --write`` only for a change
+meant to alter what the commands print, and name the changed commands.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import re
+import sys
+from pathlib import Path
+
+from burstrecon import combinatorics as comb
+from burstrecon.cli import COUNT_KINDS, VERIFY_KINDS, main
+
+TRANSCRIPT = Path(__file__).resolve().with_name("transcript.txt")
+
+# argparse wraps its usage lines to the terminal width, read from COLUMNS
+COLUMNS = "80"
+
+MS_COLUMN = re.compile(r'(,|"ms": )[0-9.e+-]+$', re.MULTILINE)
+
+
+def _center(q, n, key):
+    rng = random.Random(key)  # a str seed is hashed with SHA-512, whatever PYTHONHASHSEED is
+    return "".join(str(rng.randrange(q)) for _ in range(n))
+
+
+def roundtrip_commands():
+    """simulate, and simulate | reconstruct, at threshold+1 outputs and below it."""
+    channels = []
+    for q, b, t, n in (
+        (2, 1, 1, 3), (2, 2, 1, 4), (2, 2, 2, 3), (2, 3, 1, 5), (3, 1, 2, 2),
+        (3, 2, 1, 3), (3, 3, 1, 2), (4, 2, 1, 2), (4, 1, 1, 4), (5, 2, 1, 1),
+    ):
+        need = comb.ins_intersection_max(q, b, n, t) + 1
+        for seed in (1, 2):
+            x = _center(q, n, f"ins {q} {b} {t} {n} {seed}")
+            channels.append((f"--ins -q {q} -b {b} -t {t}", x, n, need, seed))
+    for b, t, n in ((2, 1, 4), (2, 1, 6), (2, 2, 6), (2, 2, 8), (3, 1, 6), (3, 2, 9), (4, 1, 8)):
+        need = comb.del_intersection_max_binary(b, n, t) + 1
+        found = 0
+        for k in range(200):
+            x = _center(2, n, f"del {b} {t} {n} {k}")
+            if comb.del_ball_size(bytes(map(int, x)), t, b) >= need:
+                channels.append((f"--del -q 2 -b {b} -t {t}", x, n, need, k))
+                found += 1
+                if found == 2:
+                    break
+    commands = []
+    for channel, x, n, need, seed in channels:
+        simulate = f"simulate {channel} -x {x} -N {need} --seed {seed}"
+        reconstruct = f"reconstruct {channel} -n {n}"
+        commands += [
+            simulate,
+            f"{simulate} --as-json",
+            f"{simulate} | {reconstruct}",
+            f"{simulate} | {reconstruct} --diagnostics",
+            f"{simulate} | {reconstruct} --as-json --diagnostics",
+            # below the threshold: the decoder refuses or decodes, and says which
+            f"simulate {channel} -x {x} -N {max(need // 2, 1)} --seed {seed} | {reconstruct}",
+        ]
+    return commands
+
+
+def verify_commands():
+    commands = [
+        "verify",
+        "verify --format json --q 2 --b 1:2 --t 1 --n 1:3",
+        "verify --q 2:3 --b 2:3 --t 1:2 --n 3:6 --kinds ins-int,del-int,del-int-lb --cap 5000",
+        "verify --q 2 --b 2:3 --t 1:2 --n 4:7 --kinds roundtrip-ins,roundtrip-del --trials 3 --seed 5",
+        "verify --q 2 --b 2 --t 1 --n 3 --kinds ins-ball --corrupt ins-ball",
+    ]
+    commands += [f"verify --q 2 --b 2 --t 2 --n 5 --kinds {kind}" for kind in VERIFY_KINDS]
+    for kind in ("ins-ball", "del-ball"):
+        commands.append(f"verify --kinds {kind} --q 2:4 --b 1:2 --t 0:2 --n 0:3")
+        for cap in (1, 50, 5000, 10**5):
+            commands.append(f"verify --kinds {kind} --q 2:3 --b 1:3 --t 0:2 --n 0:5 --cap {cap}")
+    return commands
+
+
+def count_commands():
+    commands = []
+    for kind in COUNT_KINDS:
+        for q, b, t, n in ((2, 2, 2, 7), (3, 1, 1, 5), (2, 3, 0, 4)):
+            commands.append(f"count {kind} -q {q} -b {b} -t {t} -n {n}")
+            commands.append(f"count {kind} -q {q} -b {b} -t {t} -n {n} --as-json")
+    return commands
+
+
+def refusal_commands():
+    return [
+        # enumeration cap (exit 4), ball too small and bad ranges (exit 2)
+        "simulate --ins -q 2 -b 2 -t 2 -x 0110 -N 5 --cap 10",
+        "simulate --del -b 2 -t 1 -x 011001 -N 5 --cap 2",
+        "simulate --del -b 2 -t 1 -x 011001 -N 50",
+        "simulate --ins -q 2 -b 1 -t 1 -x 012 -N 2",
+        "simulate --ins -q 2 -b 1 -t 1 -x 01 -N 2 --cap 0",
+        "simulate --ins -q 2 -b 0 -t 1 -x 01 -N 2",
+        "simulate --del -b 2 -t 2 -x 011 -N 1",
+        "simulate --ins -q 2 -b 1 -t 1 -x 01 -N 2 --seed -1",
+        # an out-of-range symbol, a wrong length and a non-binary deletion decoder
+        "simulate --ins -q 3 -b 1 -t 1 -x 212 -N 4 | reconstruct --ins -q 2 -b 1 -t 1 -n 3",
+        "simulate --ins -q 2 -b 1 -t 1 -x 010 -N 4 | reconstruct --ins -q 2 -b 1 -t 1 -n 4",
+        "simulate --del -q 3 -b 1 -t 1 -x 2120 -N 3 | reconstruct --del -q 3 -b 1 -t 1 -n 4",
+        "reconstruct --ins -q 2 -b 1 -t 1 -n 3",
+        "reconstruct --del -q 2 -b 2 -t 1 -n 6 --file missing-outputs.txt",
+        "count del-int -q 3 -b 2 -t 2 -n 7",
+        "count del-int -q 2 -b 2 -t 1 -n 2",
+        "count ins-ball -q 1 -b 2 -t 1 -n 2",
+        "verify --kinds nope",
+        "verify --jobs 0",
+        "verify --trials 0",
+        "verify --cap 0",
+        "verify --q 1",
+        "verify --n 3:2",
+        "verify --q 2 --b 2 --t 2 --n 4 --kinds del-int --cap 10",
+        # argparse refusals (exit 2 through SystemExit)
+        "nope",
+        "count nope -q 2 -b 1 -t 1 -n 2",
+        "count ins-ball -q 2 -b 1 -t 1",
+        "verify --cap x",
+        "verify --format xml",
+        "simulate --ins --del -b 1 -t 1 -x 01 -N 1",
+        "simulate -b 1 -t 1 -x 01 -N 1",
+        "reconstruct --ins -b 1 -t 1",
+    ]
+
+
+def commands():
+    return roundtrip_commands() + verify_commands() + count_commands() + refusal_commands()
+
+
+def run(argv, stdin):
+    """(exit code, stdout, stderr) of one ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def transcript(command_list):
+    """Map each command to (exit code, stdout, stderr) of its last stage."""
+    stdout_of = {}  # upstream stages, run once however many pipes share them
+    found = {}
+    for command in command_list:
+        stages = command.split(" | ")
+        stdin = ""
+        for k, stage in enumerate(stages):
+            prefix = " | ".join(stages[: k + 1])
+            if prefix in stdout_of and k < len(stages) - 1:
+                stdin = stdout_of[prefix]
+                continue
+            argv = stage.split()
+            code, out, err = run(argv, stdin)
+            if argv[:1] == ["verify"]:
+                out = MS_COLUMN.sub(r"\1", out)
+            stdout_of[prefix] = stdin = out
+        found[command] = (code, out, err)
+    return found
+
+
+def digest(code, out, err):
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
+
+def read_transcript():
+    lines = TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+    return {line[66:]: line[:64] for line in lines}
+
+
+def test_commands_print_what_the_transcript_recorded(monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.chdir(tmp_path)  # no file that a command names exists here
+    expected = read_transcript()
+    command_list = commands()
+    assert len(command_list) == len(set(command_list))
+    assert sorted(command_list) == sorted(expected)
+    found = transcript(command_list)
+    changed = [command for command in command_list if digest(*found[command]) != expected[command]]
+    assert changed == []
+    # the set stays meaningful: every exit code, and a row of every verify kind
+    assert {code for code, _, _ in found.values()} == {0, 2, 3, 4}
+    kinds = {
+        row.split(",")[4]
+        for command, (_, out, _) in found.items()
+        if command.startswith("verify") and "--format" not in command
+        for row in out.splitlines()[1:]
+    }
+    assert kinds == set(VERIFY_KINDS)
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    os.environ["COLUMNS"] = COLUMNS
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        lines = [f"{digest(*found)}  {command}" for command, found in transcript(commands()).items()]
+    TRANSCRIPT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} digests to {TRANSCRIPT}")
