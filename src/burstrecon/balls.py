@@ -6,29 +6,32 @@ position, round by round, and deduplicate.  Nothing here consults a formula
 except to refuse hopeless enumerations up front.
 
 ``_check_cap`` is the package's one cap rule, wherever a requirement (a ball,
-a sample count, phase-2 candidates, a ``verify`` row's work) meets the cap.
+a sample count, phase-2 candidates, a ``verify`` row's work) meets the cap;
+one deletion ball meets it round by round (``_check_deletion_rounds``).
 
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
 every center's ball kept only as a bitmask over word ranks, so an overlap is
 the popcount of an AND, a ball's size is its mask's popcount, and no ball set
-outlives its own enumeration.  The tables and size rows act on ranks, not on
-words, through one burst rule (``_cuts``): deleting a block maps a word's
-rank to a shorter word's, and inserting one is the inverse map.
-``_rank_balls`` gives a size row one set of ranks per center, of either
-kind; ``_insertion_masks`` takes those sets to radius t-1 and applies the
-last burst as combs of bits; ``_deletion_masks`` builds a deletion table
-level by level.  None of them calls the word enumerators, which stay the
-independent reference they are checked against.  Nothing here keeps a
-table: it belongs to whoever built it and dies with that caller.  A cached
-table would escape the cap that bounds every enumeration, so this module
-holds no cache; ``cli``'s cell runner decides when one ``verify`` cell
-builds a table and shares it between its rows.
+outlives its own enumeration.  Every table and ball that ``verify`` builds
+acts on ranks, not on words, through one burst rule (``_cuts``): deleting a
+block maps a word's rank to a shorter word's, and inserting one is the
+inverse map.  ``_rank_balls`` gives the ball of each center rank it is
+passed as a set of ranks, of either kind: every center for a size row, the
+b-cyclic word and its flip for ``del-extremal`` and ``del-int-lb``.
+``_insertion_masks`` takes those sets to radius t-1 and applies the last
+burst as combs of bits; ``_deletion_masks`` builds a deletion table level by
+level.  No module but this one calls the word enumerators, which stay the
+independent reference the rank builders are checked against.  Nothing here
+keeps a table: it belongs to whoever built it and dies with that caller.  A
+cached table would escape the cap that bounds every enumeration, so this
+module holds no cache; ``cli``'s cell runner decides when one ``verify``
+cell builds a table and shares it between its rows.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
 from .errors import EnumerationCapExceeded
@@ -80,19 +83,20 @@ def enumerate_insertion_ball(
     return frozenset(words)
 
 
+def _check_deletion_rounds(x: Word, t: int, b: int, cap: int) -> None:
+    """Refuse x's deletion ball, as words or as ranks, at its first round over the cap."""
+    _check_params(b=b, t=t, cap=cap)
+    _check_deletable(len(x), t, b)
+    if (len(x) - b + 1) ** t > cap:  # then count each round's exact size
+        for size in _deletion_ways(x, t, b)[0][1:]:
+            _check_cap(size, cap)
+
+
 def enumerate_deletion_ball(
     x: Word, t: int, b: int, cap: int = DEFAULT_CAP
 ) -> frozenset[Word]:
-    """The exact set of words reachable from x by t bursts of b deletions.
-
-    Refuses up front (EnumerationCapExceeded) with the exact size of the first
-    round over the cap; rounds are counted only when (len(x)-b+1)**t exceeds it.
-    """
-    _check_params(b=b, t=t, cap=cap)
-    _check_deletable(len(x), t, b)
-    if (len(x) - b + 1) ** t > cap:
-        for size in _deletion_ways(x, t, b)[0][1:]:
-            _check_cap(size, cap)
+    """The exact set of words reachable from x by t bursts of b deletions."""
+    _check_deletion_rounds(x, t, b, cap)
     words = {x}
     for _ in range(t):
         shrunk: set[Word] = set()
@@ -117,12 +121,14 @@ def _cuts(q: int, b: int, length: int) -> list[tuple[int, int]]:
     return [(q ** (length - i), q ** (length - i - b)) for i in range(length - b + 1)]
 
 
-def _rank_balls(n: int, q: int, b: int, t: int, kind: BallKind) -> Iterator[set[int]]:
-    """Every length-n center's ball as a set of word ranks, one center at a time.
+def _rank_balls(
+    n: int, q: int, b: int, t: int, kind: BallKind, centers: Iterable[int]
+) -> Iterator[set[int]]:
+    """The ball of each length-n center rank, as a set of word ranks, one center at a time.
 
-    The enumerators' rounds on ranks (``_cuts``): the k-th set is the ball of
-    the k-th word of ``all_words(q, n)``, and rank j in it stands for the
-    j-th word of ``all_words(q, n - t*b)`` (deletion) or ``all_words(q, n +
+    The enumerators' rounds on ranks (``_cuts``): center rank k stands for
+    the k-th word of ``all_words(q, n)``, and rank j in its ball for the j-th
+    word of ``all_words(q, n - t*b)`` (deletion) or ``all_words(q, n +
     t*b)`` (insertion).  Only one ball is held at a time.  Callers check the
     parameters, the cap and the length.
     """
@@ -130,7 +136,7 @@ def _rank_balls(n: int, q: int, b: int, t: int, kind: BallKind) -> Iterator[set[
         rounds = [_cuts(q, b, n - s * b) for s in range(t)]
     else:
         rounds = [_cuts(q, b, n + s * b) for s in range(1, t + 1)]
-    for center in range(q**n):
+    for center in centers:
         ball = {center}
         for cuts in rounds:
             if kind == "deletion":
@@ -204,7 +210,7 @@ def _insertion_masks(n: int, q: int, b: int, t: int, cap: int) -> tuple[int, ...
         for high, low in _cuts(q, b, n + t * b)
     ]
     masks = []
-    for ball in _rank_balls(n, q, b, t - 1, "insertion"):
+    for ball in _rank_balls(n, q, b, t - 1, "insertion", range(q**n)):
         mask = 0
         for r in ball:
             for high, low, comb in cuts:
@@ -254,11 +260,9 @@ def max_intersection_exhaustive(
     Every center's ball is kept as a bitmask over word ranks in a table of
     its own (``_center_masks``), searched by ``_max_overlap`` and dropped
     when the call returns; the overlap of two balls is the popcount of their
-    masks' AND.  The balls are built by applying every burst at every cut,
-    partly on ranks instead of words, so the result still rests on
-    enumeration alone and not on any formula.  A mask takes about U/8 bytes
-    over a range of U ranks, where a held ball would take some 80 bytes per
-    member.
+    masks' AND.  The balls are built on ranks by applying every burst at
+    every cut, so the result rests on enumeration alone and not on any
+    formula.  A mask takes about U/8 bytes over a range of U ranks.
     """
     _check_kind(kind)
     _check_params(q=q, b=b, t=t, n=n)

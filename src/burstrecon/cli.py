@@ -17,9 +17,8 @@ A ``verify`` row's work bound is one more ``balls._check_cap`` requirement;
 a row over the cap reads ``skip`` with the refusal message.
 
 ``verify`` runs one grid point's rows together as a cell, whose ``tables``
-dict holds what its rows share: the insertion or deletion ball table of
-every center, and the deletion ball of the b-cyclic word that
-``del-extremal`` and ``del-int-lb`` both start from.
+dict holds what its rows share, all as word ranks: the insertion or deletion
+ball table of every center, and the b-cyclic word's deletion ball.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from .balls import (
     DEFAULT_CAP,
     _center_masks,
     _check_cap,
+    _check_deletion_rounds,
     _max_overlap,
     _rank_balls,
-    enumerate_deletion_ball,
 )
 from .channel import format_event, sample_distinct_outputs
 from .errors import (
@@ -124,17 +123,14 @@ class Check:
     looks library functions up when it runs, so that wrappers installed on the
     modules see the calls.
 
-    The ``ins-ball``/``ins-int`` and ``del-ball``/``del-int`` oracles of one
-    cell share its ball table (``balls._center_masks``, numbered by word
-    rank): the overlap row builds it, stores it in tables under its ball
-    kind and searches it by decreasing ball size with an exact bound; the
-    size row reads its popcounts when the cell stored it, and otherwise
-    builds one ball at a time as a set of word ranks, of either kind.
-    ``tables`` also holds the deletion ball of the b-cyclic word
-    ``y_sequence(n, q, b, q - 1, 0)``, the center of both ``del-extremal``
-    and ``del-int-lb``; the first of them to run (``del-extremal``)
-    enumerates it, and its ``ms`` carries that cost.  The tables die with the
-    cell.
+    The oracles of one cell share what it builds, all on word ranks.  The
+    overlap row (``ins-int``, ``del-int``) builds the ball table
+    (``balls._center_masks``), stores it in tables under its ball kind and
+    searches it by decreasing ball size with an exact bound; the size row
+    reads its popcounts when the cell stored it, and otherwise builds one
+    ball at a time.  The first of ``del-extremal`` and ``del-int-lb`` to run
+    builds the b-cyclic word's deletion ball, and its ``ms`` carries that
+    cost.  The tables die with the cell.
     """
 
     domain: tuple[tuple[Callable[..., bool], str], ...] = ()
@@ -188,7 +184,7 @@ def _ball_sizes(kind, q, b, t, n, cap, trials, rng, tables):
     """
     if kind in tables:
         return [mask.bit_count() for mask in tables[kind]]
-    return list(map(len, _rank_balls(n, q, b, t, kind)))
+    return list(map(len, _rank_balls(n, q, b, t, kind, range(q**n))))
 
 
 def _ins_ball_regularity(*args):
@@ -196,26 +192,32 @@ def _ins_ball_regularity(*args):
     return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
 
 
-def _cyclic_deletion_ball(q, b, t, n, cap, trials, rng, tables):
-    """The deletion ball of the b-cyclic word, enumerated once per cell.
+def _cyclic_rank(q, b, n):
+    """The rank in ``all_words(q, n)`` of the b-cyclic word ``y_sequence(n, q, b, q - 1, 0)``."""
+    return sum(s * q ** (n - 1 - i) for i, s in enumerate(y_sequence(n, q, b, q - 1, 0)))
 
-    The center ``y_sequence(n, q, b, q - 1, 0)`` is the b-cyclic word that
-    opens at 0.  ``del-extremal`` and ``del-int-lb`` share its ball through
-    tables; an over-cap enumeration raises before anything is stored, so
-    each row refuses alike.
+
+def _cyclic_deletion_ball(q, b, t, n, cap, trials, rng, tables):
+    """The deletion ball of the b-cyclic word as a set of word ranks, built once per cell.
+
+    ``del-extremal`` and ``del-int-lb`` share it through tables.  The round
+    gate (``balls._check_deletion_rounds``) refuses an over-cap ball before
+    anything is built or stored, so each row refuses alike.
     """
     if "b-cyclic" not in tables:
-        center = y_sequence(n, q, b, q - 1, 0)
-        tables["b-cyclic"] = enumerate_deletion_ball(center, t, b, cap)
+        _check_deletion_rounds(y_sequence(n, q, b, q - 1, 0), t, b, cap)
+        tables["b-cyclic"] = next(_rank_balls(n, q, b, t, "deletion", (_cyclic_rank(q, b, n),)))
     return tables["b-cyclic"]
 
 
 def _flip_pair_overlap(q, b, t, n, cap, *rest):
     """The overlap of the b-cyclic word's ball with the ball of its copy whose b-th entry is 1."""
     ball_x = _cyclic_deletion_ball(q, b, t, n, cap, *rest)
-    y = bytearray(y_sequence(n, q, b, q - 1, 0))
-    y[b - 1] = 1
-    return len(ball_x & enumerate_deletion_ball(bytes(y), t, b, cap))
+    # the b-cyclic word opens with b zeros, so setting entry b adds q**(n-b) to its rank;
+    # the copy's rounds pass the gate that the b-cyclic word's passed, as no ball of any
+    # radius is larger than the b-cyclic word's (y_sequence)
+    rank = _cyclic_rank(q, b, n) + q ** (n - b)
+    return len(ball_x & next(_rank_balls(n, q, b, t, "deletion", (rank,))))
 
 
 def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
@@ -385,7 +387,7 @@ def _compute_cell(cell) -> list[ResultRow]:
     tables they build.
     """
     config, point, kinds = cell
-    tables: dict[str, tuple[int, ...] | frozenset[bytes]] = {}
+    tables: dict[str, tuple[int, ...] | set[int]] = {}
     rows = [
         _compute_row(config, point, kind, tables)
         for kind in sorted(kinds, key=lambda kind: kind not in ("ins-int", "del-int"))

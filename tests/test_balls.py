@@ -1,5 +1,6 @@
 """Brute-force oracles: enumeration, exhaustive overlap search, membership."""
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -355,7 +356,8 @@ class TestMaxIntersectionExhaustive:
                         balls = [enumerate_insertion_ball(x, q, t, b) for x in all_words(q, n)]
                         masks = _center_masks(n, q, b, t, "insertion", 10**7)
                         for ball, mask, ranks in zip(
-                            balls, masks, _rank_balls(n, q, b, t, "insertion"), strict=True
+                            balls, masks, _rank_balls(n, q, b, t, "insertion", range(q**n)),
+                            strict=True,
                         ):
                             assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
                             assert words_of_ranks(ranks, q, length) == ball, (q, b, t, n)
@@ -381,7 +383,8 @@ class TestMaxIntersectionExhaustive:
                         balls = [enumerate_deletion_ball(x, t, b) for x in all_words(q, n)]
                         masks = _center_masks(n, q, b, t, "deletion", 10**7)
                         for ball, mask, ranks in zip(
-                            balls, masks, _rank_balls(n, q, b, t, "deletion"), strict=True
+                            balls, masks, _rank_balls(n, q, b, t, "deletion", range(q**n)),
+                            strict=True,
                         ):
                             assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
                             assert words_of_ranks(ranks, q, length) == ball, (q, b, t, n)
@@ -395,18 +398,35 @@ class TestMaxIntersectionExhaustive:
 
     def test_deletion_tables_and_size_rows_enumerate_no_ball(self, monkeypatch):
         # both work on ranks alone; a size-only del-ball sweep builds no table
+        # but every center's ball, on ranks, and the b-cyclic rows one or two
         def no_enumeration(*args):
             raise AssertionError("a ball was enumerated")
 
+        built = []
+        real = burstrecon.cli._rank_balls
+
+        def counting(n, q, b, t, kind, centers):
+            built.append((q, b, t, n, kind, centers))
+            return real(n, q, b, t, kind, centers)
+
         monkeypatch.setattr(burstrecon.balls, "enumerate_deletion_ball", no_enumeration)
-        monkeypatch.setattr(burstrecon.cli, "enumerate_deletion_ball", no_enumeration)
+        monkeypatch.setattr(burstrecon.cli, "_rank_balls", counting)
         masks = _center_masks(9, 2, 2, 2, "deletion", 10**7)
         assert max(mask.bit_count() for mask in masks) == del_ball_max(2, 2, 9, 2)
-        config = cli.SweepConfig(
-            q_values=(2, 3), b_values=(1, 2), t_values=(0, 1, 2), n_values=(4, 5, 6),
-            kinds=("del-ball",), cap=10**7, seed=0, trials=1, jobs=1,
-        )
+        grid = dict(q_values=(2, 3), b_values=(1, 2), t_values=(0, 1, 2), n_values=(4, 5, 6))
+        config = cli.SweepConfig(**grid, kinds=("del-ball",), cap=10**7, seed=0, trials=1, jobs=1)
         assert {r.match for r in cli.run_sweep(config)} == {"true"}
+        assert built == [
+            (q, b, t, n, "deletion", range(q**n))
+            for q in grid["q_values"] for b in grid["b_values"]
+            for t in grid["t_values"] for n in grid["n_values"]
+        ]
+        built.clear()
+        config = dataclasses.replace(config, kinds=("del-extremal", "del-int-lb"))
+        rows = cli.run_sweep(config)
+        assert {r.match for r in rows} == {"true", "skip"}
+        assert len(built) == sum(r.match == "true" for r in rows)
+        assert all(len(centers) == 1 for *_, centers in built)
 
     def test_deletion_table_of_short_words_refuses_as_the_enumerator(self):
         with pytest.raises(ValueError) as enumerated:
@@ -569,6 +589,106 @@ class TestConstructedPairOverlap:
                 n = b * (t + 1) + 1
                 best, _ = max_intersection_exhaustive(n, 2, b, t, "deletion")
                 assert best == del_intersection_lower_bound(2, b, n, t)
+
+
+def traced_peak(run):
+    """The result of run() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def cyclic_pair(q, b, n):
+    """The b-cyclic center of del-extremal and del-int-lb, and its copy with entry b set to 1."""
+    center = bytes(i // b % q for i in range(n))
+    return center, center[: b - 1] + b"\x01" + center[b:]
+
+
+def refusal(run):
+    """The ``required`` of the EnumerationCapExceeded that run() raises, or None."""
+    try:
+        run()
+    except EnumerationCapExceeded as exc:
+        return exc.required
+    return None
+
+
+class TestCyclicRankBalls:
+    # del-extremal and del-int-lb hold the b-cyclic ball and its flip's as
+    # sets of word ranks; the word enumerator is the reference for both
+    GRID = [
+        (q, b, t, n)
+        for q in (2, 3, 4) for b in (1, 2, 3) for t in (0, 1, 2, 3)
+        for n in range(max(b, t * b), 10)
+    ]
+
+    def test_rank_sets_decode_to_the_enumerated_balls(self, monkeypatch):
+        # rank j of a set stands for the j-th word of all_words(q, n - t*b);
+        # decoding both sets by base-q division must give back the enumerated
+        # balls, so a center or flip rank off by one cut shows even where the
+        # sizes agree
+        built = []
+        real = cli._rank_balls
+
+        def recording(*args):
+            for ball in real(*args):
+                built.append(ball)
+                yield ball
+
+        monkeypatch.setattr(cli, "_rank_balls", recording)
+        for q, b, t, n in self.GRID:
+            center, flipped = cyclic_pair(q, b, n)
+            built.clear()
+            tables = {}
+            overlap = cli._flip_pair_overlap(q, b, t, n, 10**7, 1, None, tables)
+            ball_x, ball_y = enumerate_deletion_ball(center, t, b), enumerate_deletion_ball(flipped, t, b)
+            assert built[0] is tables["b-cyclic"] and len(built) == 2, (q, b, t, n)
+            assert words_of_ranks(built[0], q, n - t * b) == ball_x, (q, b, t, n)
+            assert words_of_ranks(built[1], q, n - t * b) == ball_y, (q, b, t, n)
+            assert overlap == len(ball_x & ball_y), (q, b, t, n)
+            assert len(cli._cyclic_deletion_ball(q, b, t, n, 10**7, 1, None, tables)) == len(ball_x)
+        assert len(self.GRID) > 200
+
+    @pytest.mark.parametrize("cap", [1, 10, 50])
+    def test_rank_path_refuses_as_the_enumerator(self, cap):
+        # the b-cyclic ball refuses with the enumerator's required words, and
+        # the flip pair as enumerating both words did: the flip's rounds never
+        # meet the cap before the b-cyclic word's, so the one gate serves both
+        outcomes = set()
+        for q, b, t, n in self.GRID:
+            center, flipped = cyclic_pair(q, b, n)
+            expected = refusal(lambda: enumerate_deletion_ball(center, t, b, cap))
+            got = refusal(lambda: cli._cyclic_deletion_ball(q, b, t, n, cap, 1, None, {}))
+            assert got == expected, (q, b, t, n)
+            pair = expected or refusal(lambda: enumerate_deletion_ball(flipped, t, b, cap))
+            got = refusal(lambda: cli._flip_pair_overlap(q, b, t, n, cap, 1, None, {}))
+            assert got == pair, (q, b, t, n)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_cyclic_rows_hold_under_half_the_word_sets(self):
+        # a 19,307-word ball of 196-symbol words and its flip's: as ranks, a
+        # del-extremal,del-int-lb cell peaks under half of what the two word
+        # sets take
+        q, b, t, n = 2, 2, 2, 200
+        config = cli.SweepConfig(
+            q_values=(q,), b_values=(b,), t_values=(t,), n_values=(n,),
+            kinds=("del-extremal", "del-int-lb"), cap=10**7, seed=0, trials=1, jobs=1,
+        )
+        rows, ranks = traced_peak(lambda: [(r.oracle, r.match) for r in cli.run_sweep(config)])
+        center, flipped = cyclic_pair(q, b, n)
+
+        def word_sets():
+            ball = enumerate_deletion_ball(center, t, b)
+            return [len(ball), len(ball & enumerate_deletion_ball(flipped, t, b))]
+
+        sizes, words = traced_peak(word_sets)
+        assert rows == [(str(size), "true") for size in sizes] and sizes[0] == 19_307
+        assert ranks * 2 < words, (ranks, words)
 
 
 class TestDeletionMembership:

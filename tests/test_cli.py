@@ -376,17 +376,23 @@ class TestVerify:
         return [dataclasses.replace(r, ms=0.0) for r in run_sweep(config)]
 
     def test_cyclic_ball_enumerated_once_per_cell(self, monkeypatch):
-        enumerated = []
-        real = burstrecon.cli.enumerate_deletion_ball
+        # the b-cyclic ball is built on ranks once per cell, and the flipped
+        # word's only for del-int-lb; each build is counted by its center rank
+        built = []
+        real = burstrecon.cli._rank_balls
 
-        def counting(x, t, b, *args):
-            enumerated.append((x, t, b))
-            return real(x, t, b, *args)
+        def counting(n, q, b, t, kind, centers):
+            centers = tuple(centers)
+            built.append((q, b, t, n, kind, centers))
+            return real(n, q, b, t, kind, centers)
 
-        monkeypatch.setattr(burstrecon.cli, "enumerate_deletion_ball", counting)
+        def rank(word, q):
+            return sum(s * q**k for k, s in enumerate(reversed(word)))
+
+        monkeypatch.setattr(burstrecon.cli, "_rank_balls", counting)
         shared = 0
         for kinds in (self.CYCLIC_KINDS, ("del-int-lb",)):
-            enumerated.clear()
+            built.clear()
             rows = self.cyclic_rows(kinds)
             expected = []
             for (q, b, t, n), cell in groupby(rows, key=lambda r: (r.q, r.b, r.t, r.n)):
@@ -394,8 +400,9 @@ class TestVerify:
                 shared += len(ran) == 2
                 center = bytes(i // b % q for i in range(n))
                 flipped = center[: b - 1] + b"\x01" + center[b:]
-                expected += [(center, t, b)] * bool(ran) + [(flipped, t, b)] * ("del-int-lb" in ran)
-            assert enumerated == expected, kinds
+                expected += [(q, b, t, n, "deletion", (rank(center, q),))] * bool(ran)
+                expected += [(q, b, t, n, "deletion", (rank(flipped, q),))] * ("del-int-lb" in ran)
+            assert built == expected, kinds
             assert {r.match for r in rows} == {"true", "skip"}, kinds
         assert shared > 0
 

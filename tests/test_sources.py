@@ -87,9 +87,10 @@ API_ENTRY_POINTS = {
     "count_centers_by_radius1_ball_size",
     # insertion membership, the mirror of is_deletion_descendant
     "is_insertion_descendant",
-    # the word-level reference that the rank tables and criterion 1 of
-    # test_acceptance are checked against
+    # the word-level references that the rank tables, the size rows, the
+    # b-cyclic rows and the acceptance criteria are checked against
     "enumerate_insertion_ball",
+    "enumerate_deletion_ball",
 }
 
 
@@ -167,9 +168,9 @@ def test_cap_is_compared_in_one_place():
 CAP_COMPARERS = {
     ("balls.py", "_check_cap"),  # the cap rule
     ("combinatorics.py", "_check_params"),  # the cap's range rule
-    # a gate, not a refusal: it decides only whether to count the rounds
-    # exactly, and each round then meets the cap in _check_cap
-    ("balls.py", "enumerate_deletion_ball"),
+    # the deletion round gate, not a refusal: it decides only whether to
+    # count the rounds exactly, and each round then meets the cap in _check_cap
+    ("balls.py", "_check_deletion_rounds"),
 }
 
 
@@ -261,35 +262,55 @@ def test_ball_tables_have_one_owner_outside_balls():
     }
 
 
-def deletion_ball_enumerators(path):
-    """Top-level statements of one module that name ``enumerate_deletion_ball``.
+ENUMERATORS = {"enumerate_insertion_ball", "enumerate_deletion_ball"}
 
-    A function counts by its name; any other statement, such as a table of
-    lambdas, by its line.
+
+def enumerator_names_outside_balls(package_dir):
+    """Lines outside ``balls`` that name a word enumerator.
+
+    A name or an attribute counts in every other module, and so does an
+    import, except in ``__init__``, whose re-export is the public API.
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return {
-        getattr(stmt, "name", f"line {stmt.lineno}")
-        for stmt in tree.body
-        if any(
-            isinstance(node, ast.Name) and node.id == "enumerate_deletion_ball"
-            for node in ast.walk(stmt)
-        )
-    }
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name == "balls.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names & ENUMERATORS)]
+    return found
 
 
-def test_cyclic_ball_has_one_enumerator_in_cli():
-    # del-extremal and del-int-lb read the b-cyclic word's deletion ball from
-    # the cell's tables; only the flipped word of del-int-lb is enumerated
-    # beside it, so no row can enumerate the shared ball a second time
-    assert deletion_ball_enumerators(PACKAGE_DIR / "cli.py") == {
-        "_cyclic_deletion_ball",
-        "_flip_pair_overlap",
-    }
+def test_only_balls_names_the_enumerators(tmp_path):
+    # every table and ball that verify builds is a set of word ranks, so the
+    # enumerators stay the independent reference the rank builders are
+    # checked against; a caller outside balls would be a second representation
+    assert enumerator_names_outside_balls(PACKAGE_DIR) == []
+    # the guard sees an import, a call and an attribute outside balls, and
+    # the package's re-export only in __init__
+    (tmp_path / "balls.py").write_text("def enumerate_deletion_ball(): pass\n")
+    (tmp_path / "__init__.py").write_text("from .balls import enumerate_deletion_ball\n")
+    (tmp_path / "cli.py").write_text(
+        "from .balls import enumerate_deletion_ball\n"
+        "from . import balls\n"
+        "enumerate_deletion_ball()\n"
+        "balls.enumerate_insertion_ball()\n"
+    )
+    assert enumerator_names_outside_balls(tmp_path) == [
+        "cli.py:1: enumerate_deletion_ball",
+        "cli.py:3: enumerate_deletion_ball",
+        "cli.py:4: enumerate_insertion_ball",
+    ]
 
 
 RANK_BUILDERS = ("_center_masks", "_insertion_masks", "_deletion_masks", "_rank_balls")
-ENUMERATORS = {"enumerate_insertion_ball", "enumerate_deletion_ball"}
 
 
 def enumerators_named_by_rank_builders(path):
