@@ -10,10 +10,11 @@ command, so a failure names each command whose behaviour changed.
 The commands cover ``simulate | reconstruct`` round trips of both channels,
 with and without ``--diagnostics`` and ``--as-json``; every ``verify`` kind,
 with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0,
-and ``del-extremal,del-int-lb`` grids on short words, on words of up to 300
-symbols and under caps that their round gate refuses; ``count``; and each
-refusal and exit code: cap, ball too small, below the decoding threshold,
-out-of-range symbol, bad range and argparse errors.
+and ``del-extremal,del-int-lb`` grids on short words, on alphabets of 11 and
+255 symbols, on words of up to 300 symbols and under caps that their round
+gate refuses; ``count``; and each refusal and exit code: cap, ball too small,
+below the decoding threshold, out-of-range symbol, bad range and argparse
+errors.
 
 Changing ``transcript.txt`` is a behaviour change.  Regenerate it with
 ``PYTHONPATH=src python tests/test_transcript.py --write`` only for a change
@@ -99,6 +100,7 @@ def verify_commands():
     cyclic = "verify --kinds del-extremal,del-int-lb"
     commands += [
         f"{cyclic} --q 2:4 --b 1:3 --t 0:3 --n 0:9",
+        f"{cyclic} --q 11,255 --b 1:3 --t 0:3 --n 0:12",
         "verify --q 2 --b 2:6 --t 2 --n 100,200,300 --kinds "
         "ins-ball-rec,ins-int-rec,del-ball-rec,del-extremal,del-int-rec,del-int-lb,sphere",
     ]
