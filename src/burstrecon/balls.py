@@ -11,27 +11,29 @@ one deletion ball meets it round by round (``_check_deletion_rounds``).
 
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
 every center's ball kept only as a bitmask over word ranks, so an overlap is
-the popcount of an AND, a ball's size is its mask's popcount, and no ball set
-outlives its own enumeration.  Every table and ball that ``verify`` builds
-acts on ranks, not on words, through one burst rule (``_cuts``): deleting a
-block maps a word's rank to a shorter word's, and inserting one is the
-inverse map.  ``_rank_balls`` gives the ball of each center rank it is
-passed as a set of ranks, of either kind: every center for a size row, the
-b-cyclic word and its flip for ``del-extremal`` and ``del-int-lb``.
-``_insertion_masks`` takes those sets to radius t-1 and applies the last
-burst as combs of bits; ``_deletion_masks`` builds a deletion table level by
-level.  No module but this one calls the word enumerators, which stay the
-independent reference the rank builders are checked against.  Nothing here
-keeps a table: it belongs to whoever built it and dies with that caller.  A
-cached table would escape the cap that bounds every enumeration, so this
-module holds no cache; ``cli``'s cell runner decides when one ``verify``
-cell builds a table and shares it between its rows.
+the popcount of an AND, a ball's size is its mask's popcount, and no ball
+set outlives its own enumeration.  Every table and ball that ``verify``
+builds acts on ranks, not on words, through one burst rule (``_cuts``):
+deleting a block maps a word's rank to a shorter word's, and inserting one
+is the inverse map.  ``_rank_balls`` gives every center's ball, of either
+kind, as a set of ranks; ``_insertion_masks`` takes those sets to radius t-1
+and applies the last burst as combs of bits; ``_deletion_masks`` builds a
+deletion table level by level.  One long word whose symbols are in hand, the
+b-cyclic word of ``del-extremal`` and ``del-int-lb`` or its flip, is stepped
+from cut to cut (``_stepped_deletion_ranks``); its last round streams ranks,
+so the flip's ball is never held.  No module but this one calls the word
+enumerators, the reference the rank builders are checked against.  Nothing
+here keeps a table: it belongs to whoever built it and dies with that
+caller.  A cached table would escape the cap that bounds every enumeration,
+so this module holds no cache; ``cli``'s cell runner decides when one
+``verify`` cell builds a table and shares it between its rows.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, Literal
+from itertools import accumulate, chain, product
+from operator import mul, sub
+from typing import Iterator, Literal
 
 from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
 from .errors import EnumerationCapExceeded
@@ -121,14 +123,12 @@ def _cuts(q: int, b: int, length: int) -> list[tuple[int, int]]:
     return [(q ** (length - i), q ** (length - i - b)) for i in range(length - b + 1)]
 
 
-def _rank_balls(
-    n: int, q: int, b: int, t: int, kind: BallKind, centers: Iterable[int]
-) -> Iterator[set[int]]:
-    """The ball of each length-n center rank, as a set of word ranks, one center at a time.
+def _rank_balls(n: int, q: int, b: int, t: int, kind: BallKind) -> Iterator[set[int]]:
+    """The ball of every length-n center, as a set of word ranks, one center at a time.
 
-    The enumerators' rounds on ranks (``_cuts``): center rank k stands for
-    the k-th word of ``all_words(q, n)``, and rank j in its ball for the j-th
-    word of ``all_words(q, n - t*b)`` (deletion) or ``all_words(q, n +
+    The enumerators' rounds on ranks (``_cuts``): the k-th ball is that of
+    the k-th word of ``all_words(q, n)``, and rank j in it stands for the
+    j-th word of ``all_words(q, n - t*b)`` (deletion) or ``all_words(q, n +
     t*b)`` (insertion).  Only one ball is held at a time.  Callers check the
     parameters, the cap and the length.
     """
@@ -136,7 +136,7 @@ def _rank_balls(
         rounds = [_cuts(q, b, n - s * b) for s in range(t)]
     else:
         rounds = [_cuts(q, b, n + s * b) for s in range(1, t + 1)]
-    for center in centers:
+    for center in range(q**n):
         ball = {center}
         for cuts in rounds:
             if kind == "deletion":
@@ -147,6 +147,29 @@ def _rank_balls(
                     for r in ball for high, low in cuts for p in range(0, high, low)
                 }
         yield ball
+
+
+def _stepped_deletion_ranks(x: Word, q: int, b: int, t: int) -> Iterator[int]:
+    """x's deletion ball as word ranks, stepped from cut to cut along x; a rank may repeat.
+
+    Rank j stands for the j-th word of ``all_words(q, len(x) - t*b)``.  Cut 0
+    of a word w of rank r leaves rank ``r % low``, and each next cut i+1 adds
+    ``(w[i] - w[i+b]) * low`` of that cut (``_cuts``), so one ``accumulate``
+    steps through a word at C speed.  Earlier rounds keep each distinct word
+    with its rank; the last streams ranks only.  Callers check x, the
+    parameters and the cap.
+    """
+    words = {sum(map(mul, x, (q**k for k in reversed(range(len(x)))))): x}
+    for length in range(len(x), len(x) - t * b, -b):
+        top, *lows = (low for _, low in _cuts(q, b, length))
+        steps = (
+            (w, accumulate(map(mul, map(sub, w, w[b:]), lows), initial=r % top))
+            for r, w in words.items()
+        )
+        if length == len(x) - (t - 1) * b:
+            return chain.from_iterable(ranks for _, ranks in steps)
+        words = {r: w[:i] + w[i + b :] for w, ranks in steps for i, r in enumerate(ranks)}
+    return iter(words)
 
 
 def _center_masks(
@@ -210,7 +233,7 @@ def _insertion_masks(n: int, q: int, b: int, t: int, cap: int) -> tuple[int, ...
         for high, low in _cuts(q, b, n + t * b)
     ]
     masks = []
-    for ball in _rank_balls(n, q, b, t - 1, "insertion", range(q**n)):
+    for ball in _rank_balls(n, q, b, t - 1, "insertion"):
         mask = 0
         for r in ball:
             for high, low, comb in cuts:

@@ -45,6 +45,7 @@ from .balls import (
     _check_deletion_rounds,
     _max_overlap,
     _rank_balls,
+    _stepped_deletion_ranks,
 )
 from .channel import format_event, sample_distinct_outputs
 from .errors import (
@@ -128,9 +129,9 @@ class Check:
     (``balls._center_masks``), stores it in tables under its ball kind and
     searches it by decreasing ball size with an exact bound; the size row
     reads its popcounts when the cell stored it, and otherwise builds one
-    ball at a time.  The first of ``del-extremal`` and ``del-int-lb`` to run
-    builds the b-cyclic word's deletion ball, and its ``ms`` carries that
-    cost.  The tables die with the cell.
+    ball at a time.  The first b-cyclic row steps the b-cyclic word's ball
+    along its cuts, and its ``ms`` carries that cost; ``del-int-lb`` streams
+    its flip's ranks into the overlap.  The tables die with the cell.
     """
 
     domain: tuple[tuple[Callable[..., bool], str], ...] = ()
@@ -184,7 +185,7 @@ def _ball_sizes(kind, q, b, t, n, cap, trials, rng, tables):
     """
     if kind in tables:
         return [mask.bit_count() for mask in tables[kind]]
-    return list(map(len, _rank_balls(n, q, b, t, kind, range(q**n))))
+    return list(map(len, _rank_balls(n, q, b, t, kind)))
 
 
 def _ins_ball_regularity(*args):
@@ -192,32 +193,27 @@ def _ins_ball_regularity(*args):
     return observed.pop() if len(observed) == 1 else f"irregular{sorted(observed)}"
 
 
-def _cyclic_rank(q, b, n):
-    """The rank in ``all_words(q, n)`` of the b-cyclic word ``y_sequence(n, q, b, q - 1, 0)``."""
-    return sum(s * q ** (n - 1 - i) for i, s in enumerate(y_sequence(n, q, b, q - 1, 0)))
-
-
 def _cyclic_deletion_ball(q, b, t, n, cap, trials, rng, tables):
     """The deletion ball of the b-cyclic word as a set of word ranks, built once per cell.
 
     ``del-extremal`` and ``del-int-lb`` share it through tables.  The round
     gate (``balls._check_deletion_rounds``) refuses an over-cap ball before
-    anything is built or stored, so each row refuses alike.
+    anything is stepped (``balls._stepped_deletion_ranks``) or stored.
     """
     if "b-cyclic" not in tables:
-        _check_deletion_rounds(y_sequence(n, q, b, q - 1, 0), t, b, cap)
-        tables["b-cyclic"] = next(_rank_balls(n, q, b, t, "deletion", (_cyclic_rank(q, b, n),)))
+        x = y_sequence(n, q, b, q - 1, 0)
+        _check_deletion_rounds(x, t, b, cap)
+        tables["b-cyclic"] = set(_stepped_deletion_ranks(x, q, b, t))
     return tables["b-cyclic"]
 
 
 def _flip_pair_overlap(q, b, t, n, cap, *rest):
     """The overlap of the b-cyclic word's ball with the ball of its copy whose b-th entry is 1."""
     ball_x = _cyclic_deletion_ball(q, b, t, n, cap, *rest)
-    # the b-cyclic word opens with b zeros, so setting entry b adds q**(n-b) to its rank;
-    # the copy's rounds pass the gate that the b-cyclic word's passed, as no ball of any
-    # radius is larger than the b-cyclic word's (y_sequence)
-    rank = _cyclic_rank(q, b, n) + q ** (n - b)
-    return len(ball_x & next(_rank_balls(n, q, b, t, "deletion", (rank,))))
+    # the copy's ranks stream into the intersection and are never held as a set; its
+    # rounds pass the b-cyclic word's gate, as no ball of any radius is larger (y_sequence)
+    x = y_sequence(n, q, b, q - 1, 0)
+    return len(ball_x.intersection(_stepped_deletion_ranks(x[: b - 1] + b"\x01" + x[b:], q, b, t)))
 
 
 def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:

@@ -1,8 +1,11 @@
 """Brute-force oracles: enumeration, exhaustive overlap search, membership."""
 
 import dataclasses
+import random
 import sys
 import tracemalloc
+from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,13 @@ from burstrecon import (
 )
 from burstrecon import cli
 import burstrecon.balls
-from burstrecon.balls import _center_masks, _check_cap, _max_overlap, _rank_balls
+from burstrecon.balls import (
+    _center_masks,
+    _check_cap,
+    _max_overlap,
+    _rank_balls,
+    _stepped_deletion_ranks,
+)
 
 
 def words_of(*texts):
@@ -314,7 +323,7 @@ class TestMaxIntersectionExhaustive:
         # so that a table path that reached them again would fail here
         for name in (
             "_rank_balls", "enumerate_insertion_ball", "enumerate_deletion_ball",
-            "_insertion_masks", "_deletion_masks", "_cuts",
+            "_insertion_masks", "_deletion_masks", "_cuts", "_stepped_deletion_ranks",
         ):
             monkeypatch.setattr(burstrecon.balls, name, no_enumeration)
         # the last deletion cell is too short for its bursts: the cap refuses first
@@ -356,7 +365,7 @@ class TestMaxIntersectionExhaustive:
                         balls = [enumerate_insertion_ball(x, q, t, b) for x in all_words(q, n)]
                         masks = _center_masks(n, q, b, t, "insertion", 10**7)
                         for ball, mask, ranks in zip(
-                            balls, masks, _rank_balls(n, q, b, t, "insertion", range(q**n)),
+                            balls, masks, _rank_balls(n, q, b, t, "insertion"),
                             strict=True,
                         ):
                             assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
@@ -383,7 +392,7 @@ class TestMaxIntersectionExhaustive:
                         balls = [enumerate_deletion_ball(x, t, b) for x in all_words(q, n)]
                         masks = _center_masks(n, q, b, t, "deletion", 10**7)
                         for ball, mask, ranks in zip(
-                            balls, masks, _rank_balls(n, q, b, t, "deletion", range(q**n)),
+                            balls, masks, _rank_balls(n, q, b, t, "deletion"),
                             strict=True,
                         ):
                             assert words_of_ranks(set_bits(mask), q, length) == ball, (q, b, t, n)
@@ -398,35 +407,50 @@ class TestMaxIntersectionExhaustive:
 
     def test_deletion_tables_and_size_rows_enumerate_no_ball(self, monkeypatch):
         # both work on ranks alone; a size-only del-ball sweep builds no table
-        # but every center's ball, on ranks, and the b-cyclic rows one or two
+        # but every center's ball, on ranks, and the b-cyclic rows step the
+        # b-cyclic word once per cell and its flip once more for del-int-lb
         def no_enumeration(*args):
             raise AssertionError("a ball was enumerated")
 
         built = []
-        real = burstrecon.cli._rank_balls
+        stepped = Counter()
+        real, real_stepped = burstrecon.cli._rank_balls, burstrecon.cli._stepped_deletion_ranks
 
-        def counting(n, q, b, t, kind, centers):
-            built.append((q, b, t, n, kind, centers))
-            return real(n, q, b, t, kind, centers)
+        def counting(n, q, b, t, kind):
+            built.append((q, b, t, n, kind))
+            return real(n, q, b, t, kind)
+
+        def counting_steps(x, q, b, t):
+            stepped[q, b, t, x] += 1
+            return real_stepped(x, q, b, t)
 
         monkeypatch.setattr(burstrecon.balls, "enumerate_deletion_ball", no_enumeration)
         monkeypatch.setattr(burstrecon.cli, "_rank_balls", counting)
+        monkeypatch.setattr(burstrecon.cli, "_stepped_deletion_ranks", counting_steps)
         masks = _center_masks(9, 2, 2, 2, "deletion", 10**7)
         assert max(mask.bit_count() for mask in masks) == del_ball_max(2, 2, 9, 2)
         grid = dict(q_values=(2, 3), b_values=(1, 2), t_values=(0, 1, 2), n_values=(4, 5, 6))
         config = cli.SweepConfig(**grid, kinds=("del-ball",), cap=10**7, seed=0, trials=1, jobs=1)
         assert {r.match for r in cli.run_sweep(config)} == {"true"}
         assert built == [
-            (q, b, t, n, "deletion", range(q**n))
+            (q, b, t, n, "deletion")
             for q in grid["q_values"] for b in grid["b_values"]
             for t in grid["t_values"] for n in grid["n_values"]
         ]
+        assert not stepped
         built.clear()
         config = dataclasses.replace(config, kinds=("del-extremal", "del-int-lb"))
         rows = cli.run_sweep(config)
         assert {r.match for r in rows} == {"true", "skip"}
-        assert len(built) == sum(r.match == "true" for r in rows)
-        assert all(len(centers) == 1 for *_, centers in built)
+        assert built == []
+        expected = Counter()
+        for (q, b, t, n), cell in groupby(rows, key=lambda r: (r.q, r.b, r.t, r.n)):
+            ran = {r.kind for r in cell if r.match == "true"}
+            center, flipped = cyclic_pair(q, b, n)
+            expected[q, b, t, center] += bool(ran)
+            expected[q, b, t, flipped] += "del-int-lb" in ran
+        assert stepped == expected
+        assert expected.total() == sum(r.match == "true" for r in rows)
 
     def test_deletion_table_of_short_words_refuses_as_the_enumerator(self):
         with pytest.raises(ValueError) as enumerated:
@@ -617,9 +641,49 @@ def refusal(run):
     return None
 
 
+class TestSteppedDeletionRanks:
+    # the b-cyclic rows step one long word's deletion ball from cut to cut:
+    # rank j stands for the j-th word of all_words(q, len(x) - t*b), and the
+    # last round yields one rank per cut of every word of the round before
+
+    @staticmethod
+    def check(x, q, b, t):
+        ranks = list(_stepped_deletion_ranks(x, q, b, t))
+        ball = enumerate_deletion_ball(x, t, b)
+        assert words_of_ranks(ranks, q, len(x) - t * b) == ball, (q, b, t, x)
+        cuts = len(x) - t * b + 1
+        assert len(ranks) == (len(enumerate_deletion_ball(x, t - 1, b)) * cuts if t else 1)
+        return ball
+
+    def test_ranks_decode_to_the_enumerated_ball(self):
+        # random words and the b-cyclic pair, on alphabets past the digit text
+        # form too, where the step weights q**k are large; decoding by base-q
+        # division shows a weight shifted by one cut, and a first rank that
+        # kept the deleted block runs past the last word
+        rng = random.Random(25)
+        balls = 0
+        for q in (2, 3, 4, 5, 11, 255):
+            for b in (1, 2, 3):
+                for t in (0, 1, 2, 3):
+                    for n in range(t * b, 10):
+                        words = [bytes(rng.randrange(q) for _ in range(n)) for _ in range(2)]
+                        words += cyclic_pair(q, b, n) if n >= b else ()
+                        for x in words:
+                            self.check(x, q, b, t)
+                            balls += 1
+        assert balls > 1000
+
+    @pytest.mark.parametrize("q, b, t, n", [(2, 2, 3, 40), (2, 1, 3, 30), (3, 3, 2, 60), (5, 2, 2, 25)])
+    def test_long_words(self, q, b, t, n):
+        rng = random.Random(f"{q} {b} {t} {n}")
+        for x in (bytes(rng.randrange(q) for _ in range(n)), *cyclic_pair(q, b, n)):
+            assert len(self.check(x, q, b, t)) > 100
+
+
 class TestCyclicRankBalls:
-    # del-extremal and del-int-lb hold the b-cyclic ball and its flip's as
-    # sets of word ranks; the word enumerator is the reference for both
+    # del-extremal and del-int-lb hold the b-cyclic ball as a set of word
+    # ranks and stream its flip's ranks into the overlap; the word enumerator
+    # is the reference for both
     GRID = [
         (q, b, t, n)
         for q in (2, 3, 4) for b in (1, 2, 3) for t in (0, 1, 2, 3)
@@ -627,30 +691,34 @@ class TestCyclicRankBalls:
     ]
 
     def test_rank_sets_decode_to_the_enumerated_balls(self, monkeypatch):
-        # rank j of a set stands for the j-th word of all_words(q, n - t*b);
-        # decoding both sets by base-q division must give back the enumerated
-        # balls, so a center or flip rank off by one cut shows even where the
+        # each center word is stepped once, the b-cyclic word and its flip;
+        # decoding what each yielded by base-q division must give back the
+        # enumerated balls, so a flip at the wrong entry shows even where the
         # sizes agree
-        built = []
-        real = cli._rank_balls
+        built = {}
+        real = cli._stepped_deletion_ranks
 
-        def recording(*args):
-            for ball in real(*args):
-                built.append(ball)
-                yield ball
+        def recording(x, q, b, t):
+            assert x not in built, "a center word was stepped twice"
+            built[x] = []
+            for r in real(x, q, b, t):
+                built[x].append(r)
+                yield r
 
-        monkeypatch.setattr(cli, "_rank_balls", recording)
+        monkeypatch.setattr(cli, "_stepped_deletion_ranks", recording)
         for q, b, t, n in self.GRID:
             center, flipped = cyclic_pair(q, b, n)
             built.clear()
             tables = {}
             overlap = cli._flip_pair_overlap(q, b, t, n, 10**7, 1, None, tables)
             ball_x, ball_y = enumerate_deletion_ball(center, t, b), enumerate_deletion_ball(flipped, t, b)
-            assert built[0] is tables["b-cyclic"] and len(built) == 2, (q, b, t, n)
-            assert words_of_ranks(built[0], q, n - t * b) == ball_x, (q, b, t, n)
-            assert words_of_ranks(built[1], q, n - t * b) == ball_y, (q, b, t, n)
+            assert list(built) == [center, flipped], (q, b, t, n)
+            assert set(built[center]) == tables["b-cyclic"], (q, b, t, n)
+            assert words_of_ranks(built[center], q, n - t * b) == ball_x, (q, b, t, n)
+            assert words_of_ranks(built[flipped], q, n - t * b) == ball_y, (q, b, t, n)
             assert overlap == len(ball_x & ball_y), (q, b, t, n)
             assert len(cli._cyclic_deletion_ball(q, b, t, n, 10**7, 1, None, tables)) == len(ball_x)
+            assert list(built) == [center, flipped], (q, b, t, n)
         assert len(self.GRID) > 200
 
     @pytest.mark.parametrize("cap", [1, 10, 50])
@@ -689,6 +757,21 @@ class TestCyclicRankBalls:
         sizes, words = traced_peak(word_sets)
         assert rows == [(str(size), "true") for size in sizes] and sizes[0] == 19_307
         assert ranks * 2 < words, (ranks, words)
+
+
+    def test_flip_ball_is_never_held(self):
+        # del-int-lb streams the flip's ranks into the overlap, so its traced
+        # peak stays near the b-cyclic rank set it builds and keeps; holding
+        # the flip's ball as a set too would take about twice that
+        q, b, t, n = 2, 2, 2, 200
+        tables = {}
+        overlap, peak = traced_peak(
+            lambda: cli._flip_pair_overlap(q, b, t, n, 10**7, 1, None, tables)
+        )
+        ball = tables["b-cyclic"]
+        held = sys.getsizeof(ball) + sum(map(sys.getsizeof, ball))
+        assert (len(ball), overlap) == (19_307, del_intersection_lower_bound(q, b, n, t))
+        assert peak < 1.4 * held, (peak, held)
 
 
 class TestDeletionMembership:

@@ -376,20 +376,21 @@ class TestVerify:
         return [dataclasses.replace(r, ms=0.0) for r in run_sweep(config)]
 
     def test_cyclic_ball_enumerated_once_per_cell(self, monkeypatch):
-        # the b-cyclic ball is built on ranks once per cell, and the flipped
-        # word's only for del-int-lb; each build is counted by its center rank
+        # the b-cyclic word's ball is stepped on ranks once per cell, and the
+        # flipped word's only for del-int-lb; each build is counted by its
+        # center word, and no cyclic row builds a ball of every center
         built = []
-        real = burstrecon.cli._rank_balls
+        real = burstrecon.cli._stepped_deletion_ranks
 
-        def counting(n, q, b, t, kind, centers):
-            centers = tuple(centers)
-            built.append((q, b, t, n, kind, centers))
-            return real(n, q, b, t, kind, centers)
+        def counting(x, q, b, t):
+            built.append((q, b, t, len(x), x))
+            return real(x, q, b, t)
 
-        def rank(word, q):
-            return sum(s * q**k for k, s in enumerate(reversed(word)))
+        def every_center(*args):
+            raise AssertionError("a cyclic row built every center's ball")
 
-        monkeypatch.setattr(burstrecon.cli, "_rank_balls", counting)
+        monkeypatch.setattr(burstrecon.cli, "_stepped_deletion_ranks", counting)
+        monkeypatch.setattr(burstrecon.cli, "_rank_balls", every_center)
         shared = 0
         for kinds in (self.CYCLIC_KINDS, ("del-int-lb",)):
             built.clear()
@@ -400,8 +401,8 @@ class TestVerify:
                 shared += len(ran) == 2
                 center = bytes(i // b % q for i in range(n))
                 flipped = center[: b - 1] + b"\x01" + center[b:]
-                expected += [(q, b, t, n, "deletion", (rank(center, q),))] * bool(ran)
-                expected += [(q, b, t, n, "deletion", (rank(flipped, q),))] * ("del-int-lb" in ran)
+                expected += [(q, b, t, n, center)] * bool(ran)
+                expected += [(q, b, t, n, flipped)] * ("del-int-lb" in ran)
             assert built == expected, kinds
             assert {r.match for r in rows} == {"true", "skip"}, kinds
         assert shared > 0

@@ -310,7 +310,9 @@ def test_only_balls_names_the_enumerators(tmp_path):
     ]
 
 
-RANK_BUILDERS = ("_center_masks", "_insertion_masks", "_deletion_masks", "_rank_balls")
+RANK_BUILDERS = (
+    "_center_masks", "_insertion_masks", "_deletion_masks", "_rank_balls", "_stepped_deletion_ranks",
+)
 
 
 def enumerators_named_by_rank_builders(path):
