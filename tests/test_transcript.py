@@ -8,7 +8,9 @@ the ``ms`` column, the one field that varies between runs, is stripped first.
 command, so a failure names each command whose behaviour changed.
 
 The commands cover ``simulate | reconstruct`` round trips of both channels,
-with and without ``--diagnostics`` and ``--as-json``; every ``verify`` kind,
+with and without ``--diagnostics`` and ``--as-json``; ``simulate --ins`` at
+t = 3 on alphabets of 11 and 255 symbols, from empty centers and over whole
+balls; every ``verify`` kind,
 with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0,
 and ``del-extremal,del-int-lb`` grids on short words, on alphabets of 11 and
 255 symbols, on words of up to 300 symbols and under caps that their round
@@ -79,6 +81,24 @@ def roundtrip_commands():
             # below the threshold: the decoder refuses or decodes, and says which
             f"simulate {channel} -x {x} -N {max(need // 2, 1)} --seed {seed} | {reconstruct}",
         ]
+    return commands
+
+
+def sampler_commands():
+    """simulate --ins at t = 3, on alphabets of 11 and 255 symbols, from empty
+    centers, and whole-ball draws (-N the ball's size), plain and as JSON."""
+    commands = []
+    for q, b, t, n, count in (
+        (2, 2, 3, 0, "all"), (2, 2, 3, 3, "all"), (3, 1, 3, 2, "all"), (2, 3, 3, 7, 400),
+        (11, 1, 3, 0, "all"), (11, 1, 3, 2, "all"), (11, 2, 3, 4, 200), (11, 3, 3, 9, 60),
+        (255, 1, 1, 3, "all"), (255, 1, 3, 0, 100), (255, 2, 3, 6, 300), (255, 3, 3, 5, 50),
+    ):
+        rng = random.Random(f"sample {q} {b} {t} {n}")
+        x = ("," if q > 10 else "").join(str(rng.randrange(q)) for _ in range(n))
+        if count == "all":
+            count = comb.ins_ball_size(q, b, n, t)
+        simulate = f"simulate --ins -q {q} -b {b} -t {t} -x={x} -N {count} --seed {n + t}"
+        commands += [simulate, f"{simulate} --as-json"]
     return commands
 
 
@@ -157,7 +177,10 @@ def refusal_commands():
 
 
 def commands():
-    return roundtrip_commands() + verify_commands() + count_commands() + refusal_commands()
+    return (
+        roundtrip_commands() + sampler_commands() + verify_commands()
+        + count_commands() + refusal_commands()
+    )
 
 
 def run(argv, stdin):
