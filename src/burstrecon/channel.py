@@ -4,9 +4,12 @@ Sampling is exact and uniform over the ball.  Every member has one leftmost
 (canonical) burst placement, so the members can be counted and numbered: the
 sampler draws distinct ranks from a named, seedable generator, so runs
 reproduce bit for bit, and turns each rank back into its canonical bursts.
-Each burst is applied (`apply_burst_insertion`, `apply_burst_deletion`) to
-the piece of the input it ends, and the member is one join of the pieces, so
-no burst copies the whole word.
+Insertion draws are unranked in rank order, block by block: the ranks of one
+burst-slot pattern are consecutive, and the pattern is worked out once per
+block.  Members and traces are returned in draw order.  Each drawn burst is
+applied once (`apply_burst_insertion`, `apply_burst_deletion`) to the piece
+of the input it ends, and the member is one join of the pieces, so no burst
+copies the whole word.
 A sample is one `ChannelSample` record: the input, the channel, the outputs
 and, per output, the burst events that produce it from the input.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -70,6 +73,11 @@ class ChannelSample:
 
 # an unranked ball member and the burst events that produce it
 _Member = tuple[Word, tuple[BurstEvent, ...]]
+# unranked members and their traces, in the order of the ranks given
+_Members = tuple[tuple[Word, ...], tuple[tuple[BurstEvent, ...], ...]]
+_Unrank = Callable[[Sequence[int]], _Members]
+# per burst of an insertion block: piece, offset, position, events there, radix, skip
+_Slot = tuple[Word, int, int, dict[int, BurstEvent], int, int]
 
 
 def apply_burst_insertion(x: Word, position: int, payload: Word) -> Word:
@@ -100,15 +108,21 @@ def format_event(event: BurstEvent, q: int) -> str:
     return f"ins {event.position} {format_word(event.payload, q)}"
 
 
-def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, Callable[[int], _Member]]:
-    """The insertion ball's size, and the map from a rank to its member and trace.
+def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, _Unrank]:
+    """The insertion ball's size, and the map from ranks to their members and traces.
 
     A canonical pattern puts f_j bursts right before x[j], each starting with
     a symbol other than x[j] ((q-1)*q**(b-1) payloads), and the other bursts
     after x[-1] (q**b payloads).  Ranks are ordered by k, the bursts before
-    x[-1], then by the k-multiset of slots (combinadic), then by payload.
-    Payloads and events are built when first drawn and shared after that,
-    so a sample holds no more of them than it draws, at any q**b.
+    x[-1], then by the k-multiset of slots (combinadic), then by payload, so
+    the ranks of one block (k, slots) are consecutive.  The ranks are
+    unranked in rank order: a block's slots, the pieces of x between them,
+    their positions, radices and skip thresholds are worked out once, and
+    each rank of the block then splits into t payload digits, one
+    `apply_burst_insertion` per burst and one join.  Members and traces come
+    back in the order of the ranks given.  Payloads and events are built
+    when first drawn and shared after that, so a sample holds no more of
+    them than it draws, at any q**b.
     """
     n = len(x)
     rest_choices = q ** (b - 1)
@@ -122,49 +136,73 @@ def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, Callable[
     digit_weights = [q**e for e in range(b - 1, -1, -1)]
     skips = [symbol * rest_choices for symbol in x]  # head digits from skips[j] on lead past x[j]
     built: dict[int, Word] = {}  # payload of each digit value drawn so far
-    made: dict[tuple[int, int], BurstEvent] = {}  # event of each position and digits so far
+    made: dict[int, dict[int, BurstEvent]] = {}  # event of each position and digits so far
 
-    def unrank(rank: int) -> _Member:
-        k = bisect_right(starts, rank) - 1
-        combination, rank = divmod(rank - starts[k], payloads[k])
+    def pattern(k: int, combination: int) -> tuple[list[_Slot], Word]:
+        """The bursts of block (k, combination), and the piece of x after the last.
+
+        Per burst: the piece of x that it ends, its offset in that piece, its
+        position in the member, the events made there, its radix, and the
+        digit from which the leading symbol skips the one that it precedes.
+        """
         slots = [n] * t
         top = n + k - 1
         for i in range(k, 0, -1):  # the i-th smallest of k elements of range(top)
             top = bisect_right(columns[i], combination, 0, top) - 1
             combination -= columns[i][top]
             slots[i - 1] = top - i + 1
-        pieces, events, kept, position = [], [], 0, 1
+        bursts, kept, position = [], 0, 1
         for j in slots:
-            if j < n:  # the leading base-q digit skips x[j]
-                rank, digits = divmod(rank, head)
-                if digits >= skips[j]:
-                    digits += rest_choices
-            else:
-                rank, digits = divmod(rank, tail)
             position += j - kept  # the burst starts right before x[j]
-            event = made.get((position, digits))
-            if event is None:
-                payload = built.get(digits)
-                if payload is None:
-                    payload = built[digits] = bytes(digits // d % q for d in digit_weights)
-                event = made[position, digits] = BurstEvent(position, payload)
-            pieces.append(apply_burst_insertion(x[kept:j], j - kept + 1, event.payload))
-            events.append(event)
+            radix, skip = (head, skips[j]) if j < n else (tail, tail)
+            made_at = made.setdefault(position, {})
+            bursts.append((x[kept:j], j - kept + 1, position, made_at, radix, skip))
             kept = j
             position += b
-        pieces.append(x[kept:])
-        return b"".join(pieces), tuple(events)
+        return bursts, x[kept:]
+
+    def unrank(ranks: Sequence[int]) -> _Members:
+        members: list[Word] = [b""] * len(ranks)
+        traces: list[tuple[BurstEvent, ...]] = [()] * len(ranks)
+        first = end = 0  # the block in hand holds the ranks in range(first, end)
+        for index in sorted(range(len(ranks)), key=ranks.__getitem__):
+            rank = ranks[index]
+            if rank >= end:
+                k = bisect_right(starts, rank) - 1
+                combination = (rank - starts[k]) // payloads[k]
+                first = starts[k] + combination * payloads[k]
+                end = first + payloads[k]
+                bursts, after = pattern(k, combination)
+            rank -= first
+            pieces, events = [], []
+            for piece, offset, position, made_at, radix, skip in bursts:
+                rank, digits = divmod(rank, radix)
+                if digits >= skip:  # the leading base-q digit skips x[j]
+                    digits += rest_choices
+                event = made_at.get(digits)
+                if event is None:
+                    payload = built.get(digits)
+                    if payload is None:
+                        payload = built[digits] = bytes(digits // d % q for d in digit_weights)
+                    event = made_at[digits] = BurstEvent(position, payload)
+                pieces.append(apply_burst_insertion(piece, offset, event.payload))
+                events.append(event)
+            pieces.append(after)
+            members[index] = b"".join(pieces)
+            traces[index] = tuple(events)
+        return tuple(members), tuple(traces)
 
     return sum(sizes), unrank
 
 
-def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], _Member]]:
-    """The deletion ball's size, and the map from a rank to its member and trace.
+def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, _Unrank]:
+    """The deletion ball's size, and the map from ranks to their members and traces.
 
     Walks ``ways`` (``combinatorics._deletion_ways``): at each position the
     ranks below ``ways[i + 1][u]`` keep x[i], the next ones delete 1, 2, ...
     bursts there.  ``ways[i][u]`` never increases with i, so the run of kept
-    symbols before the next deletion is one bisection.
+    symbols before the next deletion is one bisection.  Each rank is walked
+    on its own, in the order given.
     """
     n = len(x)
     ways = _deletion_ways(x, t, b)
@@ -199,7 +237,11 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, Callable[[int], _M
         pieces.append(x[kept:])
         return b"".join(pieces), tuple(events)
 
-    return ways[0][t], unrank
+    def unrank_each(ranks: Sequence[int]) -> _Members:
+        members, traces = zip(*map(unrank, ranks))
+        return members, traces
+
+    return ways[0][t], unrank_each
 
 
 def sample_distinct_outputs(
@@ -241,5 +283,5 @@ def sample_distinct_outputs(
     for top in range(ball_size - count, ball_size):
         rank = rng.randrange(top + 1)
         ranks[top if rank in ranks else rank] = None
-    outputs, traces = zip(*map(unrank, ranks))
+    outputs, traces = unrank(list(ranks))
     return ChannelSample(x, kind, b, outputs, traces, seed)

@@ -32,7 +32,6 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, replace
 from fractions import Fraction
 from itertools import groupby, product
@@ -409,6 +408,8 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     ]
     jobs = min(config.jobs, len(cells))  # a pool forks all its workers up front
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for this import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return [row for rows in pool.map(_compute_cell, cells) for row in rows]
     return [row for cell in cells for row in _compute_cell(cell)]

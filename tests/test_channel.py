@@ -28,6 +28,7 @@ from burstrecon import (
     sample_distinct_outputs,
     y_sequence,
 )
+from burstrecon import channel
 from burstrecon.channel import _deletion_unranker, _insertion_unranker
 from burstrecon.combinatorics import _deletion_ways
 
@@ -283,7 +284,7 @@ class TestSampling:
                         size, unrank = _deletion_unranker(x, t, b)
                         ball = enumerate_deletion_ball(x, t, b)
                         assert size == len(ball)
-                    words, traces = zip(*map(unrank, range(size)))
+                    words, traces = unrank(range(size))
                     assert len(set(words)) == size and set(words) == ball
                     sample = ChannelSample(x, kind, b, words, traces, 0)
                     for i, w in enumerate(words):
@@ -322,11 +323,19 @@ class TestUnrankerMatchesReference:
 
     @staticmethod
     def check(unranker, reference, ranks):
+        # the ranks ascending, shuffled and descending: members and traces come
+        # back in the order given, whatever order the unranker works in
         size, unrank = unranker()
         ref_size, ref_unrank = reference()
         assert size == ref_size
-        for rank in ranks(size):
-            assert unrank(rank) == ref_unrank(rank), rank
+        ranks = list(ranks(size))
+        expected = {rank: ref_unrank(rank) for rank in ranks}
+        shuffled = random.Random(len(ranks)).sample(ranks, len(ranks))
+        for order in (ranks, shuffled, ranks[::-1]):
+            members, traces = unrank(order)
+            assert len(members) == len(traces) == len(order)
+            for rank, member, trace in zip(order, members, traces):
+                assert (member, trace) == expected[rank], rank
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_every_small_ball(self, q):
@@ -378,6 +387,74 @@ class TestUnrankerMatchesReference:
             (lambda: _deletion_unranker(x, t, b), lambda: reference_deletion_unranker(x, t, b)),
         ):
             self.check(unranker, reference, lambda size: [rng.randrange(size) for _ in range(2000)])
+
+
+def floyd_ranks(size, count, seed):
+    """The sampler's ranks in draw order, drawn again from random.Random(seed)."""
+    rng = random.Random(seed)
+    ranks = {}
+    for top in range(size - count, size):
+        rank = rng.randrange(top + 1)
+        ranks[top if rank in ranks else rank] = None
+    return list(ranks)
+
+
+class TestSamplerDraws:
+    """The sampler unranks Floyd's ranks in draw order, one burst call per drawn burst."""
+
+    @pytest.mark.parametrize(
+        "kind, q, b, t, n, count",
+        [
+            ("insertion", 2, 2, 2, 4, None),
+            ("insertion", 3, 2, 3, 10, 50),
+            ("deletion", 2, 2, 2, 10, None),
+            ("deletion", 2, 2, 3, 60, 40),
+        ],
+        ids=["ins-whole", "ins-sparse", "del-whole", "del-sparse"],
+    )
+    def test_one_burst_call_per_drawn_burst(self, monkeypatch, kind, q, b, t, n, count):
+        # a sampler that reused a built piece for a repeated burst would make fewer calls
+        rng = random.Random(n)
+        x = bytes(rng.randrange(q) for _ in range(n))
+        if count is None:
+            count = ins_ball_size(q, b, n, t) if kind == "insertion" else len(enumerate_deletion_ball(x, t, b))
+        calls = {"apply_burst_insertion": 0, "apply_burst_deletion": 0}
+        for name in calls:
+            def counted(*args, _name=name, _apply=getattr(channel, name)):
+                calls[_name] += 1
+                return _apply(*args)
+
+            monkeypatch.setattr(channel, name, counted)
+        sample = sample_distinct_outputs(x, q, t, b, kind, count, seed=3)
+        assert len(set(sample.outputs)) == count
+        applied = "apply_burst_insertion" if kind == "insertion" else "apply_burst_deletion"
+        assert calls == {name: count * t if name == applied else 0 for name in calls}
+
+    @pytest.mark.parametrize(
+        "q, b, t, n, count, seed",
+        [
+            (2, 2, 2, 4, 30, 1),
+            (2, 3, 3, 7, 400, 2),
+            (3, 1, 3, 5, 200, 3),
+            (4, 2, 2, 12, 300, 4),
+            (11, 2, 3, 3, 100, 5),
+            (255, 1, 2, 0, 50, 6),
+            (255, 3, 3, 5, 50, 7),
+            (2, 2, 3, 3, None, 8),
+        ],
+    )
+    def test_insertion_sample_is_the_reference_on_floyds_ranks(self, q, b, t, n, count, seed):
+        rng = random.Random(seed)
+        x = bytes(rng.randrange(q) for _ in range(n))
+        size, unrank = reference_insertion_unranker(x, q, t, b)
+        count = size if count is None else count
+        ranks = floyd_ranks(size, count, seed)
+        if count < size:
+            assert ranks != sorted(ranks)
+        expected = [unrank(rank) for rank in ranks]
+        sample = sample_distinct_outputs(x, q, t, b, "insertion", count, seed)
+        assert sample.outputs == tuple(w for w, _ in expected)
+        assert sample.traces == tuple(events for _, events in expected)
 
 
 class TestEventFormat:

@@ -248,8 +248,14 @@ class TestVerify:
             def map(self, func, items):
                 return map(func, items)
 
-        monkeypatch.setattr(burstrecon.cli, "ProcessPoolExecutor", RecordingPool)
+        # run_sweep imports the pool class when it needs one, so patch it at its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         return started
+
+    def test_pool_machinery_not_imported_with_the_cli(self):
+        code = "import sys, burstrecon.cli; print('concurrent.futures.process' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout == "False\n"
 
     @pytest.mark.parametrize("n_values, workers", [("3", []), ("3:4", [2]), ("1:9", [6])])
     def test_pool_no_larger_than_the_grid(self, capsys, monkeypatch, n_values, workers):
