@@ -8,9 +8,10 @@ the ``ms`` column, the one field that varies between runs, is stripped first.
 command, so a failure names each command whose behaviour changed.
 
 The commands cover ``simulate | reconstruct`` round trips of both channels,
-with and without ``--diagnostics`` and ``--as-json``; ``simulate --ins`` at
-t = 3 on alphabets of 11 and 255 symbols, from empty centers and over whole
-balls; every ``verify`` kind,
+with and without ``--diagnostics`` and ``--as-json``; ``simulate`` of both
+kinds at t = 3 on alphabets of 3, 11 and 255 symbols and over whole balls,
+``--ins`` from empty centers and ``--del`` at b = 1 and 3 and from centers
+of length t*b; every ``verify`` kind,
 with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0,
 and ``del-extremal,del-int-lb`` grids on short words, on alphabets of 11 and
 255 symbols, on words of up to 300 symbols and under caps that their round
@@ -85,19 +86,29 @@ def roundtrip_commands():
 
 
 def sampler_commands():
-    """simulate --ins at t = 3, on alphabets of 11 and 255 symbols, from empty
-    centers, and whole-ball draws (-N the ball's size), plain and as JSON."""
+    """simulate at t = 3, on alphabets of 3, 11 and 255 symbols, and whole-ball
+    draws (-N the ball's size), plain and as JSON: --ins from empty centers,
+    --del at b = 1 and 3 and from centers of length t*b, whose ball is one word."""
     commands = []
-    for q, b, t, n, count in (
-        (2, 2, 3, 0, "all"), (2, 2, 3, 3, "all"), (3, 1, 3, 2, "all"), (2, 3, 3, 7, 400),
-        (11, 1, 3, 0, "all"), (11, 1, 3, 2, "all"), (11, 2, 3, 4, 200), (11, 3, 3, 9, 60),
-        (255, 1, 1, 3, "all"), (255, 1, 3, 0, 100), (255, 2, 3, 6, 300), (255, 3, 3, 5, 50),
+    for kind, q, b, t, n, count in (
+        ("ins", 2, 2, 3, 0, "all"), ("ins", 2, 2, 3, 3, "all"), ("ins", 3, 1, 3, 2, "all"),
+        ("ins", 2, 3, 3, 7, 400), ("ins", 11, 1, 3, 0, "all"), ("ins", 11, 1, 3, 2, "all"),
+        ("ins", 11, 2, 3, 4, 200), ("ins", 11, 3, 3, 9, 60), ("ins", 255, 1, 1, 3, "all"),
+        ("ins", 255, 1, 3, 0, 100), ("ins", 255, 2, 3, 6, 300), ("ins", 255, 3, 3, 5, 50),
+        ("del", 2, 1, 3, 20, "all"), ("del", 2, 3, 3, 9, "all"), ("del", 2, 3, 3, 24, 40),
+        ("del", 3, 1, 3, 12, "all"), ("del", 3, 2, 3, 20, "all"), ("del", 3, 3, 3, 9, "all"),
+        ("del", 3, 3, 2, 16, 20), ("del", 11, 1, 3, 10, "all"), ("del", 11, 2, 3, 18, 150),
+        ("del", 11, 3, 3, 9, "all"), ("del", 11, 3, 3, 24, 100), ("del", 255, 1, 3, 3, "all"),
+        ("del", 255, 1, 3, 9, "all"), ("del", 255, 3, 2, 20, 60), ("del", 255, 2, 3, 24, 300),
     ):
         rng = random.Random(f"sample {q} {b} {t} {n}")
-        x = ("," if q > 10 else "").join(str(rng.randrange(q)) for _ in range(n))
-        if count == "all":
+        symbols = [rng.randrange(q) for _ in range(n)]
+        x = ("," if q > 10 else "").join(map(str, symbols))
+        if count == "all" and kind == "ins":
             count = comb.ins_ball_size(q, b, n, t)
-        simulate = f"simulate --ins -q {q} -b {b} -t {t} -x={x} -N {count} --seed {n + t}"
+        elif count == "all":
+            count = comb.del_ball_size(bytes(symbols), t, b)
+        simulate = f"simulate --{kind} -q {q} -b {b} -t {t} -x={x} -N {count} --seed {n + t}"
         commands += [simulate, f"{simulate} --as-json"]
     return commands
 
