@@ -37,7 +37,7 @@ from typing import Iterator, Literal
 
 from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
 from .errors import EnumerationCapExceeded
-from .sequences import Word, all_words, validate_word
+from .sequences import Word, validate_word
 
 BallKind = Literal["insertion", "deletion"]
 
@@ -56,10 +56,6 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"ball kind must be 'insertion' or 'deletion', got {kind!r}")
 
 
-def _payloads(q: int, b: int) -> list[Word]:
-    return [bytes(p) for p in product(range(q), repeat=b)]
-
-
 def enumerate_insertion_ball(
     x: Word, q: int, t: int, b: int, cap: int = DEFAULT_CAP
 ) -> frozenset[Word]:
@@ -70,7 +66,7 @@ def enumerate_insertion_ball(
     """
     validate_word(x, q)
     _check_cap(ins_ball_size(q, b, len(x), t), cap)  # checks b and t
-    payloads = _payloads(q, b)
+    payloads = [bytes(p) for p in product(range(q), repeat=b)]
     words = {x}
     for _ in range(t):
         grown: set[Word] = set()
@@ -294,8 +290,8 @@ def max_intersection_exhaustive(
     if kind == "deletion":
         _check_deletable(n, t, b)
     best, (i, j) = _max_overlap(_center_masks(n, q, b, t, kind, cap))
-    centers = list(all_words(q, n))
-    return best, (centers[i], centers[j])
+    weights = [q**e for e in range(n - 1, -1, -1)]  # a rank's base-q digits are its word's symbols
+    return best, (bytes(i // w % q for w in weights), bytes(j // w % q for w in weights))
 
 
 def _common_prefix(a: Word, b: Word) -> int:

@@ -3,14 +3,11 @@
 Sampling is exact and uniform over the ball.  Every member has one leftmost
 (canonical) burst placement, so the members can be counted and numbered: the
 sampler draws distinct ranks from a named, seedable generator, so runs
-reproduce bit for bit, and turns each rank back into its canonical bursts.
-Insertion draws are unranked in rank order, block by block: the ranks of one
-burst-slot pattern are consecutive, and the pattern is worked out once per
-block.  Members and traces are returned in draw order.  Each drawn burst is
-applied once (`apply_burst_insertion`, `apply_burst_deletion`) to the piece
-of the input it ends, and the member is one join of the pieces, so no burst
-copies the whole word.
-A sample is one `ChannelSample` record: the input, the channel, the outputs
+reproduce bit for bit, and one walk per kind turns the ranks back into their
+canonical bursts.  Each drawn burst is applied once (`apply_burst_insertion`,
+`apply_burst_deletion`) to the piece of the input it ends, and the member is
+one join of the pieces, so no burst copies the whole word.  A sample is one
+`ChannelSample` record: the input, the channel, the outputs in draw order
 and, per output, the burst events that produce it from the input.
 """
 
@@ -46,10 +43,12 @@ class BurstEvent:
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """Distinct channel outputs of one input word, in sampled order.
+    """Distinct channel outputs of one input word, in Floyd's draw order.
 
-    ``traces[i]`` is the tuple of burst events that, applied in order, turns
-    ``input`` into ``outputs[i]``.
+    The set is uniform over the ball, but the order is not uniformly random:
+    a prefix of the outputs is not a uniform subset, and a whole-ball draw
+    comes out in rank order.  ``traces[i]`` is the tuple of burst events
+    that, applied in order, turns ``input`` into ``outputs[i]``.
     """
 
     input: Word
@@ -71,13 +70,9 @@ class ChannelSample:
         return w
 
 
-# an unranked ball member and the burst events that produce it
-_Member = tuple[Word, tuple[BurstEvent, ...]]
 # unranked members and their traces, in the order of the ranks given
 _Members = tuple[tuple[Word, ...], tuple[tuple[BurstEvent, ...], ...]]
 _Unrank = Callable[[Sequence[int]], _Members]
-# per burst of an insertion block: piece, offset, position, events there, radix, skip
-_Slot = tuple[Word, int, int, dict[int, BurstEvent], int, int]
 
 
 def apply_burst_insertion(x: Word, position: int, payload: Word) -> Word:
@@ -115,14 +110,14 @@ def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, _Unrank]:
     a symbol other than x[j] ((q-1)*q**(b-1) payloads), and the other bursts
     after x[-1] (q**b payloads).  Ranks are ordered by k, the bursts before
     x[-1], then by the k-multiset of slots (combinadic), then by payload, so
-    the ranks of one block (k, slots) are consecutive.  The ranks are
-    unranked in rank order: a block's slots, the pieces of x between them,
-    their positions, radices and skip thresholds are worked out once, and
-    each rank of the block then splits into t payload digits, one
-    `apply_burst_insertion` per burst and one join.  Members and traces come
-    back in the order of the ranks given.  Payloads and events are built
-    when first drawn and shared after that, so a sample holds no more of
-    them than it draws, at any q**b.
+    the ranks of one block (k, slots) are consecutive.  One walk takes the
+    ranks in rank order: a rank that opens a block works out its slots, the
+    pieces of x between them, positions, radices and skip thresholds, and
+    each rank of the block splits into t payload digits.  Each burst is
+    inserted at the end of the piece of x it ends (one `apply_burst_insertion`)
+    and the member is one join.  Members and traces come back in the order of
+    the ranks given.  Payloads and events are built when first drawn and
+    shared after that, so a sample holds no more of them than it draws.
     """
     n = len(x)
     rest_choices = q ** (b - 1)
@@ -138,44 +133,36 @@ def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, _Unrank]:
     built: dict[int, Word] = {}  # payload of each digit value drawn so far
     made: dict[int, dict[int, BurstEvent]] = {}  # event of each position and digits so far
 
-    def pattern(k: int, combination: int) -> tuple[list[_Slot], Word]:
-        """The bursts of block (k, combination), and the piece of x after the last.
-
-        Per burst: the piece of x that it ends, its offset in that piece, its
-        position in the member, the events made there, its radix, and the
-        digit from which the leading symbol skips the one that it precedes.
-        """
-        slots = [n] * t
-        top = n + k - 1
-        for i in range(k, 0, -1):  # the i-th smallest of k elements of range(top)
-            top = bisect_right(columns[i], combination, 0, top) - 1
-            combination -= columns[i][top]
-            slots[i - 1] = top - i + 1
-        bursts, kept, position = [], 0, 1
-        for j in slots:
-            position += j - kept  # the burst starts right before x[j]
-            radix, skip = (head, skips[j]) if j < n else (tail, tail)
-            made_at = made.setdefault(position, {})
-            bursts.append((x[kept:j], j - kept + 1, position, made_at, radix, skip))
-            kept = j
-            position += b
-        return bursts, x[kept:]
-
     def unrank(ranks: Sequence[int]) -> _Members:
         members: list[Word] = [b""] * len(ranks)
         traces: list[tuple[BurstEvent, ...]] = [()] * len(ranks)
         first = end = 0  # the block in hand holds the ranks in range(first, end)
         for index in sorted(range(len(ranks)), key=ranks.__getitem__):
             rank = ranks[index]
-            if rank >= end:
+            if rank >= end:  # a new block (k, combination)
                 k = bisect_right(starts, rank) - 1
                 combination = (rank - starts[k]) // payloads[k]
                 first = starts[k] + combination * payloads[k]
                 end = first + payloads[k]
-                bursts, after = pattern(k, combination)
+                slots, top = [n] * t, n + k - 1
+                for i in range(k, 0, -1):  # the i-th smallest of k elements of range(top)
+                    top = bisect_right(columns[i], combination, 0, top) - 1
+                    combination -= columns[i][top]
+                    slots[i - 1] = top - i + 1
+                # per burst: the piece of x that it ends, its position in the member,
+                # the events made there, its radix, and the digit from which the
+                # leading symbol skips the one that it precedes
+                bursts, kept, position = [], 0, 1
+                for j in slots:
+                    position += j - kept  # the burst starts right before x[j]
+                    radix, skip = (head, skips[j]) if j < n else (tail, tail)
+                    bursts.append((x[kept:j], position, made.setdefault(position, {}), radix, skip))
+                    kept = j
+                    position += b
+                after = x[kept:]
             rank -= first
             pieces, events = [], []
-            for piece, offset, position, made_at, radix, skip in bursts:
+            for piece, position, made_at, radix, skip in bursts:
                 rank, digits = divmod(rank, radix)
                 if digits >= skip:  # the leading base-q digit skips x[j]
                     digits += rest_choices
@@ -185,7 +172,7 @@ def _insertion_unranker(x: Word, q: int, t: int, b: int) -> tuple[int, _Unrank]:
                     if payload is None:
                         payload = built[digits] = bytes(digits // d % q for d in digit_weights)
                     event = made_at[digits] = BurstEvent(position, payload)
-                pieces.append(apply_burst_insertion(piece, offset, event.payload))
+                pieces.append(apply_burst_insertion(piece, len(piece) + 1, event.payload))
                 events.append(event)
             pieces.append(after)
             members[index] = b"".join(pieces)
@@ -201,8 +188,8 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, _Unrank]:
     Walks ``ways`` (``combinatorics._deletion_ways``): at each position the
     ranks below ``ways[i + 1][u]`` keep x[i], the next ones delete 1, 2, ...
     bursts there.  ``ways[i][u]`` never increases with i, so the run of kept
-    symbols before the next deletion is one bisection.  Each rank is walked
-    on its own, in the order given.
+    symbols before the next deletion is one bisection.  One walk takes the
+    ranks in the order given.
     """
     n = len(x)
     ways = _deletion_ways(x, t, b)
@@ -210,38 +197,38 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, _Unrank]:
 
     made: dict[int, BurstEvent] = {}  # event of each position drawn so far
 
-    def unrank(rank: int) -> _Member:
-        pieces, events, i, u, kept = [], [], 0, t, 0
-        while u:
-            # keep x[i] while rank < ways[i + 1][u]; rising[u] is that column negated
-            i = bisect_left(rising[u], -rank, i + 1) - 1
-            rank -= ways[i + 1][u]
-            for f in range(1, u + 1):
-                end = i + f * b
-                if end == n:
-                    break  # the last bursts end the word
-                if x[end] not in x[i:end:b]:
-                    if rank < ways[end + 1][u - f]:
-                        break
-                    rank -= ways[end + 1][u - f]
-            position = i - (t - u) * b + 1
-            event = made.get(position)
-            if event is None:
-                event = made[position] = BurstEvent(position)
-            events += [event] * f
-            piece = x[kept:end]
-            for _ in range(f):
-                piece = apply_burst_deletion(piece, i - kept + 1, b)
-            pieces.append(piece)
-            i, u, kept = end + 1, u - f, end
-        pieces.append(x[kept:])
-        return b"".join(pieces), tuple(events)
+    def unrank(ranks: Sequence[int]) -> _Members:
+        members, traces = [], []
+        for rank in ranks:
+            pieces, events, i, u, kept = [], [], 0, t, 0
+            while u:
+                # keep x[i] while rank < ways[i + 1][u]; rising[u] is that column negated
+                i = bisect_left(rising[u], -rank, i + 1) - 1
+                rank -= ways[i + 1][u]
+                for f in range(1, u + 1):
+                    end = i + f * b
+                    if end == n:
+                        break  # the last bursts end the word
+                    if x[end] not in x[i:end:b]:
+                        if rank < ways[end + 1][u - f]:
+                            break
+                        rank -= ways[end + 1][u - f]
+                position = i - (t - u) * b + 1
+                event = made.get(position)
+                if event is None:
+                    event = made[position] = BurstEvent(position)
+                events += [event] * f
+                piece = x[kept:end]
+                for _ in range(f):
+                    piece = apply_burst_deletion(piece, i - kept + 1, b)
+                pieces.append(piece)
+                i, u, kept = end + 1, u - f, end
+            pieces.append(x[kept:])
+            members.append(b"".join(pieces))
+            traces.append(tuple(events))
+        return tuple(members), tuple(traces)
 
-    def unrank_each(ranks: Sequence[int]) -> _Members:
-        members, traces = zip(*map(unrank, ranks))
-        return members, traces
-
-    return ways[0][t], unrank_each
+    return ways[0][t], unrank
 
 
 def sample_distinct_outputs(

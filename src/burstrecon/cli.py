@@ -233,9 +233,9 @@ def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
 
 
 def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng, *_):
+    # every insertion ball holds threshold+1 words: distinct centers have distinct
+    # balls of one size (tests/test_combinatorics.py)
     need = comb.ins_intersection_max(q, b, n, t) + 1
-    if comb.ins_ball_size(q, b, n, t) < need:
-        raise _Skip("no center admits threshold+1 distinct outputs")
     successes = 0
     for _ in range(trials):
         center = bytes(rng.randrange(q) for _ in range(n))

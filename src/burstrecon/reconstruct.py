@@ -290,6 +290,8 @@ def reconstruct_from_deletions(
     i = 0  # 0-based index of the next cell to decide
     steps: list[StepInfo] = []
     while t_rem > 0:
+        # threshold+1 outputs never run out first (the accounting is pinned in
+        # tests/test_reconstruct.py); this guard keeps itemgetter(off) inside them
         if n - i <= t_rem * b:
             raise InconsistentOutputs(
                 "outputs exhausted before all bursts were accounted for"

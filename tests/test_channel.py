@@ -456,6 +456,19 @@ class TestSamplerDraws:
         assert sample.outputs == tuple(w for w, _ in expected)
         assert sample.traces == tuple(events for _, events in expected)
 
+    @pytest.mark.parametrize("kind", ["insertion", "deletion"])
+    def test_whole_ball_draw_comes_out_in_rank_order(self, kind):
+        # each of Floyd's draws over a whole ball takes a new top rank or repeats
+        # and takes top, so the draw order is rank order, whatever the seed
+        x = bytes([0, 1, 1, 0, 1, 0, 0, 1])
+        if kind == "insertion":
+            size, unrank = _insertion_unranker(x, 2, 2, 2)
+        else:
+            size, unrank = _deletion_unranker(x, 2, 2)
+        for seed in (0, 1, 2):
+            sample = sample_distinct_outputs(x, 2, 2, 2, kind, size, seed)
+            assert (sample.outputs, sample.traces) == unrank(range(size))
+
 
 class TestEventFormat:
     def test_lines(self):

@@ -123,6 +123,18 @@ class TestInsIntersectionMax:
                             t * (b - 1)
                         ) * ins_intersection_max(q, 1, n, t)
 
+    def test_every_ball_holds_threshold_plus_one_words(self):
+        # distinct centers have distinct balls of one size, so no overlap fills a
+        # ball: a roundtrip-ins center always has threshold+1 outputs to draw
+        gaps = [
+            ins_ball_size(q, b, n, t) - ins_intersection_max(q, b, n, t)
+            for q in (2, 3, 4, 5, 11, 255)
+            for b in (1, 2, 3)
+            for t in range(1, 6)
+            for n in range(1, 40)
+        ]
+        assert min(gaps) == 1
+
 
 def ins_recurrences_hold(size, over, q, b, n, t):
     """Whether ball sizes and maximum overlaps satisfy the insertion recurrences.

@@ -589,6 +589,22 @@ class TestDeletionDecoder:
             reconstruct_from_deletions(words_of("000", "001", "101"), 5, 2, 1)
         assert info.value.candidates == 2
 
+    def test_outputs_outlast_the_burst_budget(self):
+        # Why phase 1's "outputs exhausted" refusal is a guard that no input
+        # reaches.  With f = del_intersection_threshold, the survivors before
+        # cell i number at least f(n - i, t_rem) + 1: the read outputs hold
+        # f(n, t) + 1, a step without a burst keeps a majority above
+        # f(n - i - 1, t_rem), and a burst step keeps the minority, at least
+        # f(n - i, t_rem) - f(n - i - 1, t_rem) + 1 >= f(n - i - b - 1, t_rem - 1) + 1.
+        # The outputs run out at n - i = b*t_rem, where the distinct survivors
+        # share every symbol, so at most one is left, against f(b*t, t) + 1 = 2.
+        f = del_intersection_threshold
+        for b in range(2, 9):
+            for t in range(1, 7):
+                assert f(b, b * t, t) == 1
+                for m in range(b * t + 1, 80):
+                    assert f(b, m, t) >= f(b, m - 1, t) + f(b, m - b - 1, t - 1), (b, t, m)
+
 
 def test_insertion_decoder_refuses_an_out_of_range_symbol_before_the_threshold():
     # _read_outputs refuses the symbol first, though the set falls short
