@@ -8,7 +8,8 @@ the ``ms`` column, the one field that varies between runs, is stripped first.
 command, so a failure names each command whose behaviour changed.
 
 The commands cover ``simulate | reconstruct`` round trips of both channels,
-with and without ``--diagnostics`` and ``--as-json``; ``simulate`` of both
+with and without ``--diagnostics`` and ``--as-json``, deletion round trips
+at t = 3 on centers whose phase 2 tries up to 136 completions; ``simulate`` of both
 kinds at t = 3 on alphabets of 3, 11 and 255 symbols and over whole balls,
 ``--ins`` from empty centers and ``--del`` at b = 1 and 3 and from centers
 of length t*b; every ``verify`` kind,
@@ -32,7 +33,7 @@ import re
 import sys
 from pathlib import Path
 
-from burstrecon import combinatorics as comb
+from burstrecon import combinatorics as comb, y_sequence
 from burstrecon.cli import COUNT_KINDS, VERIFY_KINDS, main
 
 TRANSCRIPT = Path(__file__).resolve().with_name("transcript.txt")
@@ -83,6 +84,25 @@ def roundtrip_commands():
             f"simulate {channel} -x {x} -N {max(need // 2, 1)} --seed {seed} | {reconstruct}",
         ]
     return commands
+
+
+def phase2_commands():
+    """Deletion round trips at t = 3 whose phase 2 tries many completions:
+    y_sequence centers at (b, t, n) = (4, 3, 40), (5, 3, 40), (6, 3, 40) and
+    (2, 3, 80), threshold+1 outputs, two sample seeds each, with diagnostics,
+    so that ``# phase2 tried=`` is pinned past the first candidates."""
+    commands = []
+    for b, t, n in ((4, 3, 40), (5, 3, 40), (6, 3, 40), (2, 3, 80)):
+        need = comb.del_intersection_max_binary(b, n, t) + 1
+        prefix = random.Random(f"phase2 {b} {t} {n}").randrange(b)
+        x = "".join(map(str, y_sequence(n, 2, b, 0, prefix)))
+        channel = f"--del -q 2 -b {b} -t {t}"
+        for seed in (1, 2):
+            commands.append(
+                f"simulate {channel} -x {x} -N {need} --seed {seed}"
+                f" | reconstruct {channel} -n {n} --diagnostics"
+            )
+    return commands + [f"{commands[4]} --as-json"]
 
 
 def sampler_commands():
@@ -189,7 +209,7 @@ def refusal_commands():
 
 def commands():
     return (
-        roundtrip_commands() + sampler_commands() + verify_commands()
+        roundtrip_commands() + phase2_commands() + sampler_commands() + verify_commands()
         + count_commands() + refusal_commands()
     )
 
