@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, product
 from operator import mul, sub
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .combinatorics import _check_deletable, _check_params, _deletion_ways, ins_ball_size
 from .errors import EnumerationCapExceeded
@@ -294,34 +294,40 @@ def max_intersection_exhaustive(
     return best, (bytes(i // w % q for w in weights), bytes(j // w % q for w in weights))
 
 
-def _common_prefix(a: Word, b: Word) -> int:
-    """Length of the longest common prefix of two equal-length words, at C speed."""
-    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return len(a) - (diff.bit_length() + 7) // 8
-
-
 def is_deletion_descendant(v: Word, y: Word, t: int, b: int) -> bool:
     """True iff y is reachable from v by exactly t bursts of b deletions.
 
-    Interval frontier over burst counts.  With f bursts spent, the reachable
-    prefix lengths of v are exactly the interval [f*b, reach_f]: matching
-    moves along the diagonal j = i - f*b, so a run of matches from any point
-    of the interval ends where the run from reach_f ends, and a burst shifts
-    the whole interval by b.  Each step is one common-prefix length of
-    v[reach:] and y[reach - f*b:], so a call costs t+1 C-speed comparisons.
+    Checks b, t and the length of y, then runs ``_descends_all`` on y alone.
     """
     _check_params(b=b, t=t)
     if len(y) != len(v) - t * b:
-        raise ValueError(
-            f"length mismatch: expected {len(v) - t * b}, got {len(y)}"
-        )
-    reach = 0
-    for f in range(t + 1):
-        if f:
-            reach += b
-        j = reach - f * b  # symbols of y matched at the frontier
-        reach += _common_prefix(v[reach : reach + len(y) - j], y[j:])
-    return reach == len(v)
+        raise ValueError(f"length mismatch: expected {len(v) - t * b}, got {len(y)}")
+    return _descends_all(v, (y,), t, b)
+
+
+def _descends_all(v: Word, ys: Iterable[Word], t: int, b: int) -> bool:
+    """True iff every y in ys is reachable from v by exactly t bursts of b deletions.
+
+    Interval frontier over burst counts: with f bursts spent, the reachable
+    prefix lengths of v are [f*b, f*b + j], j the symbols of y matched, since
+    a run of matches from any point of the interval ends where the run from
+    its top ends, and a burst shifts the interval by b.  The run at f compares
+    window f of v, ``v[f*b : f*b + len(y)]``, with y past its first j symbols:
+    on integers, one XOR masked to the unmatched symbols, whose length in
+    bytes is the count still unmatched.  y is reached iff none is left after window t.
+    The windows are read once per call and each y once; the scan stops at the
+    first y not reached.  Callers check b, t and the lengths.
+    """
+    length = len(v) - t * b
+    windows = [int.from_bytes(v[f * b : f * b + length], "big") for f in range(t + 1)]
+    for word in ys:
+        y = int.from_bytes(word, "big")
+        unmatched = length
+        for window in windows:
+            unmatched = (((window ^ y) & ((1 << 8 * unmatched) - 1)).bit_length() + 7) // 8
+        if unmatched:
+            return False
+    return True
 
 
 def is_insertion_descendant(x: Word, y: Word, t: int, b: int) -> bool:

@@ -17,7 +17,8 @@ them once with C-speed ``map``, ``compress`` and ``Counter`` passes.
   from the discarded majority class.  Phase 2 tries the completions of the
   open cells in vote order (the majority fill first, then fills that flip
   1, 2, ... of the least confident cells) and returns the first one whose
-  ball contains every output.
+  ball contains every output, checking each candidate against all outputs
+  in one pass of the integer membership frontier (``balls._descends_all``).
 
 Given at least one more output than the worst-case ball overlap, the peeled
 word is exact and no other completion contains every output, so the first
@@ -33,7 +34,7 @@ from itertools import combinations, compress, permutations, product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .balls import DEFAULT_CAP, _check_cap, is_deletion_descendant
+from .balls import DEFAULT_CAP, _check_cap, _descends_all
 from .combinatorics import (
     del_intersection_max_binary,
     del_intersection_threshold,
@@ -328,12 +329,8 @@ def reconstruct_from_deletions(
     started2 = time.perf_counter()
     candidates = candidate_expansion(cells, votes)
     for tried, v in enumerate(candidates, 1):
-        if all(is_deletion_descendant(v, u, t, b) for u in words):
+        if _descends_all(v, words, t, b):
             return ReconstructionResult(
-                v,
-                tuple(steps),
-                phase1_seconds,
-                time.perf_counter() - started2,
-                tried,
+                v, tuple(steps), phase1_seconds, time.perf_counter() - started2, tried
             )
     raise CandidateFilterError(len(candidates))

@@ -33,6 +33,7 @@ import burstrecon.balls
 from burstrecon.balls import (
     _center_masks,
     _check_cap,
+    _descends_all,
     _max_overlap,
     _rank_balls,
     _stepped_deletion_ranks,
@@ -859,6 +860,46 @@ class TestDeletionMembership:
         assert is_deletion_descendant(v, y, t, b) == reference_is_deletion_descendant(
             v, y, t, b
         )
+
+
+    def test_sets_match_reference(self):
+        # the frontier over a whole output set, as phase 2 runs it: a set of
+        # members passes, and a near miss put first, in the middle or last
+        # decides the set as the per-output reference does (a flip may land
+        # on another member)
+        rng = random.Random(20261020)
+        sets = 0
+        for q in (2, 3, 255):
+            for b in range(1, 7):
+                for t in range(5):
+                    for _ in range(4):
+                        n = rng.randint(t * b, t * b + 24)
+                        v = bytes(rng.randrange(q) for _ in range(n))
+                        members = []
+                        for _ in range(rng.randint(1, 6)):
+                            y = v
+                            for _ in range(t):
+                                start = rng.randint(0, len(y) - b)
+                                y = y[:start] + y[start + b :]
+                            members.append(y)
+                        assert _descends_all(v, members, t, b), (q, b, t, v, members)
+                        assert _descends_all(v, [], t, b)
+                        if n == t * b:
+                            continue
+                        y = rng.choice(members)
+                        k = rng.randrange(len(y))
+                        symbol = (y[k] + rng.randrange(1, q)) % q
+                        flipped = y[:k] + bytes([symbol]) + y[k + 1 :]
+                        middle = len(members) // 2
+                        for ys in (
+                            [flipped] + members,
+                            members[:middle] + [flipped] + members[middle:],
+                            members + [flipped],
+                        ):
+                            expected = all(reference_is_deletion_descendant(v, y, t, b) for y in ys)
+                            assert _descends_all(v, ys, t, b) == expected, (q, b, t, v, ys)
+                            sets += 1
+        assert sets > 1000
 
 
 class TestInsertionMembership:

@@ -27,7 +27,6 @@ from burstrecon import (
     enumerate_insertion_ball,
     ins_ball_size,
     ins_intersection_max,
-    is_deletion_descendant,
     parse_word,
     reconstruct_from_deletions,
     reconstruct_from_insertions,
@@ -211,9 +210,10 @@ def reference_deletion_decoder(outputs, n, b, t):
                 cells[i:] = list(tail)
                 break
 
+    # the word enumerator, not the frontier under test, decides which completions survive
     candidates = candidate_expansion(cells, votes)
     for tried, v in enumerate(candidates, 1):
-        if all(is_deletion_descendant(v, u, t, b) for u in words):
+        if words <= enumerate_deletion_ball(v, t, b):
             return v, tuple(steps), tried
     raise CandidateFilterError(len(candidates))
 
@@ -574,10 +574,8 @@ class TestDeletionDecoder:
                     result = reconstruct_from_deletions(sample.outputs, n, b, t)
                     (expansion,) = expansions
                     order = list(expansion)
-                    survivors = [
-                        v for v in order
-                        if all(is_deletion_descendant(v, u, t, b) for u in sample.outputs)
-                    ]
+                    outputs = set(sample.outputs)
+                    survivors = [v for v in order if outputs <= enumerate_deletion_ball(v, t, b)]
                     assert result.word == x and survivors == [x], (b, t, n, x)
                     assert order.index(x) + 1 == result.phase2_tried
                     decodes += 1
