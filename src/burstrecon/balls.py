@@ -314,9 +314,9 @@ def _descends_all(v: Word, ys: Iterable[Word], t: int, b: int) -> bool:
     its top ends, and a burst shifts the interval by b.  The run at f compares
     window f of v, ``v[f*b : f*b + len(y)]``, with y past its first j symbols:
     on integers, one XOR masked to the unmatched symbols, whose length in
-    bytes is the count still unmatched.  y is reached iff none is left after window t.
-    The windows are read once per call and each y once; the scan stops at the
-    first y not reached.  Callers check b, t and the lengths.
+    bytes is the count still unmatched.  y is reached iff none is left after
+    window t.  The windows are read once per call and each y once; the scan
+    stops at the first y not reached.  Callers check b, t and the lengths.
     """
     length = len(v) - t * b
     windows = [int.from_bytes(v[f * b : f * b + length], "big") for f in range(t + 1)]
