@@ -1,14 +1,17 @@
 """A committed behaviour transcript: fixed commands and the digests of what they print.
 
 Every command runs through ``cli.main`` in-process.  A command of the form
-``A | B`` feeds A's stdout to B's stdin, and the digest is B's.  A digest is
+``A | B`` feeds A's stdout to B's stdin, and the digest is B's; a first stage
+that names an entry of ``INPUTS`` is that fixed text instead.  A digest is
 the sha256 of the exit code, the stdout and the stderr; in ``verify`` output
 the ``ms`` column, the one field that varies between runs, is stripped first.
 ``transcript.txt`` beside this file holds one ``digest  command`` line per
 command, so a failure names each command whose behaviour changed.
 
 The commands cover ``simulate | reconstruct`` round trips of both channels,
-with and without ``--diagnostics`` and ``--as-json``, deletion round trips
+with and without ``--diagnostics`` and ``--as-json``, at up to 2,000
+outputs as well; ``reconstruct`` of fixed texts with blank, padded, CRLF,
+comment, duplicate, comma-form and non-digit lines; deletion round trips
 at t = 3 on centers whose phase 2 tries up to 136 completions; ``simulate`` of both
 kinds at t = 3 on alphabets of 3, 11 and 255 symbols and over whole balls,
 ``--ins`` from empty centers and ``--del`` at b = 1 and 3 and from centers
@@ -82,6 +85,52 @@ def roundtrip_commands():
             f"{simulate} | {reconstruct} --as-json --diagnostics",
             # below the threshold: the decoder refuses or decodes, and says which
             f"simulate {channel} -x {x} -N {max(need // 2, 1)} --seed {seed} | {reconstruct}",
+        ]
+    return commands
+
+
+# fixed reconstruct inputs: the text forms that the line reader must keep
+# reading as it does; the binary words decode to 01100 (--del -b 2 -t 1 -n 5)
+INPUTS = {
+    "padded-lines": " 100\n\n\t000  \n   \n\t \n010\t\n\n",
+    "crlf-no-final-newline": "100\r\n000\r\n\r\n010",
+    "indented-comments": "  # rng mt19937/unrank-v1 seed 7\n100\n   # del 1\n000\n\t# del 3\n010\n#\n",
+    "duplicate-outputs": "100\n000\n100\n010\n000\n100\n",
+    "duplicates-below-threshold": "100\n100\n000\n000\n100\n",
+    "q11-comma-form": "# ins 1 5\n5,3,10,7\n 3,10,6,7\n3,10,3,7 \n\n3,10,7,8\n5,3,10,7\n",
+    "non-digit-after-valid": "100\n000\n010\n01x\n100\n",
+}
+
+
+def text_commands():
+    """reconstruct of each fixed text in INPUTS, and simulate at up to 2,000
+    outputs, plain and as JSON, with their pipes into reconstruct: q = 4
+    insertions at b = 2, t = 2, n = 16, and binary deletions at b = 2, t = 3,
+    n = 40 from a y_sequence center."""
+    binary = "reconstruct --del -q 2 -b 2 -t 1 -n 5"
+    commands = [
+        f"{name} | {binary}" for name in INPUTS if not name.startswith("q11")
+    ]
+    commands += [
+        f"padded-lines | {binary} --as-json --diagnostics",
+        "duplicate-outputs | reconstruct --ins -q 2 -b 1 -t 1 -n 2",
+        "q11-comma-form | reconstruct --ins -q 11 -b 1 -t 1 -n 3",
+        "q11-comma-form | reconstruct --ins -q 11 -b 1 -t 1 -n 3 --as-json --diagnostics",
+        "q11-comma-form | reconstruct --ins -q 10 -b 1 -t 1 -n 3",
+    ]
+    x_ins = _center(4, 16, "text 4 2 2 16")
+    x_del = "".join(map(str, y_sequence(40, 2, 2, 0, 1)))
+    for simulate, reconstruct in (
+        (f"simulate --ins -q 4 -b 2 -t 2 -x {x_ins} -N 2000 --seed 5",
+         "reconstruct --ins -q 4 -b 2 -t 2 -n 16"),
+        (f"simulate --del -q 2 -b 2 -t 3 -x {x_del} -N 1200 --seed 6",
+         "reconstruct --del -q 2 -b 2 -t 3 -n 40"),
+    ):
+        commands += [
+            simulate,
+            f"{simulate} --as-json",
+            f"{simulate} | {reconstruct}",
+            f"{simulate} | {reconstruct} --as-json --diagnostics",
         ]
     return commands
 
@@ -209,8 +258,8 @@ def refusal_commands():
 
 def commands():
     return (
-        roundtrip_commands() + phase2_commands() + sampler_commands() + verify_commands()
-        + count_commands() + refusal_commands()
+        roundtrip_commands() + text_commands() + phase2_commands() + sampler_commands()
+        + verify_commands() + count_commands() + refusal_commands()
     )
 
 
@@ -241,6 +290,9 @@ def transcript(command_list):
             prefix = " | ".join(stages[: k + 1])
             if prefix in stdout_of and k < len(stages) - 1:
                 stdin = stdout_of[prefix]
+                continue
+            if k == 0 and stage in INPUTS:
+                stdin = INPUTS[stage]
                 continue
             argv = stage.split()
             code, out, err = run(argv, stdin)
