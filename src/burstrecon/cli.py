@@ -19,11 +19,18 @@ a row over the cap reads ``skip`` with the refusal message.
 ``verify`` runs one grid point's rows together as a cell, whose ``tables``
 dict holds what its rows share, all as word ranks: the insertion or deletion
 ball table of every center, and the b-cyclic word's deletion ball.
+
+Neither ``simulate`` nor ``reconstruct`` holds its whole text.  ``simulate``
+writes one output and its event lines at a time, in both forms, and formats
+each event once.  ``reconstruct`` reads its input line by line and keeps only
+the distinct outputs, so a line that cannot be parsed is refused before any
+later line is decoded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -487,44 +494,32 @@ def cmd_simulate(args) -> int:
     kind = "insertion" if args.ins else "deletion"
     x = parse_word(args.x, q)
     sample = sample_distinct_outputs(x, q, args.t, args.b, kind, args.N, args.seed, args.cap)
+    # outputs share event objects, which sample keeps alive: an id names one event here
+    events = {id(e): e for trace in sample.traces for e in trace}
+    texts = {key: format_event(e, q) for key, e in events.items()}
+    write = sys.stdout.write
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "input": format_word(x, q),
-                    "seed": sample.seed,
-                    "rng": sample.rng_algorithm,
-                    "outputs": [
-                        {
-                            "word": format_word(w, q),
-                            "events": [format_event(e, q) for e in events],
-                        }
-                        for w, events in zip(sample.outputs, sample.traces)
-                    ],
-                }
-            )
-        )
+        head = json.dumps({"input": format_word(x, q), "seed": sample.seed, "rng": sample.rng_algorithm})
+        write(head[:-1] + ', "outputs": [')
+        for i, (w, trace) in enumerate(zip(sample.outputs, sample.traces)):
+            output = {"word": format_word(w, q), "events": [texts[id(e)] for e in trace]}
+            write((", " if i else "") + json.dumps(output))
+        write("]}\n")
     else:
-        print(f"# rng {sample.rng_algorithm} seed {sample.seed}")
-        for w, events in zip(sample.outputs, sample.traces):
-            print(format_word(w, q))
-            for event in events:
-                print(f"# {format_event(event, q)}")
+        write(f"# rng {sample.rng_algorithm} seed {sample.seed}\n")
+        for w, trace in zip(sample.outputs, sample.traces):
+            write(format_word(w, q) + "\n" + "".join(f"# {texts[id(e)]}\n" for e in trace))
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
     q = args.q
-    if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = sys.stdin.readlines()
-    words = {
-        parse_word(line, q)
-        for line in (ln.strip() for ln in lines)
-        if line and not line.startswith("#")
-    }
+    with open(args.file, encoding="utf-8") if args.file else contextlib.nullcontext(sys.stdin) as lines:
+        words = frozenset(
+            parse_word(line, q)
+            for line in map(str.strip, lines)
+            if line and not line.startswith("#")
+        )
     if args.ins:
         result = reconstruct_from_insertions(words, args.n, q, args.b, args.t)
     else:

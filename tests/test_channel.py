@@ -456,6 +456,28 @@ class TestSamplerDraws:
         assert sample.outputs == tuple(w for w, _ in expected)
         assert sample.traces == tuple(events for _, events in expected)
 
+    @pytest.mark.parametrize(
+        "kind, q, b, t, n, count",
+        [
+            ("insertion", 2, 2, 2, 6, None),
+            ("insertion", 4, 2, 2, 30, 2000),
+            ("insertion", 11, 1, 3, 5, 500),
+            ("deletion", 2, 2, 3, 40, 600),
+            ("deletion", 3, 1, 3, 12, None),
+        ],
+    )
+    def test_events_shared_per_position_and_payload(self, kind, q, b, t, n, count):
+        # the command line formats each event object once, so one (position,
+        # payload) pair must be one object in every trace that holds it
+        rng = random.Random(f"{kind} {q} {n}")
+        x = bytes(rng.randrange(q) for _ in range(n))
+        if count is None:
+            count = ins_ball_size(q, b, n, t) if kind == "insertion" else len(enumerate_deletion_ball(x, t, b))
+        sample = sample_distinct_outputs(x, q, t, b, kind, count, seed=4)
+        events = [event for trace in sample.traces for event in trace]
+        assert len(events) == count * t
+        assert len({id(e) for e in events}) == len({(e.position, e.payload) for e in events})
+
     @pytest.mark.parametrize("kind", ["insertion", "deletion"])
     def test_whole_ball_draw_comes_out_in_rank_order(self, kind):
         # each of Floyd's draws over a whole ball takes a new top rank or repeats

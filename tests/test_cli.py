@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -712,6 +715,67 @@ class TestReconstructCommand:
         assert "q = 2" in err
 
 
+class TestStreamedText:
+    """reconstruct keeps only the distinct outputs it reads, and simulate writes
+    one output at a time, so neither holds its whole text."""
+
+    THUE_MORSE = "".join(str(bin(i).count("1") % 2) for i in range(200))
+    SIMULATE = (
+        "simulate", "--ins", "-q", "2", "-b", "2", "-t", "2", "-x", THUE_MORSE,
+        "-N", "2000", "--seed", "3",
+    )
+
+    @staticmethod
+    def peak(*argv):
+        """Peak traced memory of one ``main`` call, with stdout discarded."""
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(list(argv))
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    @pytest.fixture
+    def outputs_file(self, capsys, tmp_path):
+        """simulate's plain form: each output followed by its two event comment lines."""
+        code, out, _ = run_cli(capsys, *self.SIMULATE)
+        assert code == EXIT_OK
+        path = tmp_path / "outputs.txt"
+        path.write_text(out)
+        return path, out
+
+    def test_reconstruct_holds_the_distinct_words(self, outputs_file):
+        path, text = outputs_file
+        words = {bytes(map(int, ln)) for ln in text.splitlines() if not ln.startswith("#")}
+        code, peak = self.peak(
+            "reconstruct", "--ins", "--file", str(path), "-n", "200", "-q", "2", "-b", "2", "-t", "2"
+        )
+        assert code == EXIT_OK
+        # the lines themselves are three times the words' size
+        assert peak < 2 * sum(map(sys.getsizeof, words))
+
+    def test_simulate_json_peaks_as_the_plain_form(self):
+        code, plain = self.peak(*self.SIMULATE)
+        assert code == EXIT_OK
+        code, as_json = self.peak(*self.SIMULATE, "--as-json")
+        assert code == EXIT_OK
+        assert as_json < 1.5 * plain
+
+    def test_one_parse_per_output_line(self, outputs_file, capsys, monkeypatch):
+        path, text = outputs_file
+        parsed = []
+        monkeypatch.setattr(
+            burstrecon.cli, "parse_word", lambda line, q: parsed.append(line) or bytes(map(int, line))
+        )
+        code, out, _ = run_cli(
+            capsys, "reconstruct", "--ins", "--file", str(path),
+            "-n", "200", "-q", "2", "-b", "2", "-t", "2",
+        )
+        assert (code, out) == (EXIT_OK, self.THUE_MORSE + "\n")
+        assert parsed == [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+
 # the refusal table in main, row by row: each refusal's exact stderr line and
 # exit code, and nothing on stdout
 @pytest.mark.parametrize(
@@ -757,6 +821,20 @@ class TestReconstructCommand:
             "error[precondition]: expected a digit string for alphabet of size 2: '1a0'",
         ),
         (
+            # a parse fault before an undecodable byte past the first read chunk:
+            # the line is read, and refused, before the byte is decoded
+            "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
+            b"1a0\n" + b"100\n" * 5000 + b"\xff", EXIT_PRECONDITION,
+            "error[precondition]: expected a digit string for alphabet of size 2: '1a0'",
+        ),
+        (
+            # both faults in the first read chunk: the chunk fails to decode
+            "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
+            b"1a0\n\xff\n", EXIT_PRECONDITION,
+            "error[precondition]: 'utf-8' codec can't decode byte 0xff in position 4: "
+            "invalid start byte",
+        ),
+        (
             "verify --q 2 --b 2 --t 1 --n 4 --trials 0",
             None, EXIT_PRECONDITION, "error[precondition]: trials must be at least 1, got 0",
         ),
@@ -787,14 +865,17 @@ class TestReconstructCommand:
     ],
     ids=[
         "ball-too-small", "simulate-cap", "phase2-cap", "below-threshold", "missing-file",
-        "del-int-q3", "reconstruct-del-q3", "non-digit-word", "trials-zero",
+        "del-int-q3", "reconstruct-del-q3", "non-digit-word", "non-digit-before-bad-byte",
+        "bad-byte-in-first-chunk", "trials-zero",
         "verify-cap-negative", "verify-cap-zero", "simulate-cap-zero", "simulate-seed-negative",
         "count-del-ball-t-negative", "count-del-ball-n-negative",
     ],
 )
 def test_refusal_table(capsys, tmp_path, argv, file_text, code, err):
     path = tmp_path / "outputs.txt"
-    if file_text is not None:
+    if isinstance(file_text, bytes):
+        path.write_bytes(file_text)
+    elif file_text is not None:
         path.write_text(file_text)
     got_code, out, got_err = run_cli(capsys, *argv.format(file=path).split())
     assert (got_code, out, got_err) == (code, "", err.format(file=path) + "\n")
