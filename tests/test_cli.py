@@ -1,8 +1,8 @@
 """Command line behavior: outputs, exit codes, determinism, round trips."""
 
+import contextlib
 import csv
 import dataclasses
-import contextlib
 import hashlib
 import io
 import json
@@ -752,7 +752,7 @@ class TestStreamedText:
             "reconstruct", "--ins", "--file", str(path), "-n", "200", "-q", "2", "-b", "2", "-t", "2"
         )
         assert code == EXIT_OK
-        # the lines themselves are three times the words' size
+        # holding every line as well, as a line list does, reads about 3x
         assert peak < 2 * sum(map(sys.getsizeof, words))
 
     def test_simulate_json_peaks_as_the_plain_form(self):

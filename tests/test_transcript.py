@@ -108,9 +108,7 @@ def text_commands():
     insertions at b = 2, t = 2, n = 16, and binary deletions at b = 2, t = 3,
     n = 40 from a y_sequence center."""
     binary = "reconstruct --del -q 2 -b 2 -t 1 -n 5"
-    commands = [
-        f"{name} | {binary}" for name in INPUTS if not name.startswith("q11")
-    ]
+    commands = [f"{name} | {binary}" for name in INPUTS if not name.startswith("q11")]
     commands += [
         f"padded-lines | {binary} --as-json --diagnostics",
         "duplicate-outputs | reconstruct --ins -q 2 -b 1 -t 1 -n 2",
