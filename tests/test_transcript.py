@@ -189,6 +189,12 @@ def verify_commands():
         "verify --q 2 --b 2 --t 1 --n 3 --kinds ins-ball --corrupt ins-ball",
     ]
     commands += [f"verify --q 2 --b 2 --t 2 --n 5 --kinds {kind}" for kind in VERIFY_KINDS]
+    # t = 1 deletion tables, whose balls all exceed the largest overlap, and
+    # roundtrip-del's eligible centers on the same cells, one skipped
+    commands += [
+        "verify --kinds del-int --q 2 --b 2,3 --t 1 --n 9:11",
+        "verify --kinds roundtrip-del --q 2 --b 2,3 --t 1:2 --n 9:10 --trials 2 --seed 4",
+    ]
     for kind in ("ins-ball", "del-ball"):
         commands.append(f"verify --kinds {kind} --q 2:4 --b 1:2 --t 0:2 --n 0:3")
         for cap in (1, 50, 5000, 10**5):
