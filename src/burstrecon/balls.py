@@ -12,25 +12,28 @@ one deletion ball meets it round by round (``_check_deletion_rounds``).
 The exhaustive overlap search reads one table per cell, ``_center_masks``:
 every center's ball kept only as a bitmask over word ranks, so an overlap is
 the popcount of an AND, a ball's size is its mask's popcount, and no ball
-set outlives its own enumeration.  Every table and ball that ``verify``
-builds acts on ranks, not on words, through one burst rule (``_cuts``):
-deleting a block maps a word's rank to a shorter word's, and inserting one
-is the inverse map.  ``_rank_balls`` gives every center's ball, of either
-kind, as a set of ranks; ``_insertion_masks`` takes those sets to radius t-1
-and applies the last burst as combs of bits; ``_deletion_masks`` builds a
-deletion table level by level.  One long word whose symbols are in hand, the
-b-cyclic word of ``del-extremal`` and ``del-int-lb`` or its flip, is stepped
-from cut to cut (``_stepped_deletion_ranks``); its last round streams ranks,
-so the flip's ball is never held.  No module but this one calls the word
-enumerators, the reference the rank builders are checked against.  Nothing
-here keeps a table: it belongs to whoever built it and dies with that
-caller.  A cached table would escape the cap that bounds every enumeration,
-so this module holds no cache; ``cli``'s cell runner decides when one
-``verify`` cell builds a table and shares it between its rows.
+set outlives its own enumeration; the table's counts choose its search.
+Every table and ball that ``verify`` builds acts on ranks, not on words,
+through one burst rule (``_cuts``): deleting a block maps a word's rank to a
+shorter word's, and inserting one is the inverse map.  ``_rank_balls`` gives
+every center's ball, of either kind, as a set of ranks; ``_insertion_masks``
+takes those sets to radius t-1 and applies the last burst as combs of bits;
+``_deletion_masks`` builds a deletion table level by level.  One long word
+whose symbols are in hand, the b-cyclic word of ``del-extremal`` and
+``del-int-lb`` or its flip, is stepped from cut to cut
+(``_stepped_deletion_ranks``); its last round streams ranks, so the flip's
+ball is never held.  No module but this one calls the word enumerators, the
+reference the rank builders are checked against.  Nothing here keeps a
+table: it belongs to whoever built it and dies with that caller.  A cached
+table would escape the cap that bounds every enumeration, so this module
+holds no cache; ``cli``'s cell runner decides when one ``verify`` cell
+builds a table and shares it between its rows.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter, defaultdict
 from itertools import accumulate, chain, product
 from operator import mul, sub
 from typing import Iterable, Iterator, Literal
@@ -242,13 +245,28 @@ def _max_overlap(masks: tuple[int, ...]) -> tuple[int, tuple[int, int]]:
     """Largest overlap of two distinct balls of a table, and the first pair reaching it.
 
     The pair is of table indices (i < j), the lexicographically smallest
-    among the maximizing pairs.  The search is exact but skips pairs that
-    cannot reach the maximum: since an overlap is at most the smaller ball,
-    it visits balls by decreasing size and stops once a size falls below the
-    best overlap found.  Pairs that tie the best replace the witness when
-    they come first in index order.
+    maximizing pair.  The table picks one of two exact searches: ANDing at
+    most C(K, 2) pairs of K masks, or counting co-occurrences, about S2 =
+    sum of deg(u)**2, deg(u) the balls holding word u.  As S2 >= (sum of
+    sizes)**2 / width, a table where that reaches C(K, 2), such as the (n, q,
+    b, t) = (4, 3, 3, 2) insertion table, lists no bit.  Counting runs when
+    3*S2 < 2*C(K, 2), under the pairs that ``verify`` caps: on a 2-core VM,
+    Python 3.11.7, it took 0.7-1.9x the pair time at S2 = 0.67-0.8 C(K, 2),
+    0.1-0.3x at 0.1-0.2 C(K, 2) ((10, 2, 2, 1) deletion 47 -> 8.4 ms).
     """
     sizes = [mask.bit_count() for mask in masks]
+    pairs = len(masks) * (len(masks) - 1) // 2
+    if 3 * sum(sizes) ** 2 < 2 * pairs * max(map(int.bit_length, masks), default=0):
+        rows = [[one.start() for one in re.finditer("1", bin(mask)[:1:-1])] for mask in masks]
+        degrees = Counter(chain.from_iterable(rows)).values()
+        if 3 * sum(map(mul, degrees, degrees)) < 2 * pairs:
+            return _max_cooccurrence(rows)
+    return _max_pair_overlap(masks, sizes)
+
+
+def _max_pair_overlap(masks: tuple[int, ...], sizes: list[int]) -> tuple[int, tuple[int, int]]:
+    """``_max_overlap`` by ANDing pairs of balls in decreasing size, until a size is below
+    the best overlap, which no later pair can beat; ties take the witness in index order."""
     order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
     best = -1
     pair = (0, 1)
@@ -266,6 +284,22 @@ def _max_overlap(masks: tuple[int, ...]) -> tuple[int, tuple[int, int]]:
                     best = m
                     pair = candidate
     return best, pair
+
+
+def _max_cooccurrence(rows: list[list[int]]) -> tuple[int, tuple[int, int]]:
+    """``_max_overlap`` on each ball's set bits.  From the last row x to the first,
+    ``holders[u]`` lists the later rows holding word u, so one ``Counter`` gives x's
+    overlaps with them; a tie moves the witness to x.  If no rows meet: (0, (0, 1))."""
+    holders: defaultdict[int, list[int]] = defaultdict(list)
+    best, first, partners = 0, 0, Counter({1: 0})
+    for x in reversed(range(len(rows))):
+        counts = Counter(chain.from_iterable(map(holders.__getitem__, rows[x])))
+        m = max(counts.values(), default=0)
+        if m and m >= best:
+            best, first, partners = m, x, counts
+        for u in rows[x]:
+            holders[u].append(x)
+    return best, (first, min(y for y, count in partners.items() if count == best))
 
 
 def max_intersection_exhaustive(

@@ -264,11 +264,14 @@ def sample_distinct_outputs(
     if ball_size < count:
         raise BallTooSmall(count, ball_size)
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     ranks: dict[int, None] = {}
     # Floyd: one draw per rank; a repeat takes top, which no earlier draw could reach
     for top in range(ball_size - count, ball_size):
-        rank = rng.randrange(top + 1)
+        # randrange(top + 1)'s own draws: k random bits until they are at most top
+        rank = getrandbits(k := (top + 1).bit_length())
+        while rank > top:
+            rank = getrandbits(k)
         ranks[top if rank in ranks else rank] = None
     outputs, traces = unrank(list(ranks))
     return ChannelSample(x, kind, b, outputs, traces, seed)

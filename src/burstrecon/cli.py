@@ -39,9 +39,10 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import groupby, product
+from operator import attrgetter
 
 from . import combinatorics as comb
 from .balls import (
@@ -133,11 +134,11 @@ class Check:
     The oracles of one cell share what it builds, all on word ranks.  The
     overlap row (``ins-int``, ``del-int``) builds the ball table
     (``balls._center_masks``), stores it in tables under its ball kind and
-    searches it by decreasing ball size with an exact bound; the size row
-    reads its popcounts when the cell stored it, and otherwise builds one
-    ball at a time.  The first b-cyclic row steps the b-cyclic word's ball
-    along its cuts, and its ``ms`` carries that cost; ``del-int-lb`` streams
-    its flip's ranks into the overlap.  The tables die with the cell.
+    searches it; the size row and ``roundtrip-del`` read its popcounts when
+    the cell stored it, else build one ball at a time.  The first b-cyclic row
+    steps the b-cyclic word's ball along its cuts, and its ``ms`` carries that
+    cost; ``del-int-lb`` streams its flip's ranks into the overlap.  The
+    tables die with the cell.
     """
 
     domain: tuple[tuple[Callable[..., bool], str], ...] = ()
@@ -250,9 +251,10 @@ def _roundtrip_ins_trials(q, b, t, n, cap, trials, rng, *_):
     return successes
 
 
-def _roundtrip_del_trials(q, b, t, n, cap, trials, rng, *_):
+def _roundtrip_del_trials(q, b, t, n, cap, trials, rng, tables):
     need = comb.del_intersection_max_binary(b, n, t) + 1
-    eligible = [x for x in all_words(2, n) if comb.del_ball_size(x, t, b) >= need]
+    sizes = _ball_sizes("deletion", 2, b, t, n, cap, trials, rng, tables)
+    eligible = [x for x, size in zip(all_words(2, n), sizes) if size >= need]
     if not eligible:
         raise _Skip("no center admits threshold+1 distinct outputs")
     return sum(
@@ -426,7 +428,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    writer.writerows(astuple(r) for r in rows)
+    writer.writerows(map(attrgetter(*CSV_HEADER.split(",")), rows))
     return buffer.getvalue()
 
 

@@ -34,7 +34,9 @@ from burstrecon.balls import (
     _center_masks,
     _check_cap,
     _descends_all,
+    _max_cooccurrence,
     _max_overlap,
+    _max_pair_overlap,
     _rank_balls,
     _stepped_deletion_ranks,
 )
@@ -78,6 +80,14 @@ def words_of_ranks(ranks, q, length):
         assert k == 0, "rank past the last word"
         words.add(bytes(word))
     return words
+
+
+def both_searches(masks):
+    """(pair search, co-occurrence): each exact overlap search's (max, witness) on one table."""
+    return (
+        _max_pair_overlap(masks, [mask.bit_count() for mask in masks]),
+        _max_cooccurrence([set_bits(mask) for mask in masks]),
+    )
 
 
 def reference_max_intersection(n, q, b, t, kind):
@@ -510,12 +520,14 @@ class TestMaxIntersectionExhaustive:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**12 - 1), min_size=2, max_size=12))
     def test_max_overlap_matches_pairwise_scan(self, masks):
-        # any table, not only ball tables: many ties and equal sizes
+        # any table, not only ball tables: many ties, equal sizes and all-zero
+        # masks, through the chosen search and through each search alone
         pairs = [(i, j) for i in range(len(masks)) for j in range(i + 1, len(masks))]
         overlap = {(i, j): (masks[i] & masks[j]).bit_count() for i, j in pairs}
         best = max(overlap.values())
         first = min(pair for pair in pairs if overlap[pair] == best)
         assert _max_overlap(tuple(masks)) == (best, first)
+        assert both_searches(tuple(masks)) == ((best, first), (best, first))
 
     def test_matches_pairwise_reference(self):
         # every cell of q 2,3 x b 1..3 x t 0..2, both kinds, from the shortest
@@ -539,6 +551,7 @@ class TestMaxIntersectionExhaustive:
                             assert got == reference_max_intersection(n, q, b, t, kind), (
                                 kind, q, b, t, n,
                             )
+                            self.assert_searches_agree(got, n, q, b, t, kind)
                             cells += 1
         # binary deletion cells large enough for the size bound to prune,
         # where many pairs tie the maximum
@@ -546,14 +559,68 @@ class TestMaxIntersectionExhaustive:
             for n in (9, 10):
                 got = max_intersection_exhaustive(n, 2, b, 2, "deletion")
                 assert got == reference_max_intersection(n, 2, b, 2, "deletion"), (b, n)
+                self.assert_searches_agree(got, n, 2, b, 2, "deletion")
                 cells += 1
         # alphabets past the digit text form, where a word's rank cannot be
         # read from its text
         for n, q, b, t in ((2, 12, 1, 1), (1, 11, 2, 2), (1, 255, 1, 1)):
             got = max_intersection_exhaustive(n, q, b, t, "insertion")
             assert got == reference_max_intersection(n, q, b, t, "insertion"), (q, b, t, n)
+            self.assert_searches_agree(got, n, q, b, t, "insertion")
             cells += 1
         assert cells > 150
+
+    @staticmethod
+    def assert_searches_agree(got, n, q, b, t, kind):
+        """Both searches give got, max_intersection_exhaustive's (max, witness), on the cell's table."""
+        pairs, cooccurrence = both_searches(_center_masks(n, q, b, t, kind, 10**7))
+        weights = [q**e for e in range(n - 1, -1, -1)]
+        assert (pairs[0], tuple(bytes(k // w % q for w in weights) for k in pairs[1])) == got
+        assert cooccurrence == pairs, (kind, q, b, t, n)
+
+    @pytest.mark.parametrize("b, n", [(1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7)])
+    def test_searches_agree_on_ternary_radius_one_deletion_tables(self, b, n):
+        # every ball exceeds the largest overlap, so the pair search visits all pairs
+        got = max_intersection_exhaustive(n, 3, b, 1, "deletion")
+        self.assert_searches_agree(got, n, 3, b, 1, "deletion")
+
+    @pytest.mark.parametrize(
+        "n, q, b, t, kind, search",
+        [
+            (10, 2, 2, 1, "deletion", "_max_cooccurrence"),
+            (10, 2, 3, 1, "deletion", "_max_cooccurrence"),
+            (10, 2, 2, 2, "deletion", "_max_pair_overlap"),
+            (4, 3, 3, 2, "insertion", "_max_pair_overlap"),
+        ],
+    )
+    def test_the_table_chooses_the_search(self, monkeypatch, n, q, b, t, kind, search):
+        # t = 1 deletion balls all exceed the overlap, so the size bound never
+        # prunes; the (10, 2, 2, 2) pair search prunes, and the insertion
+        # table's 478,953 set bits are never listed, since even the
+        # Cauchy-Schwarz bound on the co-occurrence count exceeds the pairs
+        masks = _center_masks(n, q, b, t, kind, 10**7)
+        calls = Counter()
+        for module, name in (
+            (burstrecon.balls.re, "finditer"),  # lists one mask's set bits
+            (burstrecon.balls, "_max_cooccurrence"),
+            (burstrecon.balls, "_max_pair_overlap"),
+        ):
+            real = getattr(module, name)
+            spy = lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+            monkeypatch.setattr(module, name, spy)
+        result = _max_overlap(masks)
+        monkeypatch.undo()
+        assert calls[search] == 1
+        assert calls["_max_cooccurrence"] + calls["_max_pair_overlap"] == 1
+        assert calls["finditer"] == (len(masks) if kind == "deletion" and t == 1 else 0)
+        assert result == both_searches(masks)[0]
+
+    def test_cooccurrence_holds_no_pair_counts(self):
+        # one Counter of every pair that meets peaks at about 6 MB on this table
+        masks = _center_masks(10, 2, 3, 1, "deletion", 10**7)
+        (best, _), peak = traced_peak(lambda: _max_overlap(masks))
+        assert best == del_intersection_max_binary(3, 10, 1)
+        assert peak < 2**20, peak
 
     def test_holds_no_ball_sets(self):
         # the 81 insertion balls of this cell hold 5,913 words each; keeping

@@ -478,6 +478,30 @@ class TestSamplerDraws:
         assert len(events) == count * t
         assert len({id(e) for e in events}) == len({(e.position, e.payload) for e in events})
 
+    @pytest.mark.parametrize(
+        "size, count",
+        [(top + 1, 1) for k in (1, 5, 32, 63, 64) for top in (0, 2**k - 1, 2**k, 2**k + 1)]
+        + [(2**64 + 12346, 1), (2**100 + 2, 1), (40, 40), (2**16 + 2, 3), (2**64 + 3, 6)],
+    )
+    def test_draws_are_randranges(self, monkeypatch, size, count):
+        # the sampler's inlined draws are randrange's, so the seeded stream stays mt19937/unrank-v1
+        class Drawn(Exception):
+            pass
+
+        def unranker(x, q, t, b):
+            def unrank(ranks):
+                raise Drawn(ranks)
+
+            return size, unrank
+
+        monkeypatch.setattr(channel, "_insertion_unranker", unranker)
+        for seed in (0, 1, 7, 2**40):
+            with pytest.raises(Drawn) as drawn:
+                sample_distinct_outputs(b"", 2, 1, 1, "insertion", count, seed)
+            assert drawn.value.args[0] == floyd_ranks(size, count, seed)
+            if count == 1:
+                assert drawn.value.args[0] == [random.Random(seed).randrange(size)]
+
     @pytest.mark.parametrize("kind", ["insertion", "deletion"])
     def test_whole_ball_draw_comes_out_in_rank_order(self, kind):
         # each of Floyd's draws over a whole ball takes a new top rank or repeats

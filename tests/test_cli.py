@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 
@@ -18,6 +18,8 @@ import burstrecon.cli
 from burstrecon import (
     AmbiguousSymbol,
     all_words,
+    del_ball_size,
+    del_intersection_max_binary,
     enumerate_deletion_ball,
     enumerate_insertion_ball,
     y_sequence,
@@ -31,10 +33,12 @@ from burstrecon.cli import (
     VERIFY_KINDS,
     ResultRow,
     SweepConfig,
+    _roundtrip_del_trials,
     main,
     rows_to_csv,
     run_sweep,
 )
+from burstrecon.balls import _center_masks
 from test_balls import reference_max_intersection
 
 
@@ -473,6 +477,43 @@ class TestVerify:
         rows = rows_of(out)
         done = [r for r in rows if r.match != "skip"]
         assert done and all(r.formula == r.oracle == "3" for r in done)
+
+    def test_roundtrip_del_centers_are_those_del_ball_size_admits(self, monkeypatch):
+        # every roundtrip-del cell of the default grid and of the benchmark's
+        # verify calls (b 2,3 x t 1,2 x n up to 10), with the table that a
+        # del-int row of the cell stores and without it
+        drawn = []
+        monkeypatch.setattr(burstrecon.cli, "_recovered", lambda center, *_: drawn.append(center) or True)
+
+        class EachIndex:
+            """An rng whose draws are 0, 1, 2, ..., recording each range asked for."""
+
+            def __init__(self):
+                self.ranges = []
+
+            def randrange(self, size):
+                self.ranges.append(size)
+                return len(self.ranges) - 1
+
+        cells = 0
+        for b, t, n in product((2, 3), (1, 2), range(1, 11)):
+            if n < b * (t + 1) - 1:
+                continue
+            need = del_intersection_max_binary(b, n, t) + 1
+            expected = [x for x in all_words(2, n) if del_ball_size(x, t, b) >= need]
+            for tables in ({}, {"deletion": _center_masks(n, 2, b, t, "deletion", 10**7)}):
+                drawn.clear()
+                rng = EachIndex()
+                if not expected:
+                    with pytest.raises(burstrecon.cli._Skip):
+                        _roundtrip_del_trials(2, b, t, n, 10**7, 1, rng, tables)
+                    continue
+                trials = _roundtrip_del_trials(2, b, t, n, 10**7, len(expected), rng, tables)
+                assert trials == len(expected)
+                assert drawn == expected, (b, t, n, sorted(tables))
+                assert rng.ranges == [len(expected)] * len(expected)
+                cells += 1
+        assert cells > 30
 
     def test_roundtrip_rows_draw_one_stream_per_key(self, monkeypatch):
         # (2, 1, 1, 4097) and (2, 1, 2, 1) once packed into the same seed index

@@ -91,6 +91,9 @@ API_ENTRY_POINTS = {
     # b-cyclic rows and the acceptance criteria are checked against
     "enumerate_insertion_ball",
     "enumerate_deletion_ball",
+    # one center's deletion ball size, a public count; verify reads the sizes
+    # of all centers off their rank balls instead
+    "del_ball_size",
 }
 
 
