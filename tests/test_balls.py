@@ -595,9 +595,9 @@ class TestMaxIntersectionExhaustive:
     )
     def test_the_table_chooses_the_search(self, monkeypatch, n, q, b, t, kind, search):
         # t = 1 deletion balls all exceed the overlap, so the size bound never
-        # prunes; the (10, 2, 2, 2) pair search prunes, and the insertion
-        # table's 478,953 set bits are never listed, since even the
-        # Cauchy-Schwarz bound on the co-occurrence count exceeds the pairs
+        # prunes; the (10, 2, 2, 2) pair search prunes.  On the last two even
+        # the Cauchy-Schwarz bound on the co-occurrence count exceeds the
+        # pairs, so no set bit is listed (478,953 on the insertion table)
         masks = _center_masks(n, q, b, t, kind, 10**7)
         calls = Counter()
         for module, name in (
@@ -616,7 +616,7 @@ class TestMaxIntersectionExhaustive:
         assert result == both_searches(masks)[0]
 
     def test_cooccurrence_holds_no_pair_counts(self):
-        # one Counter of every pair that meets peaks at about 6 MB on this table
+        # one Counter of every pair that meets peaks at about 8 MB on this table
         masks = _center_masks(10, 2, 3, 1, "deletion", 10**7)
         (best, _), peak = traced_peak(lambda: _max_overlap(masks))
         assert best == del_intersection_max_binary(3, 10, 1)
