@@ -12,14 +12,15 @@ The commands cover ``simulate | reconstruct`` round trips of both channels,
 with and without ``--diagnostics`` and ``--as-json``, at up to 2,000
 outputs as well; ``reconstruct`` of fixed texts with blank, padded, CRLF,
 comment, duplicate, comma-form and non-digit lines; deletion round trips
-at t = 3 on centers whose phase 2 tries up to 136 completions; ``simulate`` of both
+at t = 3 on centers whose phase 2 tries up to 136 completions; insertion
+round trips at t = 3 whose steps consume 0 to 3 bursts; ``simulate`` of both
 kinds at t = 3 on alphabets of 3, 11 and 255 symbols and over whole balls,
 ``--ins`` from empty centers and ``--del`` at b = 1 and 3 and from centers
 of length t*b; every ``verify`` kind,
 with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0,
 and ``del-extremal,del-int-lb`` grids on short words, on alphabets of 11 and
-255 symbols, on words of up to 300 symbols and under caps that their round
-gate refuses; ``count``; and each refusal and exit code: cap, ball too small,
+255 symbols, on words of up to 300 symbols and under caps at, just below and
+far above the largest round of their deletion ball; ``count``; and each refusal and exit code: cap, ball too small,
 below the decoding threshold, out-of-range symbol, bad range and argparse
 errors.
 
@@ -152,6 +153,23 @@ def phase2_commands():
     return commands + [f"{commands[4]} --as-json"]
 
 
+def insertion_t3_commands():
+    """Insertion round trips at t = 3 and threshold+1 outputs, with diagnostics:
+    one seed per cell whose first step consumes all three bursts, and seeds
+    whose steps spread them over steps of 0, 1 and 2 bursts."""
+    commands = []
+    for q, b, n, seeds in ((2, 1, 8, (1, 5, 9)), (3, 1, 12, (1, 15, 24)), (2, 2, 4, (1,))):
+        need = comb.ins_intersection_max(q, b, n, 3) + 1
+        channel = f"--ins -q {q} -b {b} -t 3"
+        for seed in seeds:
+            x = _center(q, n, f"ins {q} {b} 3 {n} {seed}")
+            commands.append(
+                f"simulate {channel} -x {x} -N {need} --seed {seed}"
+                f" | reconstruct {channel} -n {n} --diagnostics"
+            )
+    return commands
+
+
 def sampler_commands():
     """simulate at t = 3, on alphabets of 3, 11 and 255 symbols, and whole-ball
     draws (-N the ball's size), plain and as JSON: --ins from empty centers,
@@ -209,6 +227,9 @@ def verify_commands():
         "ins-ball-rec,ins-int-rec,del-ball-rec,del-extremal,del-int-rec,del-int-lb,sphere",
     ]
     commands += [f"{cyclic} --q 2:3 --b 1:3 --t 1:3 --n 0:9 --cap {cap}" for cap in (10, 50)]
+    # the b-cyclic word's largest round at (q, b, t, n) = (2, 2, 3, 40) is
+    # 6,580 words, and (n - b + 1)**t = 59,319 bounds every round
+    commands += [f"{cyclic} --q 2 --b 2 --t 3 --n 40 --cap {cap}" for cap in (6580, 6579, 59319)]
     return commands
 
 
@@ -262,8 +283,8 @@ def refusal_commands():
 
 def commands():
     return (
-        roundtrip_commands() + text_commands() + phase2_commands() + sampler_commands()
-        + verify_commands() + count_commands() + refusal_commands()
+        roundtrip_commands() + text_commands() + phase2_commands() + insertion_t3_commands()
+        + sampler_commands() + verify_commands() + count_commands() + refusal_commands()
     )
 
 
