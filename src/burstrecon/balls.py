@@ -21,13 +21,14 @@ takes those sets to radius t-1 and applies the last burst as combs of bits;
 ``_deletion_masks`` builds a deletion table level by level.  One long word
 whose symbols are in hand, the b-cyclic word of ``del-extremal`` and
 ``del-int-lb`` or its flip, is stepped from cut to cut
-(``_stepped_deletion_ranks``); its last round streams ranks, so the flip's
-ball is never held.  No module but this one calls the word enumerators, the
-reference the rank builders are checked against.  Nothing here keeps a
-table: it belongs to whoever built it and dies with that caller.  A cached
-table would escape the cap that bounds every enumeration, so this module
-holds no cache; ``cli``'s cell runner decides when one ``verify`` cell
-builds a table and shares it between its rows.
+(``_stepped_deletion_ranks``), which refuses an over-cap ball before it
+steps; its last round streams ranks, so the flip's ball is never held.  No
+module but this one calls the word enumerators, the reference the rank
+builders are checked against.  Nothing here keeps a table: it belongs to
+whoever built it and dies with that caller.  A cached table would escape
+the cap that bounds every enumeration, so this module holds no cache;
+``cli``'s cell runner decides when one ``verify`` cell builds a table and
+shares it between its rows.
 """
 
 from __future__ import annotations
@@ -85,12 +86,11 @@ def enumerate_insertion_ball(
 
 
 def _check_deletion_rounds(x: Word, t: int, b: int, cap: int) -> None:
-    """Refuse x's deletion ball, as words or as ranks, at its first round over the cap."""
+    """Refuse x's deletion ball, as words or as ranks, at its first round over the cap;
+    ``_deletion_ways`` counts each round exactly, after refusing a word too short."""
     _check_params(b=b, t=t, cap=cap)
-    _check_deletable(len(x), t, b)
-    if (len(x) - b + 1) ** t > cap:  # then count each round's exact size
-        for size in _deletion_ways(x, t, b)[0][1:]:
-            _check_cap(size, cap)
+    for size in _deletion_ways(x, t, b)[0][1:]:
+        _check_cap(size, cap)
 
 
 def enumerate_deletion_ball(
@@ -148,16 +148,17 @@ def _rank_balls(n: int, q: int, b: int, t: int, kind: BallKind) -> Iterator[set[
         yield ball
 
 
-def _stepped_deletion_ranks(x: Word, q: int, b: int, t: int) -> Iterator[int]:
+def _stepped_deletion_ranks(x: Word, q: int, b: int, t: int, cap: int) -> Iterator[int]:
     """x's deletion ball as word ranks, stepped from cut to cut along x; a rank may repeat.
 
     Rank j stands for the j-th word of ``all_words(q, len(x) - t*b)``.  Cut 0
     of a word w of rank r leaves rank ``r % low``, and each next cut i+1 adds
     ``(w[i] - w[i+b]) * low`` of that cut (``_cuts``), so one ``accumulate``
     steps through a word at C speed.  Earlier rounds keep each distinct word
-    with its rank; the last streams ranks only.  Callers check x, the
-    parameters and the cap.
+    with its rank; the last streams ranks only.  ``_check_deletion_rounds``
+    refuses a round over the cap before any step; callers check x and q.
     """
+    _check_deletion_rounds(x, t, b, cap)
     words = {sum(map(mul, x, (q**k for k in reversed(range(len(x)))))): x}
     for length in range(len(x), len(x) - t * b, -b):
         top, *lows = (low for _, low in _cuts(q, b, length))

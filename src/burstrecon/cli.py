@@ -39,7 +39,7 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby, product
 from operator import attrgetter
@@ -49,7 +49,6 @@ from .balls import (
     DEFAULT_CAP,
     _center_masks,
     _check_cap,
-    _check_deletion_rounds,
     _max_overlap,
     _rank_balls,
     _stepped_deletion_ranks,
@@ -203,24 +202,22 @@ def _ins_ball_regularity(*args):
 def _cyclic_deletion_ball(q, b, t, n, cap, trials, rng, tables):
     """The deletion ball of the b-cyclic word as a set of word ranks, built once per cell.
 
-    ``del-extremal`` and ``del-int-lb`` share it through tables.  The round
-    gate (``balls._check_deletion_rounds``) refuses an over-cap ball before
-    anything is stepped (``balls._stepped_deletion_ranks``) or stored.
+    ``del-extremal`` and ``del-int-lb`` share it through tables.  The builder
+    (``balls._stepped_deletion_ranks``) refuses an over-cap ball before
+    anything is stepped or stored.
     """
     if "b-cyclic" not in tables:
         x = y_sequence(n, q, b, q - 1, 0)
-        _check_deletion_rounds(x, t, b, cap)
-        tables["b-cyclic"] = set(_stepped_deletion_ranks(x, q, b, t))
+        tables["b-cyclic"] = set(_stepped_deletion_ranks(x, q, b, t, cap))
     return tables["b-cyclic"]
 
 
 def _flip_pair_overlap(q, b, t, n, cap, *rest):
     """The overlap of the b-cyclic word's ball with the ball of its copy whose b-th entry is 1."""
     ball_x = _cyclic_deletion_ball(q, b, t, n, cap, *rest)
-    # the copy's ranks stream into the intersection and are never held as a set; its
-    # rounds pass the b-cyclic word's gate, as no ball of any radius is larger (y_sequence)
+    # the copy's ranks stream into the intersection and are never held as a set
     x = y_sequence(n, q, b, q - 1, 0)
-    return len(ball_x.intersection(_stepped_deletion_ranks(x[: b - 1] + b"\x01" + x[b:], q, b, t)))
+    return len(ball_x.intersection(_stepped_deletion_ranks(x[: b - 1] + b"\x01" + x[b:], q, b, t, cap)))
 
 
 def _recovered(center, q, b, t, kind, need, cap, rng) -> bool:
@@ -433,7 +430,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def rows_to_json(rows: list[ResultRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2)
+    return json.dumps(list(map(vars, rows)), indent=2)
 
 
 def _parse_range(text: str) -> tuple[int, ...]:

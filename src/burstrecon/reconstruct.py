@@ -230,11 +230,6 @@ def reconstruct_from_insertions(
                 tuple(sizes[(winner, s)] for s in range(1, t_rem + 2)),
             )
         )
-        if chosen_j == 0:
-            # the class is the outputs with the winner at off, all one prefix
-            words = list(compress(words, map(winner.__eq__, map(itemgetter(off), words))))
-            off += 1
-            continue
         # the winner first appears after chosen_j bursts: keep the outputs of
         # the class's largest block w[start:off] (the smallest block on a tie)
         chosen = {p for p in counts if p.find(winner) == chosen_j}

@@ -5,7 +5,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +257,7 @@ CAPPED = {
     "enumerate_insertion_ball": lambda cap: enumerate_insertion_ball(bytes(2), 2, 1, 1, cap),
     "enumerate_deletion_ball": lambda cap: enumerate_deletion_ball(bytes(4), 1, 2, cap),
     "enumerate_deletion_ball/t=0": lambda cap: enumerate_deletion_ball(bytes(4), 0, 2, cap),
+    "_stepped_deletion_ranks": lambda cap: _stepped_deletion_ranks(bytes(4), 2, 2, 1, cap),
     "max_intersection_exhaustive": lambda cap: max_intersection_exhaustive(
         3, 2, 1, 1, "insertion", cap
     ),
@@ -431,9 +432,9 @@ class TestMaxIntersectionExhaustive:
             built.append((q, b, t, n, kind))
             return real(n, q, b, t, kind)
 
-        def counting_steps(x, q, b, t):
+        def counting_steps(x, q, b, t, cap):
             stepped[q, b, t, x] += 1
-            return real_stepped(x, q, b, t)
+            return real_stepped(x, q, b, t, cap)
 
         monkeypatch.setattr(burstrecon.balls, "enumerate_deletion_ball", no_enumeration)
         monkeypatch.setattr(burstrecon.cli, "_rank_balls", counting)
@@ -716,7 +717,7 @@ class TestSteppedDeletionRanks:
 
     @staticmethod
     def check(x, q, b, t):
-        ranks = list(_stepped_deletion_ranks(x, q, b, t))
+        ranks = list(_stepped_deletion_ranks(x, q, b, t, 10**7))
         ball = enumerate_deletion_ball(x, t, b)
         assert words_of_ranks(ranks, q, len(x) - t * b) == ball, (q, b, t, x)
         cuts = len(x) - t * b + 1
@@ -740,6 +741,36 @@ class TestSteppedDeletionRanks:
                             self.check(x, q, b, t)
                             balls += 1
         assert balls > 1000
+
+    def test_refuses_over_the_cap_before_any_step(self, monkeypatch):
+        # at every cap up to just past the largest round, the builder refuses
+        # with the required words of the reference that builds each round, at
+        # the call: no cut is taken and no rank is yielded
+        cuts = []
+        real = burstrecon.balls._cuts
+        monkeypatch.setattr(burstrecon.balls, "_cuts", lambda *args: cuts.append(args) or real(*args))
+        rng = random.Random(31)
+        refused = passed = 0
+        for q, b, t in product((2, 3), (1, 2), (1, 2, 3)):
+            for n in range(t * b, t * b + 4):
+                x = bytes(rng.randrange(q) for _ in range(n))
+                rounds = [len(reference_deletion_ball(x, s, b, 10**9)) for s in range(t + 1)]
+                for cap in range(1, max(rounds) + 2):
+                    expected = refusal(lambda: reference_deletion_ball(x, t, b, cap))
+                    cuts.clear()
+                    got = refusal(lambda: _stepped_deletion_ranks(x, q, b, t, cap))
+                    assert got == expected, (q, b, t, x, cap)
+                    if expected is None:
+                        passed += 1
+                    else:
+                        assert cuts == [], (q, b, t, x, cap)
+                        refused += 1
+        assert refused > 50 and passed > 50
+        # the long center whose third round, 267,034 words, is the first over the cap
+        cuts.clear()
+        with pytest.raises(EnumerationCapExceeded) as info:
+            _stepped_deletion_ranks(y_sequence(120, 2, 1), 2, 1, 4, 10**5)
+        assert (info.value.required, cuts) == (267_034, [])
 
     @pytest.mark.parametrize("q, b, t, n", [(2, 2, 3, 40), (2, 1, 3, 30), (3, 3, 2, 60), (5, 2, 2, 25)])
     def test_long_words(self, q, b, t, n):
@@ -766,10 +797,10 @@ class TestCyclicRankBalls:
         built = {}
         real = cli._stepped_deletion_ranks
 
-        def recording(x, q, b, t):
+        def recording(x, q, b, t, cap):
             assert x not in built, "a center word was stepped twice"
             built[x] = []
-            for r in real(x, q, b, t):
+            for r in real(x, q, b, t, cap):
                 built[x].append(r)
                 yield r
 
@@ -792,8 +823,9 @@ class TestCyclicRankBalls:
     @pytest.mark.parametrize("cap", [1, 10, 50])
     def test_rank_path_refuses_as_the_enumerator(self, cap):
         # the b-cyclic ball refuses with the enumerator's required words, and
-        # the flip pair as enumerating both words did: the flip's rounds never
-        # meet the cap before the b-cyclic word's, so the one gate serves both
+        # the flip pair as enumerating both words did; each word's builder
+        # gates its own rounds, and the flip's never meet the cap before the
+        # b-cyclic word's (y_sequence has the largest ball at every radius)
         outcomes = set()
         for q, b, t, n in self.GRID:
             center, flipped = cyclic_pair(q, b, n)

@@ -395,9 +395,9 @@ class TestVerify:
         built = []
         real = burstrecon.cli._stepped_deletion_ranks
 
-        def counting(x, q, b, t):
+        def counting(x, q, b, t, cap):
             built.append((q, b, t, len(x), x))
-            return real(x, q, b, t)
+            return real(x, q, b, t, cap)
 
         def every_center(*args):
             raise AssertionError("a cyclic row built every center's ball")

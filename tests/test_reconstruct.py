@@ -695,9 +695,11 @@ class TestInsertionDecoderMatchesReference:
     def grid_sets():
         # one threshold+1 sample per cell of the roundtrip-small insertion grid,
         # with the same set less one output, with one output of another center,
-        # and as a random threshold+1 mixture of its outputs and another ball's
+        # as a random threshold+1 mixture of its outputs and another ball's, and
+        # threshold+1 distinct words drawn uniformly, no ball's sample
         rng = random.Random(14)
         mix = random.Random(17)
+        uniform = random.Random(31)
         for q, b, t, n in product((2, 3), (2, 3), (1, 2, 3), (1, 2, 3, 4, 6, 8, 10, 12)):
             need = ins_intersection_max(q, b, n, t) + 1
             if need > 3000:
@@ -719,6 +721,9 @@ class TestInsertionDecoderMatchesReference:
             zs = sample_distinct_outputs(z, q, t, b, "insertion", need, mix.getrandbits(32)).outputs
             # at most k of z's need outputs are among the k taken from x's ball
             yield (q, b, t, n), None, outputs[:k] + tuple(w for w in zs if w not in outputs[:k])[: need - k]
+            weights = [q**e for e in reversed(range(n + t * b))]
+            ranks = uniform.sample(range(q ** (n + t * b)), need)
+            yield (q, b, t, n), None, tuple(bytes(r // w % q for w in weights) for r in ranks)
 
     def test_grid_sets(self):
         outcomes = {"decoded": 0, "below": 0, "refused": 0}

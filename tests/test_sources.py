@@ -171,9 +171,6 @@ def test_cap_is_compared_in_one_place():
 CAP_COMPARERS = {
     ("balls.py", "_check_cap"),  # the cap rule
     ("combinatorics.py", "_check_params"),  # the cap's range rule
-    # the deletion round gate, not a refusal: it decides only whether to
-    # count the rounds exactly, and each round then meets the cap in _check_cap
-    ("balls.py", "_check_deletion_rounds"),
 }
 
 
@@ -201,10 +198,21 @@ def cap_comparisons_outside_the_rule(package_dir):
     return found
 
 
-def test_cap_is_compared_only_by_its_rules():
+def test_cap_is_compared_only_by_its_rules(tmp_path):
     # a second cap comparison words its refusal its own way; pass the
     # requirement to balls._check_cap instead
     assert cap_comparisons_outside_the_rule(PACKAGE_DIR) == []
+    # the guard sees a crude bound that decides whether to count the rounds,
+    # even where each counted round then meets the cap in _check_cap
+    (tmp_path / "balls.py").write_text(
+        "def _check_deletion_rounds(x, t, b, cap):\n"
+        "    _check_params(b=b, t=t, cap=cap)\n"
+        "    _check_deletable(len(x), t, b)\n"
+        "    if (len(x) - b + 1) ** t > cap:\n"
+        "        for size in _deletion_ways(x, t, b)[0][1:]:\n"
+        "            _check_cap(size, cap)\n"
+    )
+    assert cap_comparisons_outside_the_rule(tmp_path) == ["balls.py:4"]
 
 
 
@@ -268,8 +276,8 @@ def test_ball_tables_have_one_owner_outside_balls():
 ENUMERATORS = {"enumerate_insertion_ball", "enumerate_deletion_ball"}
 
 
-def enumerator_names_outside_balls(package_dir):
-    """Lines outside ``balls`` that name a word enumerator.
+def names_outside_balls(package_dir, wanted=ENUMERATORS):
+    """Lines outside ``balls`` that name one of ``wanted``, by default the word enumerators.
 
     A name or an attribute counts in every other module, and so does an
     import, except in ``__init__``, whose re-export is the public API.
@@ -287,7 +295,7 @@ def enumerator_names_outside_balls(package_dir):
                 names = {alias.name for alias in node.names}
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names & ENUMERATORS)]
+            found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names & wanted)]
     return found
 
 
@@ -295,7 +303,7 @@ def test_only_balls_names_the_enumerators(tmp_path):
     # every table and ball that verify builds is a set of word ranks, so the
     # enumerators stay the independent reference the rank builders are
     # checked against; a caller outside balls would be a second representation
-    assert enumerator_names_outside_balls(PACKAGE_DIR) == []
+    assert names_outside_balls(PACKAGE_DIR) == []
     # the guard sees an import, a call and an attribute outside balls, and
     # the package's re-export only in __init__
     (tmp_path / "balls.py").write_text("def enumerate_deletion_ball(): pass\n")
@@ -306,11 +314,17 @@ def test_only_balls_names_the_enumerators(tmp_path):
         "enumerate_deletion_ball()\n"
         "balls.enumerate_insertion_ball()\n"
     )
-    assert enumerator_names_outside_balls(tmp_path) == [
+    assert names_outside_balls(tmp_path) == [
         "cli.py:1: enumerate_deletion_ball",
         "cli.py:3: enumerate_deletion_ball",
         "cli.py:4: enumerate_insertion_ball",
     ]
+
+
+def test_only_balls_names_the_round_gate():
+    # each builder of one word's deletion ball gates its own rounds, so no
+    # caller can step a ball past the cap or gate it twice
+    assert names_outside_balls(PACKAGE_DIR, {"_check_deletion_rounds"}) == []
 
 
 RANK_BUILDERS = (

@@ -32,11 +32,15 @@ meant to alter what the commands print, and name the changed commands.
 import contextlib
 import hashlib
 import io
+import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import burstrecon
 from burstrecon import combinatorics as comb, y_sequence
 from burstrecon.cli import COUNT_KINDS, VERIFY_KINDS, main
 
@@ -358,8 +362,29 @@ def test_commands_print_what_the_transcript_recorded(monkeypatch, tmp_path):
     assert kinds == set(VERIFY_KINDS)
 
 
+def test_refusals_and_insertion_steps_hold_under_python_O(tmp_path):
+    # python -O strips assert statements, so every refusal and every decoder
+    # step must come from code that still runs there; the refusals and the
+    # t = 3 insertion pipes print their recorded digests in an -O interpreter
+    command_list = refusal_commands() + insertion_t3_commands()
+    script = (
+        "import json, sys, test_transcript as T\n"
+        "found = T.transcript(json.loads(sys.stdin.read()))\n"
+        "print(json.dumps([sys.flags.optimize, {c: T.digest(*f) for c, f in found.items()}]))\n"
+    )
+    path = os.pathsep.join([str(Path(burstrecon.__file__).parent.parent), str(TRANSCRIPT.parent)])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps(command_list), capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS=COLUMNS), check=True,
+    )
+    optimize, digests = json.loads(done.stdout)
+    expected = read_transcript()
+    assert optimize == 1
+    assert digests == {command: expected[command] for command in command_list}
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
 
     if sys.argv[1:] != ["--write"]:
