@@ -20,9 +20,9 @@ of length t*b; every ``verify`` kind,
 with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0,
 and ``del-extremal,del-int-lb`` grids on short words, on alphabets of 11 and
 255 symbols, on words of up to 300 symbols and under caps at, just below and
-far above the largest round of their deletion ball; ``count``; and each refusal and exit code: cap, ball too small,
-below the decoding threshold, out-of-range symbol, bad range and argparse
-errors.
+far above the largest round of their deletion ball; ``count``; and each
+refusal and exit code: cap, ball too small, below the decoding threshold,
+out-of-range symbol, bad range and argparse errors.
 
 Changing ``transcript.txt`` is a behaviour change.  Regenerate it with
 ``PYTHONPATH=src python tests/test_transcript.py --write`` only for a change
