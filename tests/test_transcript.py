@@ -10,8 +10,11 @@ command, so a failure names each command whose behaviour changed.
 
 The commands cover ``simulate | reconstruct`` round trips of both channels,
 with and without ``--diagnostics`` and ``--as-json``, at up to 2,000
-outputs as well; ``reconstruct`` of fixed texts with blank, padded, CRLF,
-comment, duplicate, comma-form and non-digit lines; deletion round trips
+outputs as well, and at q = 10, the largest alphabet of the digit form;
+``reconstruct`` of fixed texts with blank, padded, CRLF, comment, duplicate,
+comma-form, non-digit and non-ASCII digit lines, and of texts longer than
+256 lines whose first 256 are comments or whose first fault sits past them,
+one fault or two; deletion round trips
 at t = 3 on centers whose phase 2 tries up to 136 completions; insertion
 round trips at t = 3 whose steps consume 0 to 3 bursts; ``simulate`` of both
 kinds at t = 3 on alphabets of 3, 11 and 255 symbols and over whole balls,
@@ -104,7 +107,18 @@ INPUTS = {
     "duplicates-below-threshold": "100\n100\n000\n000\n100\n",
     "q11-comma-form": "# ins 1 5\n5,3,10,7\n 3,10,6,7\n3,10,3,7 \n\n3,10,7,8\n5,3,10,7\n",
     "non-digit-after-valid": "100\n000\n010\n01x\n100\n",
+    "comments-fill-batch-1": "# comment\n" * 256 + "100\n000\n010\n",
 }
+
+# texts of more than one 256-line batch, and a non-ASCII digit: each is
+# refused by its first faulty line, as a line-by-line reader refuses it
+FAULTY_INPUTS = {
+    "fault-in-batch-2": "100\n" * 300 + "01x\n" + "000\n010\n" * 50,
+    "out-of-range-in-batch-2": "100\n" * 300 + "0120\n" + "000\n010\n" * 50,
+    "faults-in-batches-2-and-3": "100\n" * 300 + "01x\n" + "000\n" * 300 + "0120\n" + "010\n",
+    "non-ascii-digit": "100\n0\u06610\n000\n",
+}
+TEXTS = {**INPUTS, **FAULTY_INPUTS}
 
 
 def text_commands():
@@ -121,6 +135,9 @@ def text_commands():
         "q11-comma-form | reconstruct --ins -q 11 -b 1 -t 1 -n 3 --as-json --diagnostics",
         "q11-comma-form | reconstruct --ins -q 10 -b 1 -t 1 -n 3",
     ]
+    # q = 10 is the largest alphabet of the digit form: its symbol 9 tops it
+    simulate = f"simulate --ins -q 10 -b 1 -t 3 -x {_center(10, 2, 'text 10 1 3 2')} -N 1623 --seed 8"
+    commands += [simulate, f"{simulate} | reconstruct --ins -q 10 -b 1 -t 3 -n 2"]
     x_ins = _center(4, 16, "text 4 2 2 16")
     x_del = "".join(map(str, y_sequence(40, 2, 2, 0, 1)))
     for simulate, reconstruct in (
@@ -263,6 +280,8 @@ def refusal_commands():
         "simulate --del -q 3 -b 1 -t 1 -x 2120 -N 3 | reconstruct --del -q 3 -b 1 -t 1 -n 4",
         "reconstruct --ins -q 2 -b 1 -t 1 -n 3",
         "reconstruct --del -q 2 -b 2 -t 1 -n 6 --file missing-outputs.txt",
+        # a faulty line past the first batch of a text, and a non-ASCII digit
+        *(f"{name} | reconstruct --del -q 2 -b 2 -t 1 -n 5" for name in FAULTY_INPUTS),
         "count del-int -q 3 -b 2 -t 2 -n 7",
         "count del-int -q 2 -b 2 -t 1 -n 2",
         "count ins-ball -q 1 -b 2 -t 1 -n 2",
@@ -320,8 +339,8 @@ def transcript(command_list):
             if prefix in stdout_of and k < len(stages) - 1:
                 stdin = stdout_of[prefix]
                 continue
-            if k == 0 and stage in INPUTS:
-                stdin = INPUTS[stage]
+            if k == 0 and stage in TEXTS:
+                stdin = TEXTS[stage]
                 continue
             argv = stage.split()
             code, out, err = run(argv, stdin)
