@@ -20,11 +20,15 @@ a row over the cap reads ``skip`` with the refusal message.
 dict holds what its rows share, all as word ranks: the insertion or deletion
 ball table of every center, and the b-cyclic word's deletion ball.
 
-Neither ``simulate`` nor ``reconstruct`` holds its whole text.  ``simulate``
-writes one output and its event lines at a time, in both forms, and formats
-each event once.  ``reconstruct`` reads its input line by line and keeps only
-the distinct outputs, so a line that cannot be parsed is refused before any
-later line is decoded.
+Neither ``simulate`` nor ``reconstruct`` holds more of its text than one
+batch of ``_TEXT_BATCH`` lines.  ``simulate`` formats a batch of outputs in
+one pass and writes it with its event lines, in both forms, and formats each
+event once.  ``reconstruct`` reads its input a batch of lines at a time,
+parses the batch in one pass and keeps only the distinct outputs.  A batch
+that fails a check is parsed line by line (``sequences._parse_words``), and
+a fault in reading is raised only after the lines read before it are
+parsed, so the first line that cannot be parsed is refused before any later
+line is decoded.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import chain, groupby, islice, product, repeat
 from operator import attrgetter
 
 from . import combinatorics as comb
@@ -60,7 +64,7 @@ from .errors import (
     ReconstructionError,
 )
 from .reconstruct import reconstruct_from_deletions, reconstruct_from_insertions
-from .sequences import all_words, format_word, parse_word, y_sequence
+from .sequences import _format_words, _parse_words, all_words, format_word, parse_word, y_sequence
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -70,6 +74,9 @@ EXIT_CAP = 4
 COUNT_KINDS = ("ins-ball", "ins-int", "del-ball", "del-int", "del-int-lb", "sphere")
 
 CSV_HEADER = "q,b,t,n,kind,formula,oracle,match,ms"
+
+# lines of text that simulate formats, and reconstruct parses, in one pass
+_TEXT_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -493,32 +500,49 @@ def cmd_simulate(args) -> int:
     kind = "insertion" if args.ins else "deletion"
     x = parse_word(args.x, q)
     sample = sample_distinct_outputs(x, q, args.t, args.b, kind, args.N, args.seed, args.cap)
-    # outputs share event objects, which sample keeps alive: an id names one event here
-    events = {id(e): e for trace in sample.traces for e in trace}
-    texts = {key: format_event(e, q) for key, e in events.items()}
+    # outputs share event objects, which sample keeps alive: an id names one
+    # event here, and maps to its comment line, rendered once
+    event_lines = {id(e): e for trace in sample.traces for e in trace}
+    for key, e in event_lines.items():
+        event_lines[key] = f"\n# {format_event(e, q)}"
+    batches = (
+        (_format_words(sample.outputs[i : i + _TEXT_BATCH], q), sample.traces[i : i + _TEXT_BATCH])
+        for i in range(0, len(sample.outputs), _TEXT_BATCH)
+    )
     write = sys.stdout.write
     if args.as_json:
         head = json.dumps({"input": format_word(x, q), "seed": sample.seed, "rng": sample.rng_algorithm})
         write(head[:-1] + ', "outputs": [')
-        for i, (w, trace) in enumerate(zip(sample.outputs, sample.traces)):
-            output = {"word": format_word(w, q), "events": [texts[id(e)] for e in trace]}
-            write((", " if i else "") + json.dumps(output))
+        for i, (words, traces) in enumerate(batches):
+            outputs = (  # an event is its comment line without the leading "\n# "
+                json.dumps({"word": w, "events": [event_lines[id(e)][3:] for e in trace]})
+                for w, trace in zip(words, traces)
+            )
+            write((", " if i else "") + ", ".join(outputs))
         write("]}\n")
     else:
         write(f"# rng {sample.rng_algorithm} seed {sample.seed}\n")
-        for w, trace in zip(sample.outputs, sample.traces):
-            write(format_word(w, q) + "\n" + "".join(f"# {texts[id(e)]}\n" for e in trace))
+        for words, traces in batches:
+            # every trace holds t events: column j is the j-th event line of each output
+            columns = [map(event_lines.__getitem__, map(id, column)) for column in zip(*traces)]
+            write("".join(chain.from_iterable(zip(words, *columns, repeat("\n")))))
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
     q = args.q
+    words = set()
     with open(args.file, encoding="utf-8") if args.file else contextlib.nullcontext(sys.stdin) as lines:
-        words = frozenset(
-            parse_word(line, q)
-            for line in map(str.strip, lines)
-            if line and not line.startswith("#")
-        )
+        while True:
+            batch = []
+            try:
+                batch.extend(islice(lines, _TEXT_BATCH))  # keeps the lines read before a fault
+            finally:
+                # a fault in reading is raised after the lines read before it are
+                # parsed, so that an earlier faulty line is refused first
+                words.update(_parse_words([s for s in map(str.strip, batch) if s and s[0] != "#"], q))
+            if len(batch) < _TEXT_BATCH:
+                break
     if args.ins:
         result = reconstruct_from_insertions(words, args.n, q, args.b, args.t)
     else:

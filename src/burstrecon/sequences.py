@@ -3,6 +3,12 @@
 A word is a ``bytes`` object whose entries are the symbol values; the
 alphabet size q travels alongside wherever it matters.  Bytes keep words
 hashable, compact, and lexicographically comparable, and cap symbols at 255.
+
+``parse_word`` and ``format_word`` convert one word, and only they phrase
+the refusal of a faulty text or word.  The command line converts its text a
+batch of lines at a time with ``_parse_words`` and ``_format_words``: for
+q <= 10, one joined ``str``/``bytes`` pass per batch; a batch that fails its
+checks goes through the one-word rules line by line.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ Word = bytes
 _ALPHABETS = tuple(bytes(range(q)) for q in range(MAX_ALPHABET + 1))
 _TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_LINES = b"0123456789\n"
 
 
 def _out_of_range(symbol: int, q: int) -> ValueError:
@@ -66,6 +73,45 @@ def format_word(x: Word, q: int) -> str:
     if q <= 10:
         return x.translate(_TO_TEXT).decode("ascii")
     return ",".join(map(str, x))
+
+
+def _parse_words(texts: list[str], q: int) -> list[Word]:
+    """``[parse_word(text, q) for text in texts]``, in one pass for q <= 10.
+
+    texts are stripped lines.  The batch is joined with newlines, so it
+    holds len(texts) - 1 separators; a batch that is not ASCII digits and
+    newlines, holds a symbol of q or more, or splits into more words than it
+    has texts, and every batch above q = 10, is parsed line by line, so the
+    first faulty line is refused in parse_word's words.
+    """
+    if texts and q <= 10:
+        _check_params(q=q)
+        text = "\n".join(texts)
+        if text.isascii() and not (data := text.encode("ascii")).translate(None, _DIGIT_LINES):
+            data = data.translate(_FROM_TEXT)
+            # symbol 10 is the newline byte: the separators are counted, not deleted
+            if (
+                len(data.translate(None, _ALPHABETS[q])) == len(texts) - 1
+                and len(words := data.split(b"\n")) == len(texts)
+            ):
+                return words
+    return [parse_word(text, q) for text in texts]
+
+
+def _format_words(words: list[Word], q: int) -> list[str]:
+    """``[format_word(x, q) for x in words]``, in one pass for q <= 10.
+
+    A batch that holds a symbol of q or more, and every batch above q = 10,
+    is formatted word by word, so the first invalid word is refused in
+    format_word's words.
+    """
+    if words and q <= 10:
+        _check_params(q=q)
+        data = b"\n".join(words)
+        # symbol 10 is the newline byte: the separators are counted, not deleted
+        if len(data.translate(None, _ALPHABETS[q])) == len(words) - 1:
+            return data.translate(_TO_TEXT).decode("ascii").split("\n")
+    return [format_word(x, q) for x in words]
 
 
 def all_words(q: int, n: int) -> Iterator[Word]:

@@ -758,7 +758,7 @@ class TestReconstructCommand:
 
 class TestStreamedText:
     """reconstruct keeps only the distinct outputs it reads, and simulate writes
-    one output at a time, so neither holds its whole text."""
+    one batch of outputs at a time, so neither holds its whole text."""
 
     THUE_MORSE = "".join(str(bin(i).count("1") % 2) for i in range(200))
     SIMULATE = (
@@ -803,18 +803,47 @@ class TestStreamedText:
         assert code == EXIT_OK
         assert as_json < 1.5 * plain
 
-    def test_one_parse_per_output_line(self, outputs_file, capsys, monkeypatch):
+    def test_simulate_holds_one_batch_of_text(self, capsys):
+        # the first call also makes what a call makes once per process
+        code, text, _ = run_cli(capsys, *self.SIMULATE)
+        assert code == EXIT_OK
+        x = bytes(map(int, self.THUE_MORSE))
+        tracemalloc.start()
+        try:
+            burstrecon.sample_distinct_outputs(x, 2, 2, 2, "insertion", 2000, 3)
+            sample = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        code, plain = self.peak(*self.SIMULATE)
+        assert code == EXIT_OK
+        # one batch of 256 outputs adds about a ninth of the text to the sample
+        # (46 of 460 KB); joining the whole text adds all of it
+        assert plain < sample + len(text) / 4
+
+    def test_parses_the_lines_in_bounded_batches(self, outputs_file, capsys, monkeypatch):
         path, text = outputs_file
-        parsed = []
+        batches, parse_word_calls = [], []
+        parse_words = burstrecon.cli._parse_words
         monkeypatch.setattr(
-            burstrecon.cli, "parse_word", lambda line, q: parsed.append(line) or bytes(map(int, line))
+            burstrecon.cli, "_parse_words", lambda texts, q: batches.append(texts) or parse_words(texts, q)
+        )
+        parse_word = burstrecon.sequences.parse_word
+        monkeypatch.setattr(
+            burstrecon.sequences, "parse_word",
+            lambda line, q: parse_word_calls.append(line) or parse_word(line, q),
         )
         code, out, _ = run_cli(
             capsys, "reconstruct", "--ins", "--file", str(path),
             "-n", "200", "-q", "2", "-b", "2", "-t", "2",
         )
         assert (code, out) == (EXIT_OK, self.THUE_MORSE + "\n")
-        assert parsed == [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert [line for batch in batches for line in batch] == [
+            ln for ln in text.splitlines() if not ln.startswith("#")
+        ]
+        assert len(batches) > 1
+        assert max(map(len, batches)) <= burstrecon.cli._TEXT_BATCH
+        # no line is faulty, so no batch is parsed line by line
+        assert parse_word_calls == []
 
 
 # the refusal table in main, row by row: each refusal's exact stderr line and

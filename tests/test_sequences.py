@@ -1,5 +1,7 @@
 """Word representation, text forms, and the extremal deletion centers."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from burstrecon import (
     validate_word,
     y_sequence,
 )
+from burstrecon.sequences import _format_words, _parse_words
 
 
 def radius1_del_ball_size(x, b):
@@ -97,6 +100,130 @@ class TestParseFormat:
     def test_round_trip_commas(self, q, symbols):
         w = bytes(s % q for s in symbols)
         assert parse_word(format_word(w, q), q) == w
+
+
+def outcome(convert, *args):
+    """What a conversion returns, or the class and message of the ValueError it raises."""
+    try:
+        return convert(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def parse_each(texts, q):
+    return [parse_word(text, q) for text in texts]
+
+
+def format_each(words, q):
+    return [format_word(x, q) for x in words]
+
+
+# faults planted into a valid text at index i: each text is parsed as a
+# whole, so a newline inside it is a fault, not a separator
+TEXT_FAULTS = {
+    "interior newline": lambda text, i, q, rng: text[:i] + "\n" + text[i:],
+    "carriage return": lambda text, i, q, rng: text + "\r",
+    "tab": lambda text, i, q, rng: text[:i] + "\t" + text[i:],
+    "non-ASCII digit": lambda text, i, q, rng: text[:i] + rng.choice("\u0661\uff11\u00b2") + text[i:],
+    "letter": lambda text, i, q, rng: text[:i] + "x" + text[i:],
+    "padding": lambda text, i, q, rng: " " + text,
+    "symbol of q or more": lambda text, i, q, rng: (
+        text[:i] + str(rng.randrange(q, 10)) + text[i:] if q < 10 else f"{rng.randrange(q, 1000)},{text}"
+    ),
+}
+
+
+class TestBatchForms:
+    """_parse_words and _format_words return what parse_word and format_word
+    return line by line, or raise the same class and message, on seeded
+    batches of valid lines and words with planted faults."""
+
+    @staticmethod
+    def batches(key, make, plant):
+        """300 seeded batches of 1 to 40 items; half of them hold one or two faults."""
+        rng = random.Random(key)
+        for _ in range(300):
+            batch = [make(rng) for _ in range(rng.randint(1, 40))]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                k = rng.randrange(len(batch))
+                batch[k] = plant(batch[k], rng)
+            yield batch
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 11, 255])
+    def test_parse_matches_parse_word(self, q):
+        def text(rng):
+            symbols = [rng.randrange(q) for _ in range(rng.randint(0, 8))]
+            return ("," if q > 10 else "").join(map(str, symbols))
+
+        # at q = 10 no digit is out of range: the newline, symbol 10, is
+        names = sorted(TEXT_FAULTS.keys() - ({"symbol of q or more"} if q == 10 else set()))
+        planted = set()
+
+        def plant(text, rng):
+            name = rng.choice(names)
+            planted.add(name)
+            return TEXT_FAULTS[name](text, rng.randint(0, len(text)), q, rng)
+
+        results = set()
+        for texts in self.batches(f"parse {q}", text, plant):
+            found = outcome(_parse_words, texts, q)
+            assert found == outcome(parse_each, texts, q), texts
+            results.add(type(found))
+        assert results == {list, tuple}
+        assert planted == set(names)
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 11, 255])
+    def test_format_matches_format_word(self, q):
+        def word(rng):
+            return bytes(rng.randrange(q) for _ in range(rng.randint(0, 8)))
+
+        def plant(x, rng):
+            # symbol 10 is the newline byte that joins the batch
+            symbol = 10 if q <= 10 and rng.random() < 0.5 else rng.randrange(q, 256)
+            i = rng.randint(0, len(x))
+            return x[:i] + bytes([symbol]) + x[i:]
+
+        results = set()
+        for words in self.batches(f"format {q}", word, plant):
+            found = outcome(_format_words, words, q)
+            assert found == outcome(format_each, words, q), words
+            results.add(type(found))
+        assert results == {list, tuple}
+
+    @pytest.mark.parametrize(
+        "texts, q",
+        [
+            (["10", "0\n1"], 2),
+            (["1\r", "0"], 2),
+            (["1\t0"], 10),
+            (["100", "0\u06610", "01x"], 2),
+            (["100", "012", "01x"], 2),
+            (["", "9", "09"], 10),
+            (["10", "2,3"], 10),
+            (["3,10", "3,11"], 11),
+            (["0"], 1),
+            (["0"], 256),
+            ([], 1),
+        ],
+    )
+    def test_parse_cases(self, texts, q):
+        assert outcome(_parse_words, texts, q) == outcome(parse_each, texts, q)
+
+    @pytest.mark.parametrize(
+        "words, q",
+        [
+            ([b"\x01", b"\x0a"], 10),
+            ([b"\x01\x0a\x00"], 2),
+            ([b"", b""], 2),
+            ([b"\x09\x00", b""], 10),
+            ([b"\x01\x02"], 2),
+            ([b"\x0a", b"\x0b"], 11),
+            ([b"\x00"], 1),
+            ([], 1),
+        ],
+    )
+    def test_format_cases(self, words, q):
+        assert outcome(_format_words, words, q) == outcome(format_each, words, q)
 
 
 def reference_validate(x, q):
