@@ -21,14 +21,13 @@ dict holds what its rows share, all as word ranks: the insertion or deletion
 ball table of every center, and the b-cyclic word's deletion ball.
 
 Neither ``simulate`` nor ``reconstruct`` holds more of its text than one
-batch of ``_TEXT_BATCH`` lines.  ``simulate`` formats a batch of outputs in
-one pass and writes it with its event lines, in both forms, and formats each
-event once.  ``reconstruct`` reads its input a batch of lines at a time,
-parses the batch in one pass and keeps only the distinct outputs.  A batch
-that fails a check is parsed line by line (``sequences._parse_words``), and
-a fault in reading is raised only after the lines read before it are
-parsed, so the first line that cannot be parsed is refused before any later
-line is decoded.
+batch.  ``simulate`` formats ``_TEXT_BATCH`` outputs in one pass and writes
+them with their event lines, in both forms, and formats each event once.
+``reconstruct`` reads ``_TEXT_BATCH`` lines at a time, parses them in one
+pass and keeps only the distinct outputs.  A batch that fails a check is
+parsed line by line (``sequences._parse_words``), and a fault in reading is
+raised only after the lines read before it are parsed, so the first line
+that cannot be parsed is refused before any later line is decoded.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ COUNT_KINDS = ("ins-ball", "ins-int", "del-ball", "del-int", "del-int-lb", "sphe
 
 CSV_HEADER = "q,b,t,n,kind,formula,oracle,match,ms"
 
-# lines of text that simulate formats, and reconstruct parses, in one pass
+# outputs that simulate formats, and input lines that reconstruct parses, in one pass
 _TEXT_BATCH = 256
 
 

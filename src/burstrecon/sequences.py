@@ -79,10 +79,10 @@ def _parse_words(texts: list[str], q: int) -> list[Word]:
     """``[parse_word(text, q) for text in texts]``, in one pass for q <= 10.
 
     texts are stripped lines.  The batch is joined with newlines, so it
-    holds len(texts) - 1 separators; a batch that is not ASCII digits and
+    holds len(texts) - 1 separators.  A batch that is not ASCII digits and
     newlines, holds a symbol of q or more, or splits into more words than it
-    has texts, and every batch above q = 10, is parsed line by line, so the
-    first faulty line is refused in parse_word's words.
+    has texts, and every batch above q = 10, is parsed line by line, so
+    parse_word refuses the first faulty line with its own message.
     """
     if texts and q <= 10:
         _check_params(q=q)
@@ -102,8 +102,8 @@ def _format_words(words: list[Word], q: int) -> list[str]:
     """``[format_word(x, q) for x in words]``, in one pass for q <= 10.
 
     A batch that holds a symbol of q or more, and every batch above q = 10,
-    is formatted word by word, so the first invalid word is refused in
-    format_word's words.
+    is formatted word by word, so format_word refuses the first invalid
+    word with its own message.
     """
     if words and q <= 10:
         _check_params(q=q)

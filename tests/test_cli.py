@@ -804,7 +804,7 @@ class TestStreamedText:
         assert as_json < 1.5 * plain
 
     def test_simulate_holds_one_batch_of_text(self, capsys):
-        # the first call also makes what a call makes once per process
+        # the first call in a process also allocates what later calls reuse
         code, text, _ = run_cli(capsys, *self.SIMULATE)
         assert code == EXIT_OK
         x = bytes(map(int, self.THUE_MORSE))
@@ -898,6 +898,13 @@ class TestStreamedText:
             "error[precondition]: expected a digit string for alphabet of size 2: '1a0'",
         ),
         (
+            # a parse fault, then an undecodable byte two read chunks later but
+            # within the same 256-line batch: the lines read are parsed first
+            "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
+            b"1a0\n" + (b"1" * 100 + b"\n") * 200 + b"\xff", EXIT_PRECONDITION,
+            "error[precondition]: expected a digit string for alphabet of size 2: '1a0'",
+        ),
+        (
             # both faults in the first read chunk: the chunk fails to decode
             "reconstruct --ins --file {file} -n 1 -q 2 -b 2 -t 1",
             b"1a0\n\xff\n", EXIT_PRECONDITION,
@@ -936,7 +943,7 @@ class TestStreamedText:
     ids=[
         "ball-too-small", "simulate-cap", "phase2-cap", "below-threshold", "missing-file",
         "del-int-q3", "reconstruct-del-q3", "non-digit-word", "non-digit-before-bad-byte",
-        "bad-byte-in-first-chunk", "trials-zero",
+        "non-digit-before-bad-byte-in-one-batch", "bad-byte-in-first-chunk", "trials-zero",
         "verify-cap-negative", "verify-cap-zero", "simulate-cap-zero", "simulate-seed-negative",
         "count-del-ball-t-negative", "count-del-ball-n-negative",
     ],
