@@ -23,7 +23,8 @@ of length t*b; every ``verify`` kind,
 with size-only ``ins-ball`` and ``del-ball`` grids that reach t = 0 and n = 0,
 and ``del-extremal,del-int-lb`` grids on short words, on alphabets of 11 and
 255 symbols, on words of up to 300 symbols and under caps at, just below and
-far above the largest round of their deletion ball; ``count``; and each
+far above the largest round of their deletion ball, and on alphabets of 4
+to 16 symbols at n = 60 to 150; ``count``; and each
 refusal and exit code: cap, ball too small, below the decoding threshold,
 out-of-range symbol, bad range and argparse errors.
 
@@ -251,6 +252,11 @@ def verify_commands():
     # the b-cyclic word's largest round at (q, b, t, n) = (2, 2, 3, 40) is
     # 6,580 words, and (n - b + 1)**t = 59,319 bounds every round
     commands += [f"{cyclic} --q 2 --b 2 --t 3 --n 40 --cap {cap}" for cap in (6580, 6579, 59319)]
+    # power-of-two alphabets at large n, whose ranks fold onto few hash residues
+    commands += [
+        f"{cyclic} --q 4,8,16 --b 2 --t 1:2 --n 120",
+        f"{cyclic} --q 4 --b 2:3 --t 2 --n 60,150",
+    ]
     return commands
 
 
