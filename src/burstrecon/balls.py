@@ -22,7 +22,10 @@ takes those sets to radius t-1 and applies the last burst as combs of bits;
 whose symbols are in hand, the b-cyclic word of ``del-extremal`` and
 ``del-int-lb`` or its flip, is stepped from cut to cut
 (``_stepped_deletion_ranks``), which refuses an over-cap ball before it
-steps; its last round streams ranks, so the flip's ball is never held.  No
+steps; its last round streams ranks, so the flip's ball is never held.  Its
+keys are ranks times one odd constant, ``_SPREAD``: the bare ranks of
+words over 2 or 4 symbols fold onto few of CPython's hash residues, and the
+scaled keys spread over the table the ball's set and the overlap use.  No
 module but this one calls the word enumerators, the reference the rank
 builders are checked against.  Nothing here keeps a table: it belongs to
 whoever built it and dies with that caller.  A cached table would escape
@@ -148,20 +151,36 @@ def _rank_balls(n: int, q: int, b: int, t: int, kind: BallKind) -> Iterator[set[
         yield ball
 
 
-def _stepped_deletion_ranks(x: Word, q: int, b: int, t: int, cap: int) -> Iterator[int]:
-    """x's deletion ball as word ranks, stepped from cut to cut along x; a rank may repeat.
+# the keys' odd scale: a 64-bit golden-ratio constant (``_stepped_deletion_ranks``)
+_SPREAD = 0x9E3779B97F4A7C15
 
-    Rank j stands for the j-th word of ``all_words(q, len(x) - t*b)``.  Cut 0
-    of a word w of rank r leaves rank ``r % low``, and each next cut i+1 adds
-    ``(w[i] - w[i+b]) * low`` of that cut (``_cuts``), so one ``accumulate``
-    steps through a word at C speed.  Earlier rounds keep each distinct word
-    with its rank; the last streams ranks only.  ``_check_deletion_rounds``
-    refuses a round over the cap before any step; callers check x and q.
+
+def _stepped_deletion_ranks(x: Word, q: int, b: int, t: int, cap: int) -> Iterator[int]:
+    """x's deletion ball as keys ``_SPREAD * rank``, stepped from cut to cut along x.
+
+    Rank j stands for the j-th word of ``all_words(q, len(x) - t*b)``; a key
+    may repeat.  Cut 0 of a word w of rank r leaves rank ``r % low``, and
+    each next cut i+1 adds ``(w[i] - w[i+b]) * low`` of that cut (``_cuts``),
+    so one ``accumulate`` steps through a word at C speed.  Earlier rounds
+    keep each distinct word with its key; the last streams keys only.
+    ``_check_deletion_rounds`` refuses a round over the cap before any step;
+    callers check x and q.
+
+    The first rank and every round's weights are scaled by the odd constant
+    ``_SPREAD``, so the same steps give ``_SPREAD * rank`` with no operation
+    added per key: keys stay distinct, and ``key % (_SPREAD * low)`` is still
+    cut 0.  Bare ranks hash badly.  CPython hashes an int by its residue mod
+    2**61 - 1, where every power of 2 or 4 is a power of two, so the ranks of
+    one ball's similar words fold onto few hash table slots: 1,398 distinct
+    low 16 bits of hash for the 43,957 ranks at (q, b, t, n) = (2, 2, 2, 300)
+    and 837 for the 10,878 at (4, 2, 2, 150), and a set of the former took
+    twice as long to build as one of as many random ints.  Scaled keys give
+    21,310 and 9,784.
     """
     _check_deletion_rounds(x, t, b, cap)
-    words = {sum(map(mul, x, (q**k for k in reversed(range(len(x)))))): x}
+    words = {_SPREAD * sum(map(mul, x, (q**k for k in reversed(range(len(x)))))): x}
     for length in range(len(x), len(x) - t * b, -b):
-        top, *lows = (low for _, low in _cuts(q, b, length))
+        top, *lows = (_SPREAD * low for _, low in _cuts(q, b, length))
         steps = (
             (w, accumulate(map(mul, map(sub, w, w[b:]), lows), initial=r % top))
             for r, w in words.items()

@@ -82,6 +82,16 @@ def words_of_ranks(ranks, q, length):
     return words
 
 
+def words_of_keys(keys, q, length):
+    """The words of stepped keys, ``_SPREAD * rank``: each key must divide, then its rank decodes."""
+    ranks = []
+    for key in keys:
+        rank, rest = divmod(key, burstrecon.balls._SPREAD)
+        assert rest == 0, "key is not a multiple of _SPREAD"
+        ranks.append(rank)
+    return words_of_ranks(ranks, q, length)
+
+
 def both_searches(masks):
     """(pair search, co-occurrence): each exact overlap search's (max, witness) on one table."""
     return (
@@ -712,23 +722,25 @@ def refusal(run):
 
 class TestSteppedDeletionRanks:
     # the b-cyclic rows step one long word's deletion ball from cut to cut:
-    # rank j stands for the j-th word of all_words(q, len(x) - t*b), and the
-    # last round yields one rank per cut of every word of the round before
+    # key _SPREAD * j stands for the j-th word of all_words(q, len(x) - t*b),
+    # and the last round yields one key per cut of every word of the round
+    # before
 
     @staticmethod
     def check(x, q, b, t):
-        ranks = list(_stepped_deletion_ranks(x, q, b, t, 10**7))
+        keys = list(_stepped_deletion_ranks(x, q, b, t, 10**7))
         ball = enumerate_deletion_ball(x, t, b)
-        assert words_of_ranks(ranks, q, len(x) - t * b) == ball, (q, b, t, x)
+        assert words_of_keys(keys, q, len(x) - t * b) == ball, (q, b, t, x)
         cuts = len(x) - t * b + 1
-        assert len(ranks) == (len(enumerate_deletion_ball(x, t - 1, b)) * cuts if t else 1)
+        assert len(keys) == (len(enumerate_deletion_ball(x, t - 1, b)) * cuts if t else 1)
         return ball
 
     def test_ranks_decode_to_the_enumerated_ball(self):
         # random words and the b-cyclic pair, on alphabets past the digit text
         # form too, where the step weights q**k are large; decoding by base-q
         # division shows a weight shifted by one cut, and a first rank that
-        # kept the deleted block runs past the last word
+        # kept the deleted block runs past the last word; a key that is no
+        # multiple of _SPREAD shows a weight or a cut left unscaled
         rng = random.Random(25)
         balls = 0
         for q in (2, 3, 4, 5, 11, 255):
@@ -772,6 +784,14 @@ class TestSteppedDeletionRanks:
             _stepped_deletion_ranks(y_sequence(120, 2, 1), 2, 1, 4, 10**5)
         assert (info.value.required, cuts) == (267_034, [])
 
+    @pytest.mark.parametrize("q, b, t, n", [(2, 2, 2, 200), (4, 2, 2, 150)])
+    def test_keys_spread_over_hash_slots(self, q, b, t, n):
+        # bare ranks of a b-cyclic ball over 2 or 4 symbols hash to few
+        # residues mod 2**61 - 1 (1,116 and 837 distinct low 16 bits here);
+        # the keys must take at least one low-16-bit hash per two keys
+        keys = set(_stepped_deletion_ranks(cyclic_pair(q, b, n)[0], q, b, t, 10**7))
+        assert len({hash(key) & 0xFFFF for key in keys}) >= len(keys) // 2, (q, b, t, n)
+
     @pytest.mark.parametrize("q, b, t, n", [(2, 2, 3, 40), (2, 1, 3, 30), (3, 3, 2, 60), (5, 2, 2, 25)])
     def test_long_words(self, q, b, t, n):
         rng = random.Random(f"{q} {b} {t} {n}")
@@ -791,7 +811,8 @@ class TestCyclicRankBalls:
 
     def test_rank_sets_decode_to_the_enumerated_balls(self, monkeypatch):
         # each center word is stepped once, the b-cyclic word and its flip;
-        # decoding what each yielded by base-q division must give back the
+        # dividing what each yielded by _SPREAD, with no remainder, and
+        # decoding the quotient by base-q division must give back the
         # enumerated balls, so a flip at the wrong entry shows even where the
         # sizes agree
         built = {}
@@ -813,8 +834,8 @@ class TestCyclicRankBalls:
             ball_x, ball_y = enumerate_deletion_ball(center, t, b), enumerate_deletion_ball(flipped, t, b)
             assert list(built) == [center, flipped], (q, b, t, n)
             assert set(built[center]) == tables["b-cyclic"], (q, b, t, n)
-            assert words_of_ranks(built[center], q, n - t * b) == ball_x, (q, b, t, n)
-            assert words_of_ranks(built[flipped], q, n - t * b) == ball_y, (q, b, t, n)
+            assert words_of_keys(built[center], q, n - t * b) == ball_x, (q, b, t, n)
+            assert words_of_keys(built[flipped], q, n - t * b) == ball_y, (q, b, t, n)
             assert overlap == len(ball_x & ball_y), (q, b, t, n)
             assert len(cli._cyclic_deletion_ball(q, b, t, n, 10**7, 1, None, tables)) == len(ball_x)
             assert list(built) == [center, flipped], (q, b, t, n)
