@@ -207,9 +207,7 @@ def _deletion_unranker(x: Word, t: int, b: int) -> tuple[int, _Unrank]:
                 rank -= ways[i + 1][u]
                 for f in range(1, u + 1):
                     end = i + f * b
-                    if end == n:
-                        break  # the last bursts end the word
-                    if x[end] not in x[i:end:b]:
+                    if end == n or x[end] not in x[i:end:b]:
                         if rank < ways[end + 1][u - f]:
                             break
                         rank -= ways[end + 1][u - f]

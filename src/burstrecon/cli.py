@@ -639,8 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # one build costs about fifteen parses, so build it once
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # the refusal table, checked in order: BallTooSmall is also a ValueError
     try:
         return args.func(args)

@@ -96,8 +96,6 @@ def _unit_burst_del_max(q: int, n: int, t: int) -> int:
 
     Memoized on the (q, n, t) triple down to the one-symbol base case.
     """
-    if t < 0 or n < t:
-        return 0
     if q == 1 or t == 0 or n == t:
         return 1
     return sum(binom(n - t, i) * _unit_burst_del_max(q - 1, t, t - i) for i in range(t + 1))
@@ -127,24 +125,22 @@ def _deletion_ways(x: bytes, t: int, b: int) -> list[list[int]]:
     and at a mismatch delete the fewest bursts that realign.  So the members
     correspond to the deletion patterns in which each run of f back-to-back
     bursts starting at i and followed by a kept symbol c = x[i + f*b] has
-    x[i + g*b] != c for g = 0..f-1; a run that ends the word is always
-    leftmost.  Each row starts as a copy of the next one (keep x[i]), so
-    ``ways[i][u]`` never increases with i.  O(len(x) * t**2) steps.  Like
-    ``balls.enumerate_deletion_ball``, it refuses a word shorter than t*b.
+    x[i + g*b] != c for g = 0..f-1.  Row n + 1 repeats row n, so a run that
+    ends the word reads ``ways[end + 1]`` too.  Each row starts as a copy of
+    the next (keep x[i]), so ``ways[i][u]`` never increases with i.  O(n*t**2)
+    steps.  Like ``enumerate_deletion_ball``, it refuses a word shorter than t*b.
     """
     _check_params(b=b, t=t)
     n = len(x)
     _check_deletable(n, t, b)
-    ways: list[list[int]] = [[]] * n + [[1] + [0] * t]
+    ways: list[list[int]] = [[]] * n + [[1] + [0] * t] * 2
     for i in range(n - 1, -1, -1):
         row = ways[i] = ways[i + 1][:]  # keep x[i]
         for f in range(1, t + 1):
             end = i + f * b
-            if end >= n:
-                if end == n:
-                    row[f] += 1  # a run that ends the word
+            if end > n:
                 break
-            if x[end] not in x[i:end:b]:
+            if end == n or x[end] not in x[i:end:b]:
                 after = ways[end + 1]
                 for u in range(f, t + 1):
                     row[u] += after[u - f]

@@ -311,6 +311,13 @@ class TestIntersection:
 
 
 class TestMaxIntersectionExhaustive:
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError) as excinfo:
+            max_intersection_exhaustive(3, 2, 1, 1, "substitution")
+        assert str(excinfo.value) == (
+            "ball kind must be 'insertion' or 'deletion', got 'substitution'"
+        )
+
     def test_insertion_value_from_enumeration(self):
         best, witness = max_intersection_exhaustive(2, 2, 2, 2, "insertion")
         assert best == 32 == ins_intersection_max(2, 2, 2, 2)
@@ -1030,6 +1037,12 @@ class TestInsertionMembership:
     def test_radius_zero(self):
         x = parse_word("012", 3)
         assert is_insertion_descendant(x, x, 0, 3)
+
+    def test_length_mismatch_refused(self):
+        # one burst of 2 insertions makes a length-2 word 4 long, not 3
+        with pytest.raises(ValueError) as excinfo:
+            is_insertion_descendant(parse_word("01", 2), parse_word("011", 2), 1, 2)
+        assert str(excinfo.value) == "length mismatch: expected 4, got 3"
 
     def test_agrees_with_enumeration(self):
         for q in (2, 3):

@@ -119,6 +119,12 @@ class TestApplyBursts:
         with pytest.raises(ValueError):
             apply_burst_insertion(b"\x00", 3, b"\x01")
 
+    @pytest.mark.parametrize("payload", [b"", None])
+    def test_insertion_payload_must_be_a_word(self, payload):
+        with pytest.raises(ValueError) as excinfo:
+            apply_burst_insertion(parse_word("01", 2), 1, payload)
+        assert str(excinfo.value) == "insertion payload must be a nonempty word"
+
     def test_deletion_middle(self):
         assert apply_burst_deletion(parse_word("01110", 2), 2, 2) == parse_word("010", 2)
 
@@ -180,6 +186,18 @@ class TestSampling:
         with pytest.raises(EnumerationCapExceeded) as info:
             sample_distinct_outputs(bytes([0, 1, 0, 1]), 2, 1, 1, "insertion", 6, 0, cap=5)
         assert (info.value.required, info.value.cap) == (6, 5)
+
+    @pytest.mark.parametrize(
+        "kind, count, message",
+        [
+            ("x", 1, "ball kind must be 'insertion' or 'deletion', got 'x'"),
+            ("deletion", 0, "need at least one output, got 0"),
+        ],
+    )
+    def test_kind_and_count_refused(self, kind, count, message):
+        with pytest.raises(ValueError) as excinfo:
+            sample_distinct_outputs(b"\x00\x01", 2, 1, 1, kind, count, 0)
+        assert str(excinfo.value) == message
 
     def test_negative_seed_refused(self):
         # random.Random(seed) uses abs(seed), so seed -7 would replay the stream of 7

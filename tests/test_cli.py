@@ -102,6 +102,19 @@ class TestCount:
         assert "precondition" in err
 
 
+def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(burstrecon.cli, "build_parser", refuse)
+    assert run_cli(capsys, "count", "ins-ball", "-q", "2", "-b", "2", "-n", "3", "-t", "1") == (
+        EXIT_OK, "10\n", ""
+    )
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "3")
+    assert code == EXIT_OK
+    assert {r.match for r in rows_of(out)} <= {"true", "skip"}
+
+
 class TestVerify:
     def test_small_grid_all_match(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "2", "--b", "2", "--t", "1", "--n", "3:5")
@@ -931,6 +944,10 @@ class TestStreamedText:
             None, EXIT_PRECONDITION, "error[precondition]: cap must be at least 1, got 0",
         ),
         (
+            "simulate --del -b 2 -t 1 -x 0110 -N 0",
+            None, EXIT_PRECONDITION, "error[precondition]: need at least one output, got 0",
+        ),
+        (
             "simulate -x 0110 --ins -b 2 -t 1 -N 3 --seed -7",
             None, EXIT_PRECONDITION, "error[precondition]: seed must be nonnegative, got -7",
         ),
@@ -947,7 +964,8 @@ class TestStreamedText:
         "ball-too-small", "simulate-cap", "phase2-cap", "below-threshold", "missing-file",
         "del-int-q3", "reconstruct-del-q3", "non-digit-word", "non-digit-before-bad-byte",
         "non-digit-before-bad-byte-in-one-batch", "bad-byte-in-first-chunk", "trials-zero",
-        "verify-cap-negative", "verify-cap-zero", "simulate-cap-zero", "simulate-seed-negative",
+        "verify-cap-negative", "verify-cap-zero", "simulate-cap-zero", "simulate-no-outputs",
+        "simulate-seed-negative",
         "count-del-ball-t-negative", "count-del-ball-n-negative",
     ],
 )

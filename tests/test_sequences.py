@@ -284,6 +284,18 @@ class TestYSequence:
         with pytest.raises(ValueError):
             y_sequence(7, 2, 2, 0, 2)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5, 2, 2, 2), "start symbol 2 out of range for alphabet of size 2"),
+            ((1, 2, 3, 0, 2), "length 1 shorter than the prefix 2"),
+        ],
+    )
+    def test_start_and_length_refused(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            y_sequence(*args)
+        assert str(excinfo.value) == message
+
     def test_extremal_ball_sizes(self):
         # every prefix length and start symbol reaches the maximum
         for q in (2, 3):

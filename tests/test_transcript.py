@@ -279,6 +279,7 @@ def refusal_commands():
         "simulate --ins -q 2 -b 1 -t 1 -x 01 -N 2 --cap 0",
         "simulate --ins -q 2 -b 0 -t 1 -x 01 -N 2",
         "simulate --del -b 2 -t 2 -x 011 -N 1",
+        "simulate --del -b 2 -t 1 -x 0110 -N 0",
         "simulate --ins -q 2 -b 1 -t 1 -x 01 -N 2 --seed -1",
         # an out-of-range symbol, a wrong length and a non-binary deletion decoder
         "simulate --ins -q 3 -b 1 -t 1 -x 212 -N 4 | reconstruct --ins -q 2 -b 1 -t 1 -n 3",
