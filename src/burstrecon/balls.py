@@ -23,9 +23,9 @@ whose symbols are in hand, the b-cyclic word of ``del-extremal`` and
 ``del-int-lb`` or its flip, is stepped from cut to cut
 (``_stepped_deletion_ranks``), which refuses an over-cap ball before it
 steps; its last round streams ranks, so the flip's ball is never held.  Its
-keys are ranks times one odd constant, ``_SPREAD``: the bare ranks of
-words over 2 or 4 symbols fold onto few of CPython's hash residues, and the
-scaled keys spread over the table the ball's set and the overlap use.  No
+keys are ranks times one odd constant, ``_SPREAD``: bare ranks of words over
+2 or 4 symbols share few low hash bits, the bits that pick a table slot, and
+the keys spread them, though keys share full hashes as often as ranks.  No
 module but this one calls the word enumerators, the reference the rank
 builders are checked against.  Nothing here keeps a table: it belongs to
 whoever built it and dies with that caller.  A cached table would escape
@@ -169,13 +169,13 @@ def _stepped_deletion_ranks(x: Word, q: int, b: int, t: int, cap: int) -> Iterat
     The first rank and every round's weights are scaled by the odd constant
     ``_SPREAD``, so the same steps give ``_SPREAD * rank`` with no operation
     added per key: keys stay distinct, and ``key % (_SPREAD * low)`` is still
-    cut 0.  Bare ranks hash badly.  CPython hashes an int by its residue mod
-    2**61 - 1, where every power of 2 or 4 is a power of two, so the ranks of
-    one ball's similar words fold onto few hash table slots: 1,398 distinct
-    low 16 bits of hash for the 43,957 ranks at (q, b, t, n) = (2, 2, 2, 300)
-    and 837 for the 10,878 at (4, 2, 2, 150), and a set of the former took
-    twice as long to build as one of as many random ints.  Scaled keys give
-    21,310 and 9,784.
+    cut 0.  CPython hashes an int by its residue mod 2**61 - 1, where every
+    power of 2 or 4 is a power of two.  At (q, b, t, n) = (2, 2, 2, 300) the
+    43,957 bare ranks take 1,398 distinct low 16 bits of hash, which pick the
+    slot, and a set of them builds twice as slowly as one of random ints; the
+    keys take 21,310 (and 9,784 against 837 at (4, 2, 2, 150)).  Only those
+    bits spread: scaling permutes residues, so keys share full hashes as often
+    as ranks (25,444 and 10,583 distinct), and still compare on a shared one.
     """
     _check_deletion_rounds(x, t, b, cap)
     words = {_SPREAD * sum(map(mul, x, (q**k for k in reversed(range(len(x)))))): x}

@@ -110,8 +110,7 @@ def del_ball_max(q: int, b: int, n: int, t: int) -> int:
     is the b = 1 count.  For q = 2 this collapses to a binomial partial sum.
     """
     _check_params(q=q, b=b)
-    if t < 0 or n < b * t:
-        return 0
+    # the sum is empty for t < 0, and every binomial is 0 for n < b*t
     return sum(
         binom(n - b * t, i) * _unit_burst_del_max(q - 1, t, t - i) for i in range(t + 1)
     )
@@ -185,7 +184,9 @@ def del_intersection_threshold(b: int, n: int, t: int) -> int:
     """
     if b < 2:
         raise ValueError(f"burst length must be at least 2, got {b}")
-    if t <= 0 or n < b * t:
+    # every D term is 0 for t >= 1 and n < b*t, but at t = 0 the formula
+    # gives 1 for n < b
+    if t <= 0:
         return 0
     return _flip_overlap(2, b, n, t)
 

@@ -9,8 +9,8 @@ them once with C-speed ``map``, ``compress`` and ``Counter`` passes.
 * the insertion decoder compares, for each pair of symbols, how many outputs
   show one before the other on the burst grid (positions 1, b+1, ..., t*b+1),
   then descends into the largest same-prefix class.  Each step counts the
-  distinct grid patterns at the offset (at most q**(t+1)), and the class
-  sizes and precedence counts come from those pattern counts;
+  distinct grid patterns at the offset (at most q**(t+1)); its class sizes,
+  precedence counts and vote cover only the symbols those patterns show;
 * the deletion decoder (binary only) takes the first-symbol majority; a
   suspiciously small majority class proves a burst ate the word's front, in
   which case b-1 positions are deferred as open cells, each with a vote
@@ -51,17 +51,18 @@ from .sequences import _ALPHABETS, Word, _out_of_range
 
 
 def _tally_grid(
-    counts: Mapping[bytes, int], q: int, t: int
+    counts: Mapping[bytes, int], t: int
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """Class sizes and precedence counts of counted grid patterns.
 
-    A pattern is the t+1 grid symbols of an output.  Returns
-    ``sizes[(symbol, slot)]``, the outputs whose first ``symbol`` is at the
-    1-based ``slot``, and ``precedence[(alpha, beta)]``, the outputs that show
-    alpha strictly before beta.
+    A pattern is the t+1 grid symbols of an output.  ``sizes[(symbol, slot)]``
+    counts the outputs whose first ``symbol`` is at the 1-based ``slot``, and
+    ``precedence[(alpha, beta)]`` those that show alpha strictly before beta.
+    A symbol that no pattern shows counts nothing and has no key.
     """
-    sizes = dict.fromkeys(product(range(q), range(1, t + 2)), 0)
-    precedence = dict.fromkeys(permutations(range(q), 2), 0)
+    shown = set().union(*counts)
+    sizes = dict.fromkeys(product(shown, range(1, t + 2)), 0)
+    precedence = dict.fromkeys(permutations(shown, 2), 0)
     never = t + 2  # sentinel slot for symbols absent from the grid
     for pattern, count in counts.items():
         first: dict[int, int] = {}
@@ -70,8 +71,8 @@ def _tally_grid(
                 first[symbol] = slot
         for alpha, slot in first.items():
             sizes[(alpha, slot)] += count
-            for beta in range(q):
-                if beta != alpha and slot < first.get(beta, never):
+            for beta in shown:
+                if slot < first.get(beta, never):
                     precedence[(alpha, beta)] += count
     return sizes, precedence
 
@@ -195,30 +196,29 @@ def reconstruct_from_insertions(
     while len(recovered) < n:
         grid = _grid(off, b, t_rem)
         counts = Counter(map(grid, words))
-        sizes, precedence = _tally_grid(counts, q, t_rem)
-        winner = None
-        for beta in range(q):
+        sizes, precedence = _tally_grid(counts, t_rem)
+        # a symbol that no pattern shows loses to every shown one, so the
+        # vote runs over the shown symbols
+        shown = set().union(*counts)
+        for winner in shown:
             if all(
-                precedence[(alpha, beta)] < precedence[(beta, alpha)]
-                for alpha in range(q)
-                if alpha != beta
+                precedence[(alpha, winner)] < precedence[(winner, alpha)]
+                for alpha in shown
+                if alpha != winner
             ):
-                winner = beta
                 break
-        if winner is None:
+        else:
             raise AmbiguousSymbol(
                 "no symbol wins every pairwise precedence comparison"
             )
         recovered.append(winner)
-        chosen_j = None
-        for j in range(t_rem, -1, -1):
-            need = (q - 1) ** j * q ** (j * (b - 1)) * ins_intersection_max(
-                q, b, n - len(recovered), t_rem - j
+        for chosen_j in range(t_rem, -1, -1):
+            need = (q - 1) ** chosen_j * q ** (chosen_j * (b - 1)) * ins_intersection_max(
+                q, b, n - len(recovered), t_rem - chosen_j
             ) + 1
-            if sizes[(winner, j + 1)] >= need:
-                chosen_j = j
+            if sizes[(winner, chosen_j + 1)] >= need:
                 break
-        if chosen_j is None:
+        else:
             raise ThresholdNotMet(
                 "no first-symbol class clears its pigeonhole bound"
             )

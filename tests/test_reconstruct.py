@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,21 +59,43 @@ def reference_classes(words, q, b, t):
     return classes, precedence
 
 
-def grid_classes(words, q, b, t):
+def grid_classes(words, b, t):
     """The classes and precedence counts of an output set, through the decoder's tally.
 
     ``_tally_grid`` counts grid patterns; each word goes back into the class
     (symbol, slot) of every symbol on its grid, slot being the symbol's first
-    grid appearance, and the class sizes must be the tally's.
+    grid appearance, and the class sizes must be the tally's.  The tally is
+    keyed by the symbols that the grid shows, every slot of each.
     """
     patterns = {w: _grid(0, b, t)(w) for w in set(words)}
-    sizes, precedence = _tally_grid(Counter(patterns.values()), q, t)
+    sizes, precedence = _tally_grid(Counter(patterns.values()), t)
+    shown = set().union(*patterns.values())
+    assert set(sizes) == set(product(shown, range(1, t + 2)))
+    assert set(precedence) == set(permutations(shown, 2))
     classes = {key: set() for key in sizes}
     for w, pattern in patterns.items():
         for symbol in set(pattern):
             classes[(symbol, pattern.find(symbol) + 1)].add(w)
     assert {key: len(members) for key, members in classes.items()} == sizes
     return classes, precedence
+
+
+def assert_tally_matches_reference(words, q, b, t):
+    """The tally's entries equal the alphabet-wide reference's.  Beyond them
+    the reference holds nothing for a symbol that the grid does not show,
+    and counts every output that shows a symbol as showing it before each
+    symbol that the grid does not show."""
+    classes, precedence = grid_classes(words, b, t)
+    expected_classes, expected_precedence = reference_classes(set(words), q, b, t)
+    assert classes == {key: expected_classes[key] for key in classes}
+    assert precedence == {key: expected_precedence[key] for key in precedence}
+    assert not any(v for key, v in expected_classes.items() if key not in classes)
+    showing = Counter()
+    for (symbol, _), members in classes.items():
+        showing[symbol] += len(members)
+    for (alpha, beta), count in expected_precedence.items():
+        if (alpha, beta) not in precedence:
+            assert count == showing[alpha]
 
 
 def reference_insertion_decoder(outputs, n, q, b, t):
@@ -239,7 +261,7 @@ class TestClassifier:
     U = words_of("010000", "010100", "010101", "100001", "101001", "101011")
 
     def test_partition(self):
-        classes, _ = grid_classes(self.U, 2, 2, 2)
+        classes, _ = grid_classes(self.U, 2, 2)
         assert classes[(0, 1)] == words_of("010000", "010100", "010101")
         assert classes[(0, 2)] == words_of("100001")
         assert classes[(0, 3)] == words_of("101001")
@@ -248,28 +270,50 @@ class TestClassifier:
         assert classes[(1, 3)] == frozenset()
 
     def test_precedence_counts(self):
-        _, precedence = grid_classes(self.U, 2, 2, 2)
+        _, precedence = grid_classes(self.U, 2, 2)
         assert precedence[(0, 1)] == 3
         assert precedence[(1, 0)] == 3
 
     def test_singleton(self):
-        classes, precedence = grid_classes(words_of("010101"), 2, 2, 2)
-        nonempty = {k for k, v in classes.items() if v}
-        assert nonempty == {(0, 1)}  # only symbol 0 shows up on the grid
-        assert precedence[(0, 1)] == 1
-        assert precedence[(1, 0)] == 0
+        classes, precedence = grid_classes(words_of("010101"), 2, 2)
+        # only symbol 0 shows up on the grid, so the tally holds no pair, and
+        # the reference holds 0 before 1 once and 1 before 0 never
+        assert classes == {(0, 1): set(words_of("010101")), (0, 2): set(), (0, 3): set()}
+        assert precedence == {}
+        _, expected = reference_classes(words_of("010101"), 2, 2, 2)
+        assert expected == {(0, 1): 1, (1, 0): 0}
+        assert_tally_matches_reference(words_of("010101"), 2, 2, 2)
 
     def test_empty(self):
-        classes, precedence = grid_classes(frozenset(), 2, 2, 2)
-        assert all(not v for v in classes.values())
-        assert all(c == 0 for c in precedence.values())
+        assert grid_classes(frozenset(), 2, 2) == ({}, {})
+        assert_tally_matches_reference(frozenset(), 2, 2, 2)
+
+    def test_tables_cover_only_the_shown_symbols(self, monkeypatch):
+        # three outputs decode a 255-symbol word of length 200 at b = t = 1;
+        # every table a step builds is sized by the symbols its outputs show
+        rng = random.Random(255)
+        x = bytes(rng.randrange(255) for _ in range(200))
+        outputs = sample_distinct_outputs(x, 255, 1, 1, "insertion", 3, 35).outputs
+        real = burstrecon.reconstruct._tally_grid
+        tables = []
+
+        def recording(counts, *args):
+            sizes, precedence = real(counts, *args)
+            tables.append((len(set().union(*counts)), args[-1], len(sizes), len(precedence)))
+            return sizes, precedence
+
+        monkeypatch.setattr(burstrecon.reconstruct, "_tally_grid", recording)
+        assert reconstruct_from_insertions(outputs, 200, 255, 1, 1).word == x
+        assert len(tables) >= 2
+        for shown, t, sizes, precedence in tables:
+            assert sizes <= shown * (t + 1) and precedence <= shown * (shown - 1)
 
     def test_words_cover_true_first_symbol_slots(self):
         # every output of a known center lands in one class of the center's
         # first symbol
         x = parse_word("102", 3)
         ball = enumerate_insertion_ball(x, 3, 2, 2)
-        classes, _ = grid_classes(ball, 3, 2, 2)
+        classes, _ = grid_classes(ball, 2, 2)
         covered = set()
         for slot in (1, 2, 3):
             covered |= classes[(x[0], slot)]
@@ -728,7 +772,7 @@ class TestInsertionDecoderMatchesReference:
     def test_grid_sets(self):
         outcomes = {"decoded": 0, "below": 0, "refused": 0}
         for (q, b, t, n), x, outputs in self.grid_sets():
-            assert grid_classes(outputs, q, b, t) == reference_classes(set(outputs), q, b, t)
+            assert_tally_matches_reference(outputs, q, b, t)
             try:
                 word = decode_both(outputs, n, q, b, t).word
             except BelowThreshold:
@@ -739,6 +783,45 @@ class TestInsertionDecoderMatchesReference:
                 assert x is None or word == x
                 outcomes["decoded"] += 1
         assert outcomes["below"] == 75 and outcomes["decoded"] >= 75 and outcomes["refused"] >= 1
+
+    @staticmethod
+    def large_alphabet_sets():
+        # threshold+1 samples at b = 1 on alphabets of 11, 64 and 255 symbols:
+        # as sampled, with one and with two outputs swapped for uniform foreign
+        # words, and as a random mixture with another center's outputs
+        rng = random.Random(35)
+        cells = [(q, 1, n) for q in (11, 64, 255) for n in (1, 2, 5, 12, 20)]
+        cells += [(11, 2, n) for n in (1, 4, 12, 20)] + [(64, 2, 1), (64, 2, 3), (255, 2, 1)]
+        for q, t, n in cells:
+            need = ins_intersection_max(q, 1, n, t) + 1
+            x = bytes(rng.randrange(q) for _ in range(n))
+            outputs = sample_distinct_outputs(x, q, t, 1, "insertion", need, rng.getrandbits(32)).outputs
+            yield (q, 1, t, n), x, outputs
+            for swaps in (1, 2):
+                swapped = list(outputs)
+                for _ in range(swaps):
+                    swapped[rng.randrange(need)] = bytes(rng.randrange(q) for _ in range(n + t))
+                yield (q, 1, t, n), None, tuple(swapped)
+            z = bytes(rng.randrange(q) for _ in range(n))
+            zs = sample_distinct_outputs(z, q, t, 1, "insertion", need, rng.getrandbits(32)).outputs
+            k = rng.randint(1, max(1, need - 1))
+            yield (q, 1, t, n), None, outputs[:k] + tuple(w for w in zs if w not in outputs[:k])[: need - k]
+
+    def test_large_alphabet_sets(self):
+        outcomes = Counter()
+        for (q, b, t, n), x, outputs in self.large_alphabet_sets():
+            assert_tally_matches_reference(outputs, q, b, t)
+            try:
+                word = decode_both(outputs, n, q, b, t).word
+            except ReconstructionError as error:
+                assert x is None  # every sampled set decodes
+                outcomes[type(error).__name__] += 1
+            else:
+                assert x is None or word == x
+                outcomes["decoded"] += 1
+        # the foreign words draw both refusals
+        assert outcomes["decoded"] >= 18 + 20
+        assert outcomes["AmbiguousSymbol"] >= 10 and outcomes["ThresholdNotMet"] >= 10
 
     def test_extremal_pair_sets(self):
         assert TestExtremalPairs.insertion_pair_decodes(decode_both) >= 1000

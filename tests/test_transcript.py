@@ -16,7 +16,8 @@ comma-form, non-digit and non-ASCII digit lines, and of texts longer than
 256 lines whose first 256 are comments or whose first fault sits past them,
 one fault or two; deletion round trips
 at t = 3 on centers whose phase 2 tries up to 136 completions; insertion
-round trips at t = 3 whose steps consume 0 to 3 bursts; ``simulate`` of both
+round trips at t = 3 whose steps consume 0 to 3 bursts, and one on 255
+symbols at n = 200; ``simulate`` of both
 kinds at t = 3 on alphabets of 3, 11 and 255 symbols and over whole balls,
 ``--ins`` from empty centers and ``--del`` at b = 1 and 3 and from centers
 of length t*b; every ``verify`` kind,
@@ -192,6 +193,16 @@ def insertion_t3_commands():
     return commands
 
 
+def large_alphabet_commands():
+    """An insertion round trip on 255 symbols at n = 200 from three outputs,
+    threshold+1 at b = t = 1, with diagnostics: each step's tally covers only
+    the few symbols that its outputs show."""
+    rng = random.Random("ins 255 1 1 200")
+    x = ",".join(str(rng.randrange(255)) for _ in range(200))
+    channel = "--ins -q 255 -b 1 -t 1"
+    return [f"simulate {channel} -x={x} -N 3 --seed 1 | reconstruct {channel} -n 200 --diagnostics"]
+
+
 def sampler_commands():
     """simulate at t = 3, on alphabets of 3, 11 and 255 symbols, and whole-ball
     draws (-N the ball's size), plain and as JSON: --ins from empty centers,
@@ -314,7 +325,7 @@ def refusal_commands():
 def commands():
     return (
         roundtrip_commands() + text_commands() + phase2_commands() + insertion_t3_commands()
-        + sampler_commands() + verify_commands() + count_commands() + refusal_commands()
+        + large_alphabet_commands() + sampler_commands() + verify_commands() + count_commands() + refusal_commands()
     )
 
 
@@ -391,8 +402,9 @@ def test_commands_print_what_the_transcript_recorded(monkeypatch, tmp_path):
 def test_refusals_and_insertion_steps_hold_under_python_O(tmp_path):
     # python -O strips assert statements, so every refusal and every decoder
     # step must come from code that still runs there; the refusals and the
-    # t = 3 insertion pipes print their recorded digests in an -O interpreter
-    command_list = refusal_commands() + insertion_t3_commands()
+    # t = 3 and 255-symbol insertion pipes print their recorded digests in an
+    # -O interpreter
+    command_list = refusal_commands() + insertion_t3_commands() + large_alphabet_commands()
     script = (
         "import json, sys, test_transcript as T\n"
         "found = T.transcript(json.loads(sys.stdin.read()))\n"
