@@ -8,6 +8,8 @@ channels reproducibly, and decodes a transmitted word from one more distinct
 output than the overlap maximum.
 """
 
+from types import ModuleType as _ModuleType
+
 from .balls import (
     DEFAULT_CAP,
     BallKind,
@@ -66,50 +68,8 @@ from .sequences import (
     y_sequence,
 )
 
-__all__ = [
-    "AmbiguousSymbol",
-    "BallKind",
-    "BallTooSmall",
-    "BelowThreshold",
-    "BurstEvent",
-    "CandidateFilterError",
-    "ChannelSample",
-    "DEFAULT_CAP",
-    "EnumerationCapExceeded",
-    "InconsistentOutputs",
-    "MAX_ALPHABET",
-    "RNG_ALGORITHM",
-    "ReconstructionError",
-    "ReconstructionResult",
-    "StepInfo",
-    "ThresholdNotMet",
-    "Word",
-    "all_words",
-    "apply_burst_deletion",
-    "apply_burst_insertion",
-    "b_cyclic",
-    "binom",
-    "candidate_expansion",
-    "count_centers_by_radius1_ball_size",
-    "del_ball_max",
-    "del_ball_size",
-    "del_intersection_lower_bound",
-    "del_intersection_max_binary",
-    "del_intersection_threshold",
-    "enumerate_deletion_ball",
-    "enumerate_insertion_ball",
-    "format_event",
-    "format_word",
-    "ins_ball_size",
-    "ins_intersection_max",
-    "is_deletion_descendant",
-    "is_insertion_descendant",
-    "max_intersection_exhaustive",
-    "parse_word",
-    "reconstruct_from_deletions",
-    "reconstruct_from_insertions",
-    "sample_distinct_outputs",
-    "sphere_packing_bound",
-    "validate_word",
-    "y_sequence",
-]
+# the public API is every name the imports above bind, less the submodules
+# they bind as a side effect
+__all__ = sorted(
+    name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)
+)

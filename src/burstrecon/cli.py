@@ -14,7 +14,11 @@ Exit codes, for every command:
 cap is ``--cap`` on ``verify`` and ``simulate`` (default ``DEFAULT_CAP``; below
 1 it exits 2); ``reconstruct --del`` refuses above the fixed ``DEFAULT_CAP``.
 A ``verify`` row's work bound is one more ``balls._check_cap`` requirement;
-a row over the cap reads ``skip`` with the refusal message.
+a row over the cap reads ``skip`` with the refusal message, as does a row
+whose domain fails, whose oracle raises ``_Skip``, or whose domain, work or
+formula step raises ``ValueError`` (a catch the benchmark's tests still pin).
+Anything else an oracle raises is a defect: the row reads ``false``, with
+``error: <type>: <message>`` as its oracle.
 
 ``verify`` runs one grid point's rows together as a cell, whose ``tables``
 dict holds what its rows share, all as word ranks: the insertion or deletion
@@ -113,8 +117,8 @@ class ResultRow:
     t: int
     n: int
     kind: str
-    formula: str  # empty when skipped before evaluation
-    oracle: str  # empty when skipped
+    formula: str  # empty when skipped
+    oracle: str  # "skipped: <reason>", or "error: <type>: <message>" from a defect
     match: str  # "true" | "false" | "skip"
     ms: float
 
@@ -132,9 +136,10 @@ class Check:
     requirement.  ``formula`` is None for round trips, whose formula column is
     the number of trials.  ``oracle`` takes (q, b, t, n, cap, trials, rng,
     tables), where rng is the row's seeded generator for round trips and None
-    otherwise, and tables is the cell's dict of ball tables.  Every callable
-    looks library functions up when it runs, so that wrappers installed on the
-    modules see the calls.
+    otherwise, and tables is the cell's dict of ball tables; anything it
+    raises but ``_Skip`` or a cap refusal reads ``false``, never ``skip``.
+    Every callable looks library functions up when it runs, so that wrappers
+    installed on the modules see the calls.
 
     The oracles of one cell share what it builds, all on word ranks.  The
     overlap row (``ins-int``, ``del-int``) builds the ball table
@@ -376,11 +381,16 @@ def _compute_row(config: SweepConfig, point, kind, tables) -> ResultRow:
             rng = random.Random(f"{config.seed} {kind} {q} {b} {t} {n}")
         else:
             formula, rng = check.formula(q, b, t, n), None
-        oracle = check.oracle(q, b, t, n, config.cap, config.trials, rng, tables)
+        try:
+            oracle = check.oracle(q, b, t, n, config.cap, config.trials, rng, tables)
+        except (_Skip, EnumerationCapExceeded):
+            raise
+        except Exception as exc:
+            oracle = f"error: {type(exc).__name__}: {exc}"
     except (_Skip, EnumerationCapExceeded, ValueError) as exc:
-        ms = round((time.perf_counter() - started) * 1000.0, 3)
-        return ResultRow(q, b, t, n, kind, "", f"skipped: {exc}", "skip", ms)
-    match = "true" if formula == oracle else "false"
+        formula, oracle, match = "", f"skipped: {exc}", "skip"
+    else:
+        match = "true" if formula == oracle else "false"
     ms = round((time.perf_counter() - started) * 1000.0, 3)
     return ResultRow(q, b, t, n, kind, str(formula), str(oracle), match, ms)
 

@@ -283,15 +283,18 @@ def reconstruct_from_deletions(
     current: Collection[Word] = words
     off = 0  # the survivors share their first off symbols, so they stay distinct unstripped
     t_rem = t
-    i = 0  # 0-based index of the next cell to decide
     steps: list[StepInfo] = []
     while t_rem > 0:
         # threshold+1 outputs never run out first (the accounting is pinned in
-        # tests/test_reconstruct.py); this guard keeps itemgetter(off) inside them
-        if n - i <= t_rem * b:
+        # tests/test_reconstruct.py); the outputs have n - t*b symbols, so this
+        # guard keeps itemgetter(off) inside them
+        if off >= n - t * b:
             raise InconsistentOutputs(
                 "outputs exhausted before all bursts were accounted for"
             )
+        # a plain step moves the cell index with the offset; each placed burst
+        # moved it b further
+        i = off + (t - t_rem) * b  # 0-based index of the next cell to decide
         front = list(map(itemgetter(off), current))
         ones = sum(front)
         zeros = len(front) - ones
@@ -301,7 +304,6 @@ def reconstruct_from_deletions(
         cells[i] = keep = beta
         if max(zeros, ones) > del_intersection_threshold(b, n - i - 1, t_rem):
             steps.append(StepInfo(i + 1, beta, 0, (zeros, ones)))
-            i += 1
         else:
             # a burst consumed the front: the complement sits one burst ahead
             # and the b-1 cells between stay open for phase 2, each with the
@@ -311,14 +313,13 @@ def reconstruct_from_deletions(
             gaps = [w[off + 1 : off + b] for w in compress(current, map(beta.__eq__, front))]
             tallies = [2 * sum(column) - len(gaps) for column in zip(*gaps)]
             votes += tallies + [0] * (b - 1 - len(tallies))
-            i += b + 1
             t_rem -= 1
         current = list(compress(current, map(keep.__eq__, front)))
         off += 1
     # t >= 1, so the loop ended on its last burst: the survivors carry the tail
     if len(current) != 1:
         raise InconsistentOutputs("tail not unique once the burst budget ran out")
-    cells[i:] = current[0][off:]
+    cells[off + t * b :] = current[0][off:]
     phase1_seconds = time.perf_counter() - started
 
     started2 = time.perf_counter()

@@ -248,17 +248,21 @@ def test_criterion_08_threshold_tightness():
 
 def test_criterion_09_ball_size_distribution():
     def body():
-        for q, b, n in ((2, 2, 6), (3, 2, 5)):
-            histogram = {}
-            for x in all_words(q, n):
-                size = len(enumerate_deletion_ball(x, 1, b))
-                histogram[size] = histogram.get(size, 0) + 1
-            for i in range(1, n - b + 2):
-                expected = count_centers_by_radius1_ball_size(q, b, n, i)
-                assert histogram.get(i, 0) == expected, (q, b, n, i)
-            assert sum(histogram.values()) == q**n
-            assert set(histogram) <= set(range(1, n - b + 2))
-        return "(q,b,n) in {(2,2,6), (3,2,5)}, exact histogram"
+        cells = 0
+        for q, n_max in ((2, 12), (3, 8), (4, 6), (5, 5)):
+            for b in (1, 2, 3):
+                for n in range(b + 1, n_max + 1):
+                    histogram = {}
+                    for x in all_words(q, n):
+                        size = len(enumerate_deletion_ball(x, 1, b))
+                        histogram[size] = histogram.get(size, 0) + 1
+                    for i in range(1, n - b + 2):
+                        expected = count_centers_by_radius1_ball_size(q, b, n, i)
+                        assert histogram.get(i, 0) == expected, (q, b, n, i)
+                    assert sum(histogram.values()) == q**n
+                    assert set(histogram) <= set(range(1, n - b + 2))
+                    cells += 1
+        return f"{cells} cells, q 2-5, b 1-3, n from b+1 to 12, 8, 6, 5; exact histogram"
 
     _report("C9", "radius-1 ball-size distribution matches the census formula", body)
 

@@ -241,6 +241,36 @@ class TestVerify:
         rows = rows_of(out)
         assert [(r.formula, r.oracle, r.match) for r in rows] == [("2", "0", "false")] * 2
 
+    def test_oracle_defects_read_false_not_skip(self, capsys, monkeypatch):
+        # only a skip reason, a cap refusal or a failed domain, work or formula
+        # step reads skip; anything else an oracle raises is a mismatch
+        def crash(*args):
+            raise ValueError("min() arg is an empty sequence")
+
+        monkeypatch.setattr(burstrecon.cli, "reconstruct_from_insertions", crash)
+        code, out, _ = run_cli(
+            capsys, "verify", "--kinds", "roundtrip-ins", "--q", "2", "--b", "1", "--t", "1",
+            "--n", "2:3", "--trials", "2",
+        )
+        assert code == EXIT_MISMATCH
+        assert [(r.n, r.formula, r.oracle, r.match) for r in rows_of(out)] == [
+            (n, "2", "error: ValueError: min() arg is an empty sequence", "false") for n in (2, 3)
+        ]
+
+        def out_of_range(*args):
+            raise IndexError("index out of range")
+
+        check = dataclasses.replace(burstrecon.cli.CHECKS["sphere"], oracle=out_of_range)
+        monkeypatch.setitem(burstrecon.cli.CHECKS, "sphere", check)
+        code, out, _ = run_cli(
+            capsys, "verify", "--kinds", "sphere,ins-ball", "--q", "2", "--b", "1", "--t", "1", "--n", "2",
+        )
+        assert code == EXIT_MISMATCH
+        assert [(r.kind, r.oracle, r.match) for r in rows_of(out)] == [
+            ("ins-ball", "4", "true"),
+            ("sphere", "error: IndexError: index out of range", "false"),
+        ]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out, err = run_cli(

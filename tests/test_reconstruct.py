@@ -648,6 +648,42 @@ class TestDeletionDecoder:
                     assert f(b, m, t) >= f(b, m - 1, t) + f(b, m - b - 1, t - 1), (b, t, m)
 
 
+SUBSET_CELLS = (
+    # insertion (q, b, t, n)
+    [("insertion", 2, 1, 1, n) for n in (2, 3, 4)]
+    + [("insertion", 2, 1, 2, 2)]
+    + [("insertion", 2, 2, 1, n) for n in (2, 3)]
+    + [("insertion", 3, 1, 1, n) for n in (2, 3)]
+    # binary deletion (2, b, t, n); some balls there hold no threshold+1 words
+    + [("deletion", 2, 2, 1, n) for n in (5, 6, 7, 8)]
+    + [("deletion", 2, 2, 2, n) for n in (7, 8)]
+    + [("deletion", 2, 2, 3, 10)]
+    + [("deletion", 2, 3, 1, n) for n in (6, 7, 8)]
+    + [("deletion", 2, 3, 2, n) for n in (10, 11)]
+)
+
+
+def test_every_threshold_plus_one_subset_decodes_to_its_center():
+    # the paper's promise on whole small cells, not on samples: every set of
+    # threshold+1 outputs of every center's ball decodes to that center, with
+    # no refusal
+    sets = 0
+    for kind, q, b, t, n in SUBSET_CELLS:
+        if kind == "insertion":
+            need = ins_intersection_max(q, b, n, t) + 1
+            ball_of = lambda x: enumerate_insertion_ball(x, q, t, b)
+            decode = lambda outputs: reconstruct_from_insertions(outputs, n, q, b, t)
+        else:
+            need = del_intersection_max_binary(b, n, t) + 1
+            ball_of = lambda x: enumerate_deletion_ball(x, t, b)
+            decode = lambda outputs: reconstruct_from_deletions(outputs, n, b, t)
+        for x in all_words(q, n):
+            for subset in combinations(sorted(ball_of(x)), need):
+                assert decode(subset).word == x, (kind, q, b, t, n, x, subset)
+                sets += 1
+    assert sets == 9751
+
+
 def test_insertion_decoder_refuses_an_out_of_range_symbol_before_the_threshold():
     # _read_outputs refuses the symbol first, though the set falls short
     with pytest.raises(ValueError, match="symbol 3 out of range for alphabet of size 2"):
